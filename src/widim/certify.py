@@ -211,14 +211,18 @@ def report_to_csv_row(report: CertificationReport) -> str:
     )
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _validate_run(n, m, e, count, count_name):
     if not isinstance(e, Exponents):
         raise ValueError(f"expected an Exponents triple, got {e!r}")
-    if not isinstance(n, (int, np.integer)) or int(n) < 1:
+    if not _is_integer(n) or int(n) < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or int(m) < 0:
+    if not _is_integer(m) or int(m) < 0:
         raise ValueError(f"sparsity level must be a nonnegative integer, got {m!r}")
-    if not isinstance(count, (int, np.integer)) or int(count) < 1:
+    if not _is_integer(count) or int(count) < 1:
         raise ValueError(f"{count_name} must be a positive integer, got {count!r}")
     return int(n), int(m), int(count)
 

@@ -59,6 +59,16 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
+def _parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return workers
+
+
 def _parse_exponent(text: str) -> float:
     return math.inf if text.strip().lower() == "inf" else float(text)
 
@@ -376,7 +386,7 @@ def _add_common(sub, *, workers=False):
     sub.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                      help="64-bit seed; default 0x5EED")
     if workers:
-        sub.add_argument("--workers", type=int, default=1,
+        sub.add_argument("--workers", type=_parse_workers, default=1,
                          help="worker threads; never affects output bytes")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")

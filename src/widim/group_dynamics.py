@@ -32,7 +32,7 @@ import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, StreamFactory
 from .bounds import guarded_count
-from .certify import BOUND_TOLERANCE, sample_lp_ball
+from .certify import BOUND_TOLERANCE, _is_integer, sample_lp_ball
 
 __all__ = [
     "LatticeBox",
@@ -63,6 +63,10 @@ PAIR_BLOCK = 512
 #: Cap on drawn support sizes, keeping sampled points genuinely sparse.
 MAX_SUPPORT = 8
 MAX_OUTSIDE_SUPPORT = 6
+
+#: Cap on |Omega| * |window|, the entry count of embedding_check's weight
+#: table (2^22 doubles, 32 MiB). Larger runs are refused before allocating.
+MAX_WINDOW_CELLS = 1 << 22
 
 
 def _as_point(gamma, dim: int) -> tuple:
@@ -157,10 +161,13 @@ def geometric_weight_metric(
         return scale * base ** (-sum(abs(v) for v in pt))
 
     def tail_bound(radius: int) -> float:
+        # total * (1 - (1 - 2 base^-R / (base + 1))^d), the mass outside the
+        # box, in a form without cancellation: total minus the box sum
+        # rounds to 0 once the tail falls below total's last bit.
         if radius < 0:
             raise ValueError("tail radius must be nonnegative")
-        axis_partial = 1.0 + 2.0 * (1.0 - base ** (-radius)) / (base - 1.0)
-        return total - scale * axis_partial**dim_d
+        shrink = -2.0 * base ** (-radius) / (base + 1.0)
+        return -total * math.expm1(dim_d * math.log1p(shrink))
 
     return WeightedGroupMetric(
         dim_d=dim_d,
@@ -390,6 +397,46 @@ def _pair(gen, kind, window_pts, outside_pts, prime_set, p, eps):
     return x, FinitelySupportedPoint(x.support, tuple(vals), p)
 
 
+class _DenseWindow:
+    """Pairs as dense vectors over the lexicographic window.
+
+    Row k of the weight table holds w(gamma - delta_k) for the window points
+    gamma, so translating both points by delta_k only selects a row. The
+    row's products with |x - y| are folded left to right in window order,
+    which is the sorted order :func:`weighted_distance` sums in (translation
+    preserves lexicographic order), and every column outside the union of
+    supports adds exactly +0.0. So :meth:`omega_distance` equals the sparse
+    :func:`omega_distance` bit for bit; ``np.sum`` or a matrix product
+    would sum in another order and could move the last bit.
+    """
+
+    def __init__(self, M, deltas, window_pts, prime_pts):
+        self.column = {gamma: j for j, gamma in enumerate(window_pts)}
+        self.weights = np.array(
+            [
+                [M.weight(tuple(g - c for g, c in zip(gamma, delta))) for gamma in window_pts]
+                for delta in deltas
+            ],
+            dtype=np.float64,
+        )
+        self.prime_columns = np.array([self.column[gamma] for gamma in prime_pts])
+
+    def dense(self, x: FinitelySupportedPoint) -> np.ndarray:
+        v = np.zeros(len(self.column))
+        v[[self.column[gamma] for gamma in x.support]] = x.values
+        return v
+
+    def abs_diff(self, x, y) -> np.ndarray:
+        return np.abs(self.dense(x) - self.dense(y))
+
+    def gap(self, diff: np.ndarray) -> float:
+        """Sup-norm distance of the projections to the union box."""
+        return float(diff[self.prime_columns].max())
+
+    def omega_distance(self, diff: np.ndarray) -> float:
+        return float(np.cumsum(self.weights * diff, axis=1)[:, -1].max())
+
+
 def embedding_check(
     M: WeightedGroupMetric,
     omega,
@@ -408,27 +455,40 @@ def embedding_check(
     most eps + 1e-9. Pair kinds cycle through independent draws, pairs
     differing only outside the union box, and small perturbations, so both
     halves of the estimate (projection term and tail term) are exercised.
+    Runs whose weight table, |Omega| times the window size, would exceed
+    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
     """
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError(f"scale must be positive, got {eps}")
-    if not isinstance(samples, (int, np.integer)) or int(samples) < 1:
+    if not _is_integer(samples) or int(samples) < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     samples = int(samples)
     seed = int(seed)
     t0 = time.perf_counter()
 
+    if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
+        raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
     deltas = tuple(sorted(_as_point(d, M.dim_d) for d in omega))
     if not deltas:
         raise ValueError("omega must be a nonempty set of lattice points")
 
+    # Every tail box has the same radius; only its center moves with delta.
+    tail_radius = tail_set(M, deltas[0], eps).radius
+    window_radius = 2 * (max(max(abs(c) for c in delta) for delta in deltas) + tail_radius)
+    cells = len(deltas) * (2 * window_radius + 1) ** M.dim_d
+    if cells > MAX_WINDOW_CELLS:
+        raise ValueError(
+            f"|omega| * |window| = {cells} exceeds the cap of {MAX_WINDOW_CELLS};"
+            " use a smaller probe set, lattice dimension or a larger scale"
+        )
     prime: set = set()
     for delta in deltas:
-        prime |= set(tail_set(M, delta, eps))
+        prime |= set(LatticeBox(delta, tail_radius))
     prime_pts = tuple(sorted(prime))
-    window_radius = 2 * max(max(abs(c) for c in pt) for pt in prime_pts)
     window_pts = tuple(sorted(LatticeBox((0,) * M.dim_d, window_radius)))
     outside_pts = tuple(pt for pt in window_pts if pt not in prime)
+    window = _DenseWindow(M, deltas, window_pts, prime_pts)
 
     def eval_block(block):
         lo, hi = block
@@ -439,13 +499,10 @@ def embedding_check(
         for i in range(lo, hi):
             gen = factory.generator(i)
             x, y = _pair(gen, i % 3, window_pts, outside_pts, prime, p, eps)
-            gap = max(
-                (abs(x.value_at(pt) - y.value_at(pt)) for pt in prime_pts),
-                default=0.0,
-            )
-            if gap <= eps / 2.0:
+            diff = window.abs_diff(x, y)
+            if window.gap(diff) <= eps / 2.0:
                 checked += 1
-                margin = omega_distance(x, y, M, deltas) - eps
+                margin = window.omega_distance(diff) - eps
                 if worst is None or margin > worst[0]:
                     worst = (margin, i)
                 if margin > BOUND_TOLERANCE:

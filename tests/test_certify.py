@@ -217,6 +217,12 @@ def test_run_validation():
     with pytest.raises(ValueError):
         monte_carlo_certify(4, 1.0, e, 100)
     with pytest.raises(ValueError):
+        monte_carlo_certify(True, 0, e, True)
+    with pytest.raises(ValueError):
+        monte_carlo_certify(4, True, e, 100)
+    with pytest.raises(ValueError):
+        adversarial_certify(4, 1, e, True)
+    with pytest.raises(ValueError):
         adversarial_certify(4, 1, "not exponents", 8)
 
 

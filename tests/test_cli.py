@@ -1,9 +1,11 @@
 """Command line interface: pinned rows, round trips, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -141,6 +143,55 @@ def test_group_embed(capsys):
     doc = json.loads(out)
     assert doc["failure_count"] == 0
     assert doc["omega"] == [[-1], [0], [1]]
+
+
+# SHA-256 of `group --task embed --eps 0.5 --samples 500` output at the
+# default seed, recorded before the embedding check moved to dense window
+# vectors: the (dim, n) configurations of the benchmark at p = 1, plus p = 2
+# and p = inf.
+EMBED_GOLDEN = {
+    ("1", "2", "1", "json"): "01bdf7bf894531c95ed4b7e2dc5d964f70f577a27fdf261d0f98519fde1ac634",
+    ("1", "2", "1", "csv"): "695f0f46dd1f092a5febce50699689daa8fa62fa1def09dcdb2bff4b4a89fb6d",
+    ("1", "4", "1", "json"): "bca7221fb0443e1ce44adc936b8558b31ffa25b940b47796b21250deaa22dc97",
+    ("1", "4", "1", "csv"): "9447ac8b40ae5ee955f2ebee8aff843042863af93d11721f921956ef2cbecb2a",
+    ("2", "1", "1", "json"): "069ac023b27b7c5108cbce84412107d4ba7124bc1ff1320886410854da9cf05d",
+    ("2", "1", "1", "csv"): "25c6d82d1633b97204184396e184e5632dc86808f2ac0148ffee61237d2d943f",
+    ("1", "2", "2", "json"): "2b04fe602f500b8b3af0727396340c82cac37c3913807fcd92a52baf6fa8c6a7",
+    ("1", "2", "2", "csv"): "9633bc9dd0c784dba3e5ea1a18b39c35393f0af013468bbe5d8ea90478255d61",
+    ("1", "2", "inf", "json"): "287f499005a0473c5bb696e82fb28ab62a782fb19908051f61b2e817c758285e",
+    ("1", "2", "inf", "csv"): "0b8d6e37f5b38ff2d5e880f68f9e85ac303003cf2ed80ec4305cda403aaf4cdd",
+}
+
+
+@pytest.mark.parametrize("config", sorted(EMBED_GOLDEN))
+def test_group_embed_golden_bytes(capsys, config):
+    dim, n, p, fmt = config
+    code, out, _ = run_cli(capsys, "group", "--task", "embed", "--eps", "0.5",
+                           "--dim", dim, "--n", n, "--p", p, "--samples", "500",
+                           "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EMBED_GOLDEN[config]
+
+
+def test_group_embed_window_guard_exits_2_promptly(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",
+                             "--n", "6", "--samples", "1")
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 2 and out == "" and "exceeds the cap" in err
+
+
+def test_workers_below_one_exit_2(capsys):
+    commands = (
+        ["group", "--task", "embed", "--samples", "3"],
+        ["certify", "--p", "1", "--q", "2", "--n", "4", "--m", "1", "--samples", "10"],
+    )
+    for argv in commands:
+        for workers in ("0", "-3", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--workers", workers])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 def test_argument_errors_exit_2(capsys):

@@ -1,11 +1,15 @@
 """Lattice harness: weights, finitely supported points, tails, embedding."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widim.group_dynamics import (
+    MAX_WINDOW_CELLS,
     EmbeddingReport,
     FinitelySupportedPoint,
     LatticeBox,
@@ -25,6 +29,7 @@ from widim.group_dynamics import (
     translate,
     weighted_distance,
     widim_constant,
+    _DenseWindow,
 )
 
 
@@ -61,6 +66,21 @@ def test_default_weight_values():
     # exact geometric tail: total minus box sum is 2^(-K-1)
     for K in range(0, 12):
         assert abs(M.tail_bound(K) - 2.0 ** (-K - 1)) <= 1e-15
+
+
+def test_tail_bound_has_no_cancellation():
+    # eps/4 = 2.5e-18 first exceeds the tail 2^-(R+1) at R = 58, far past the
+    # radius where total minus the box sum rounds to 0
+    M = geometric_weight_metric()
+    assert tail_set(M, (0,), 1e-17).radius == 58
+    for K in range(0, 201):
+        tail = M.tail_bound(K)
+        assert tail > 0.0
+        assert abs(tail / 2.0 ** (-K - 1) - 1.0) <= 1e-15
+    # radii behind the pinned embedding runs stay where they were
+    assert M.tail_bound(2) == 0.125
+    assert tail_set(M, (0,), 0.5).radius == 2
+    assert tail_set(geometric_weight_metric(dim_d=2), (0, 0), 0.5).radius == 3
 
 
 def test_weight_total_matches_numeric_sum():
@@ -272,6 +292,55 @@ def test_embedding_check_validation():
         embedding_check(M, [(0,)], 1.0, -0.5, 10)
     with pytest.raises(ValueError):
         embedding_check(M, [(0,)], 1.0, 0.5, 0)
+    with pytest.raises(ValueError):
+        embedding_check(M, [(0,)], 1.0, 0.5, True)
+
+
+def test_embedding_check_window_guard():
+    # a probe set larger than the cap is refused before it is listed
+    M = geometric_weight_metric(dim_d=4)
+    omega = LatticeBox((0,) * 4, 30)
+    assert len(omega) > MAX_WINDOW_CELLS
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the window cap"):
+        embedding_check(M, omega, 1.0, 0.5, 1)
+    assert time.perf_counter() - t0 < 5.0
+
+
+# --- dense window kernel -------------------------------------------------------------
+
+_small_value = st.floats(-0.125, 0.125, allow_nan=False)  # 8 of them stay in every unit ball
+
+
+@st.composite
+def _window_pairs(draw):
+    d = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((1.0, 2.0, math.inf)))
+    M = geometric_weight_metric(dim_d=d, base=draw(st.sampled_from((1.5, 2.0, 3.0))))
+    window = tuple(sorted(LatticeBox((0,) * d, draw(st.integers(1, 4 if d == 1 else 2)))))
+    coord = st.integers(-3, 3)
+    omega = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
+    prime = draw(st.lists(st.sampled_from(window), min_size=1, max_size=9, unique=True))
+    sx = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
+    x = FinitelySupportedPoint(tuple(sx), tuple(draw(_small_value) for _ in sx), p)
+    sy = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
+    vy = [
+        x.value_at(g) if g in x.support and draw(st.booleans()) else draw(_small_value)
+        for g in sy
+    ]
+    y = FinitelySupportedPoint(tuple(sy), tuple(vy), p)
+    return M, sorted(omega), window, sorted(prime), x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_pairs())
+def test_dense_window_matches_sparse_bitwise(case):
+    M, omega, window, prime, x, y = case
+    dense = _DenseWindow(M, omega, window, prime)
+    diff = dense.abs_diff(x, y)
+    gap = max(abs(x.value_at(g) - y.value_at(g)) for g in prime)
+    assert dense.gap(diff).hex() == gap.hex()
+    assert dense.omega_distance(diff).hex() == omega_distance(x, y, M, omega).hex()
 
 
 # --- mean dimension table -----------------------------------------------------------
