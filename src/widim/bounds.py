@@ -82,16 +82,24 @@ def guarded_count(value: float) -> Optional[int]:
     return max(count - 1, 0)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent, or inf where the float power overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def widim_upper_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free upper count ceil((2/eps)^r) - 1; None if saturated."""
     eps = _validate_eps(eps)
-    return guarded_count((2.0 / eps) ** e.r)
+    return guarded_count(_power(2.0 / eps, e.r))
 
 
 def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free lower count ceil(eps^-r) - 1; None if saturated."""
     eps = _validate_eps(eps)
-    return guarded_count(eps ** (-e.r))
+    return guarded_count(_power(eps, -e.r))
 
 
 def widim_upper(n: int, eps: float, e: Exponents) -> int:

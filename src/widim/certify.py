@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +33,7 @@ from ._streams import (
     StreamFactory,
     fresh_stream,
 )
+from ._output import csv_row, json_exponent
 from .core import Exponents
 from .threshold_map import distortion, distortion_bound, extremal_vector
 
@@ -68,9 +67,13 @@ CLIMB_INITIAL_STEP = 0.25
 CLIMB_MIN_STEP = 1e-12
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _validate_ball(n, p) -> float:
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"dimension must be a positive integer, got {n!r}")
     p = float(p)
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"ball exponent must satisfy p >= 1 or p = inf, got {p}")
@@ -123,9 +126,8 @@ class CertificationReport:
     """Outcome of one certification run.
 
     ``margin = bound - max_observed_distortion``; the run certifies the
-    bound iff ``margin >= -1e-9``. ``elapsed`` is wall time: it is excluded
-    from equality and serialized as null/empty so that emitted documents
-    are byte-identical across reruns and worker counts.
+    bound iff ``margin >= -1e-9``. Serialized documents keep an ``elapsed``
+    column that is always null (JSON) or empty (CSV).
     """
 
     n: int
@@ -137,15 +139,10 @@ class CertificationReport:
     bound: float
     margin: float
     argmax_vector: tuple
-    elapsed: float = field(compare=False)
 
     @property
     def passed(self) -> bool:
         return self.margin >= -BOUND_TOLERANCE
-
-
-def _q_out(q: float):
-    return "inf" if math.isinf(q) else q
 
 
 def report_to_json(report: CertificationReport) -> str:
@@ -155,7 +152,7 @@ def report_to_json(report: CertificationReport) -> str:
         "m": report.m,
         "exponents": {
             "p": report.exponents.p,
-            "q": _q_out(report.exponents.q),
+            "q": json_exponent(report.exponents.q),
             "r": report.exponents.r,
         },
         "sample_count": report.sample_count,
@@ -183,12 +180,7 @@ def report_from_json(text: str) -> CertificationReport:
         bound=float(doc["bound"]),
         margin=float(doc["margin"]),
         argmax_vector=tuple(float(v) for v in doc["argmax_vector"]),
-        elapsed=math.nan,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def report_csv_header() -> str:
@@ -201,18 +193,11 @@ def report_csv_header() -> str:
 def report_to_csv_row(report: CertificationReport) -> str:
     """One CSV row, 17 significant digits, vector ;-joined, elapsed empty."""
     e = report.exponents
-    q = "inf" if math.isinf(e.q) else _fmt(e.q)
-    vec = ";".join(_fmt(v) for v in report.argmax_vector)
-    return (
-        f"{report.n},{report.m},{_fmt(e.p)},{q},{_fmt(e.r)},"
-        f"{report.sample_count},{report.seed},"
-        f"{_fmt(report.max_observed_distortion)},{_fmt(report.bound)},"
-        f"{_fmt(report.margin)},{vec},"
-    )
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    return csv_row([
+        report.n, report.m, e.p, e.q, e.r, report.sample_count, report.seed,
+        report.max_observed_distortion, report.bound, report.margin,
+        report.argmax_vector, None,
+    ])
 
 
 def _validate_run(n, m, e, count, count_name):
@@ -248,7 +233,6 @@ def monte_carlo_certify(
     """
     n, m, samples = _validate_run(n, m, e, samples, "samples")
     seed = int(seed)
-    t0 = time.perf_counter()
     bound = distortion_bound(m, e)
 
     def eval_block(b):
@@ -286,7 +270,6 @@ def monte_carlo_certify(
         bound=bound,
         margin=bound - value,
         argmax_vector=tuple(float(v) for v in best[2]),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -310,7 +293,6 @@ def adversarial_certify(
     n, m, restarts = _validate_run(n, m, e, restarts, "restarts")
     seed = int(seed)
     del workers  # fixed serial schedule; see docstring
-    t0 = time.perf_counter()
     bound = distortion_bound(m, e)
     p, q = e.p, e.q
 
@@ -356,7 +338,6 @@ def adversarial_certify(
         bound=bound,
         margin=bound - value,
         argmax_vector=tuple(float(v) for v in X[at]),
-        elapsed=time.perf_counter() - t0,
     )
 
 
@@ -422,7 +403,7 @@ def key_lemma_oracle_max(
         raise ValueError(f"power must satisfy s >= 1, got {s}")
     if c < 0.0 or t < 0.0:
         raise ValueError("budget and cap must be nonnegative")
-    if not isinstance(n, (int, np.integer)) or int(n) < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
     n = int(n)
 

@@ -9,9 +9,9 @@ evaluates the polytope maximum behind the key scalar inequality, and
 Reproducibility rules: the seed defaults to 0x5EED so bare invocations are
 deterministic, every echoed parameter lands in the output header, and the
 worker count is deliberately not echoed because it cannot affect output
-bytes. CSV uses '.' decimals and 17 significant digits so doubles
-round-trip losslessly; ``--q inf`` (and ``--p inf`` where a sup-norm ball
-makes sense) is the spelling for an infinite exponent.
+bytes. ``--q inf`` (and ``--p inf`` where a sup-norm ball makes sense) is
+the spelling for an infinite exponent. The text format itself lives in
+:mod:`widim._output`.
 """
 
 from __future__ import annotations
@@ -23,16 +23,17 @@ import sys
 
 import numpy as np
 
+from ._output import csv_document, csv_row, json_exponent
 from ._streams import DEFAULT_SEED
 from .bounds import bracket, widim_equal_case
 from .certify import (
     adversarial_certify,
+    key_lemma_oracle_max,
     monte_carlo_certify,
     report_csv_header,
     report_to_csv_row,
     report_to_json,
 )
-from .certify import key_lemma_oracle_max
 from .core import make_exponents
 from .group_dynamics import (
     LatticeBox,
@@ -49,10 +50,6 @@ from .group_dynamics import (
 from .threshold_map import distortion, f_equivariant
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _parse_seed(text: str) -> int:
@@ -81,22 +78,21 @@ def _parse_ints(text: str) -> list:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
-def _exponent_str(q: float) -> str:
-    return "inf" if math.isinf(q) else _fmt(q)
+def _write(args, command, params, doc, header, rows) -> None:
+    """Write one command's output in the requested format.
 
-
-def _emit(args, text: str) -> None:
+    ``doc`` returns the JSON text and ``rows`` the CSV data lines below
+    ``header``; only the one the format asks for is called.
+    """
+    if args.format == "json":
+        text = doc() + "\n"
+    else:
+        text = csv_document(command, params, header, rows())
     if args.out == "-":
         sys.stdout.write(text)
     else:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _comments(command: str, pairs) -> list:
-    lines = [f"# widim {command}"]
-    lines.extend(f"# {key}={value}" for key, value in pairs)
-    return lines
 
 
 # --------------------------------------------------------------------------
@@ -108,77 +104,33 @@ def _run_bounds(args) -> int:
     q = args.q
     if p < 1.0 or q < 1.0:
         raise ValueError(f"exponents must be at least 1, got p={p}, q={q}")
-    rows = []
+    reports = []
     for n in args.n:
         for eps in args.eps:
             if q > p:
                 rep = bracket(n, eps, make_exponents(p, q))
-                rows.append(
-                    {
-                        "n": n,
-                        "epsilon": eps,
-                        "p": p,
-                        "q": q,
-                        "r": rep.exponents.r,
-                        "lower": rep.lower,
-                        "upper": rep.upper,
-                        "exact": rep.exact,
-                        "status": "ok",
-                    }
-                )
+                r, lower, upper, exact = rep.exponents.r, rep.lower, rep.upper, rep.exact
             else:
-                value = widim_equal_case(n, eps, p, q)
-                covered = value is not None
-                rows.append(
-                    {
-                        "n": n,
-                        "epsilon": eps,
-                        "p": p,
-                        "q": q,
-                        "r": None,
-                        "lower": value,
-                        "upper": value,
-                        "exact": covered,
-                        "status": "ok" if covered else "out_of_range",
-                    }
-                )
-    if args.format == "json":
-        doc = {
-            "command": "bounds",
-            "p": "inf" if math.isinf(p) else p,
-            "q": _exponent_str_json(q),
-            "seed": args.seed,
-            "reports": rows,
-        }
-        _emit(args, json.dumps(doc) + "\n")
-    else:
-        lines = _comments(
-            "bounds",
-            [
-                ("p", _exponent_str(p)),
-                ("q", _exponent_str(q)),
-                ("eps", ",".join(_fmt(v) for v in args.eps)),
-                ("n", ",".join(str(v) for v in args.n)),
-                ("seed", args.seed),
-            ],
-        )
-        lines.append("n,epsilon,lower,upper,exact")
-        for row in rows:
-            if row["status"] == "ok":
-                lines.append(
-                    f"{row['n']},{_fmt(row['epsilon'])},{row['lower']},"
-                    f"{row['upper']},{str(row['exact']).lower()}"
-                )
-            else:
-                lines.append(
-                    f"{row['n']},{_fmt(row['epsilon'])},out_of_range,out_of_range,false"
-                )
-        _emit(args, "\n".join(lines) + "\n")
+                r, lower = None, widim_equal_case(n, eps, p, q)
+                upper, exact = lower, lower is not None
+            reports.append({
+                "n": n, "epsilon": eps, "p": p, "q": q, "r": r,
+                "lower": lower, "upper": upper, "exact": exact,
+                "status": "ok" if lower is not None else "out_of_range",
+            })
+    doc = {"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
+           "seed": args.seed, "reports": reports}
+    params = {"p": p, "q": q, "eps": args.eps, "n": args.n, "seed": args.seed}
+
+    def csv_rows():
+        for row in reports:
+            ok = row["status"] == "ok"
+            lower, upper = (row["lower"], row["upper"]) if ok else ("out_of_range",) * 2
+            yield csv_row([row["n"], row["epsilon"], lower, upper, row["exact"]])
+
+    _write(args, "bounds", params, lambda: json.dumps(doc), "n,epsilon,lower,upper,exact",
+           csv_rows)
     return 0
-
-
-def _exponent_str_json(q: float):
-    return "inf" if math.isinf(q) else q
 
 
 # --------------------------------------------------------------------------
@@ -195,26 +147,21 @@ def _run_map(args) -> int:
     if x.size == 0:
         raise ValueError("input vector is empty")
     y = f_equivariant(x, args.m)
-    dist = None if args.q is None else float(distortion(x, args.m, args.q))
-    if args.format == "json":
-        doc = {
-            "command": "map",
-            "m": args.m,
-            "q": None if args.q is None else _exponent_str_json(args.q),
-            "input": [float(v) for v in x],
-            "output": [float(v) for v in y],
-            "nonzero_count": int(np.count_nonzero(y)),
-            "distortion": dist,
-        }
-        _emit(args, json.dumps(doc) + "\n")
-    else:
-        pairs = [("m", args.m)]
-        if args.q is not None:
-            pairs.append(("q", _exponent_str(args.q)))
-            pairs.append(("distortion", _fmt(dist)))
-        lines = _comments("map", pairs)
-        lines.append(",".join(_fmt(v) for v in y))
-        _emit(args, "\n".join(lines) + "\n")
+    params = {"m": args.m}
+    dist = None
+    if args.q is not None:
+        dist = float(distortion(x, args.m, args.q))
+        params.update(q=args.q, distortion=dist)
+    doc = {
+        "command": "map",
+        "m": args.m,
+        "q": None if args.q is None else json_exponent(args.q),
+        "input": [float(v) for v in x],
+        "output": [float(v) for v in y],
+        "nonzero_count": int(np.count_nonzero(y)),
+        "distortion": dist,
+    }
+    _write(args, "map", params, lambda: json.dumps(doc), None, lambda: [csv_row(y)])
     return 0
 
 
@@ -228,30 +175,16 @@ def _run_certify(args) -> int:
         report = monte_carlo_certify(
             args.n, args.m, e, args.samples, seed=args.seed, workers=args.workers
         )
-        budget = ("samples", args.samples)
+        budget = {"samples": args.samples}
     else:
         report = adversarial_certify(
             args.n, args.m, e, args.restarts, seed=args.seed, workers=args.workers
         )
-        budget = ("restarts", args.restarts)
-    if args.format == "json":
-        _emit(args, report_to_json(report) + "\n")
-    else:
-        lines = _comments(
-            "certify",
-            [
-                ("method", args.method),
-                ("n", args.n),
-                ("m", args.m),
-                ("p", _exponent_str(args.p)),
-                ("q", _exponent_str(args.q)),
-                budget,
-                ("seed", args.seed),
-            ],
-        )
-        lines.append(report_csv_header())
-        lines.append(report_to_csv_row(report))
-        _emit(args, "\n".join(lines) + "\n")
+        budget = {"restarts": args.restarts}
+    params = {"method": args.method, "n": args.n, "m": args.m, "p": args.p, "q": args.q,
+              **budget, "seed": args.seed}
+    _write(args, "certify", params, lambda: report_to_json(report), report_csv_header(),
+           lambda: [report_to_csv_row(report)])
     return 0 if report.passed else 1
 
 
@@ -261,7 +194,6 @@ def _run_certify(args) -> int:
 
 def _run_oracle(args) -> int:
     rows = []
-    all_passed = True
     for s in args.s:
         for c in args.c:
             for t in args.t:
@@ -271,47 +203,14 @@ def _run_oracle(args) -> int:
                     )
                     bound = c * t ** (s - 1.0)
                     passed = observed <= bound + 1e-12 * max(1.0, abs(bound))
-                    all_passed &= passed
-                    rows.append(
-                        {
-                            "s": s,
-                            "c": c,
-                            "t": t,
-                            "n": n,
-                            "observed_max": observed,
-                            "bound": bound,
-                            "passed": passed,
-                        }
-                    )
-    if args.format == "json":
-        doc = {
-            "command": "oracle",
-            "samples": args.samples,
-            "seed": args.seed,
-            "rows": rows,
-        }
-        _emit(args, json.dumps(doc) + "\n")
-    else:
-        lines = _comments(
-            "oracle",
-            [
-                ("s", ",".join(_fmt(v) for v in args.s)),
-                ("c", ",".join(_fmt(v) for v in args.c)),
-                ("t", ",".join(_fmt(v) for v in args.t)),
-                ("n", ",".join(str(v) for v in args.n)),
-                ("samples", args.samples),
-                ("seed", args.seed),
-            ],
-        )
-        lines.append("s,c,t,n,observed_max,bound,passed")
-        for row in rows:
-            lines.append(
-                f"{_fmt(row['s'])},{_fmt(row['c'])},{_fmt(row['t'])},{row['n']},"
-                f"{_fmt(row['observed_max'])},{_fmt(row['bound'])},"
-                f"{str(row['passed']).lower()}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if all_passed else 1
+                    rows.append({"s": s, "c": c, "t": t, "n": n, "observed_max": observed,
+                                 "bound": bound, "passed": passed})
+    doc = {"command": "oracle", "samples": args.samples, "seed": args.seed, "rows": rows}
+    params = {"s": args.s, "c": args.c, "t": args.t, "n": args.n,
+              "samples": args.samples, "seed": args.seed}
+    _write(args, "oracle", params, lambda: json.dumps(doc), "s,c,t,n,observed_max,bound,passed",
+           lambda: (csv_row(row.values()) for row in rows))
+    return 0 if all(row["passed"] for row in rows) else 1
 
 
 # --------------------------------------------------------------------------
@@ -322,26 +221,13 @@ def _run_group(args) -> int:
     metric = geometric_weight_metric(
         dim_d=args.dim, base=args.weight_base, total=args.weight_total
     )
+    params = {"task": args.task, "dim": args.dim, "p": args.p, "eps": args.eps,
+              "weight": metric.description}
     if args.task == "table":
         table = mean_dimension_table(metric, args.p, args.eps, args.n)
-        if args.format == "json":
-            _emit(args, table_to_json(table) + "\n")
-        else:
-            lines = _comments(
-                "group",
-                [
-                    ("task", "table"),
-                    ("dim", args.dim),
-                    ("p", _exponent_str(args.p)),
-                    ("eps", _fmt(args.eps)),
-                    ("weight", metric.description),
-                    ("n", ",".join(str(v) for v in args.n)),
-                    ("seed", args.seed),
-                ],
-            )
-            lines.append(table_csv_header())
-            lines.extend(table_to_csv_rows(table))
-            _emit(args, "\n".join(lines) + "\n")
+        params.update(n=args.n, seed=args.seed)
+        _write(args, "group", params, lambda: table_to_json(table), table_csv_header(),
+               lambda: table_to_csv_rows(table))
         return 0
     # embedding check over the box [-radius, radius]^d
     if len(args.n) != 1:
@@ -356,25 +242,9 @@ def _run_group(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    if args.format == "json":
-        _emit(args, embedding_report_to_json(report) + "\n")
-    else:
-        lines = _comments(
-            "group",
-            [
-                ("task", "embed"),
-                ("dim", args.dim),
-                ("p", _exponent_str(args.p)),
-                ("eps", _fmt(args.eps)),
-                ("weight", metric.description),
-                ("n", args.n[0]),
-                ("samples", args.samples),
-                ("seed", args.seed),
-            ],
-        )
-        lines.append(embedding_csv_header())
-        lines.append(embedding_to_csv_row(report))
-        _emit(args, "\n".join(lines) + "\n")
+    params.update(n=args.n[0], samples=args.samples, seed=args.seed)
+    _write(args, "group", params, lambda: embedding_report_to_json(report),
+           embedding_csv_header(), lambda: [embedding_to_csv_row(report)])
     return 0 if report.passed else 1
 
 
@@ -463,9 +333,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a failed internal cross-check
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

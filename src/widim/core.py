@@ -120,10 +120,12 @@ class Exponents:
         else:
             if not math.isfinite(self.r) or self.r <= 0.0:
                 raise ValueError(f"invalid rate r={self.r}")
-            gap = 1.0 / self.p - 1.0 / self.q
-            if abs(gap - 1.0 / self.r) > 1e-12 * abs(1.0 / self.r):
+            # r (q - p) = pq, divided by q so that it cannot overflow; unlike
+            # 1/p - 1/q = 1/r it does not cancel when q is close to p
+            if abs(self.r * ((self.q - self.p) / self.q) - self.p) > 1e-12 * self.p:
                 raise ValueError(
-                    f"rate mismatch: 1/p - 1/q = {gap}, but 1/r = {1.0 / self.r}"
+                    f"rate mismatch: need r (q - p) = pq, got r={self.r}"
+                    f" for p={self.p}, q={self.q}"
                 )
 
     @property

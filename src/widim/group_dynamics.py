@@ -12,10 +12,9 @@ coordinate count that does not grow with Omega. The ratio of that constant
 to the size of growing boxes is the vanishing quantity the
 :func:`mean_dimension_table` tabulates.
 
-Randomized drivers follow the same determinism contract as the
-certification module: per-pair derived streams, fixed block sizes, and
-index-ordered reductions, so reports are byte-identical for any worker
-count.
+The embedding check draws pair i from its own derived stream and scans the
+pairs in index order, so a report is a pure function of its parameters and
+seed.
 """
 
 from __future__ import annotations
@@ -23,15 +22,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, StreamFactory
-from .bounds import guarded_count
+from ._output import csv_row, json_exponent
+from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, _is_integer, sample_lp_ball
 
 __all__ = [
@@ -56,9 +54,6 @@ __all__ = [
     "table_csv_header",
     "table_to_csv_rows",
 ]
-
-#: Pairs per evaluation block in embedding_check (fixed; see module docstring).
-PAIR_BLOCK = 512
 
 #: Cap on drawn support sizes, keeping sampled points genuinely sparse.
 MAX_SUPPORT = 8
@@ -308,7 +303,7 @@ def widim_constant(p: float, eps: float) -> Optional[int]:
     eps = float(eps)
     if not eps > 0.0 or not math.isfinite(eps):
         raise ValueError(f"scale must be a positive finite real, got {eps}")
-    return guarded_count((4.0 / eps) ** p)
+    return guarded_count(_power(4.0 / eps, p))
 
 
 # --------------------------------------------------------------------------
@@ -323,8 +318,8 @@ class EmbeddingReport:
     eps/2 in the sup norm, the dynamical distance must stay at or below eps
     (+ 1e-9). ``worst_margin`` is the largest d_Omega - eps among checked
     pairs (negative is healthy); ``witness`` carries the first violating
-    pair, if any. ``elapsed`` is excluded from equality and nulled in
-    serialized documents.
+    pair, if any. Serialized documents keep an ``elapsed`` column that is
+    always null (JSON) or empty (CSV).
     """
 
     dim_d: int
@@ -338,7 +333,6 @@ class EmbeddingReport:
     failure_count: int
     worst_margin: Optional[float]
     witness: Optional[dict]
-    elapsed: float = field(compare=False)
 
     @property
     def passed(self) -> bool:
@@ -456,7 +450,9 @@ def embedding_check(
     differing only outside the union box, and small perturbations, so both
     halves of the estimate (projection term and tail term) are exercised.
     Runs whose weight table, |Omega| times the window size, would exceed
-    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
+    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``. The
+    pairs are checked in one index-ordered scan; ``workers`` is accepted for
+    interface uniformity and cannot affect the report.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -465,7 +461,7 @@ def embedding_check(
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
     samples = int(samples)
     seed = int(seed)
-    t0 = time.perf_counter()
+    del workers  # serial scan; see docstring
 
     if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
         raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
@@ -490,49 +486,28 @@ def embedding_check(
     outside_pts = tuple(pt for pt in window_pts if pt not in prime)
     window = _DenseWindow(M, deltas, window_pts, prime_pts)
 
-    def eval_block(block):
-        lo, hi = block
-        factory = StreamFactory(seed, DOMAIN_PAIRS)
-        checked = failures = 0
-        worst = None  # (margin, index)
-        witness = None
-        for i in range(lo, hi):
-            gen = factory.generator(i)
-            x, y = _pair(gen, i % 3, window_pts, outside_pts, prime, p, eps)
-            diff = window.abs_diff(x, y)
-            if window.gap(diff) <= eps / 2.0:
-                checked += 1
-                margin = window.omega_distance(diff) - eps
-                if worst is None or margin > worst[0]:
-                    worst = (margin, i)
-                if margin > BOUND_TOLERANCE:
-                    failures += 1
-                    if witness is None:
-                        witness = {
-                            "index": i,
-                            "margin": margin,
-                            "x": _point_payload(x),
-                            "y": _point_payload(y),
-                        }
-        return checked, failures, worst, witness
-
-    blocks = [(lo, min(lo + PAIR_BLOCK, samples)) for lo in range(0, samples, PAIR_BLOCK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            results = list(pool.map(eval_block, blocks))
-    else:
-        results = [eval_block(b) for b in blocks]
-
+    factory = StreamFactory(seed, DOMAIN_PAIRS)
     checked = failures = 0
     worst = None
     witness = None
-    for blk_checked, blk_failures, blk_worst, blk_witness in results:
-        checked += blk_checked
-        failures += blk_failures
-        if blk_worst is not None and (worst is None or blk_worst[0] > worst[0]):
-            worst = blk_worst  # block scan order breaks ties toward low index
-        if witness is None:
-            witness = blk_witness
+    for i in range(samples):
+        x, y = _pair(factory.generator(i), i % 3, window_pts, outside_pts, prime, p, eps)
+        diff = window.abs_diff(x, y)
+        if window.gap(diff) > eps / 2.0:
+            continue
+        checked += 1
+        margin = window.omega_distance(diff) - eps
+        if worst is None or margin > worst:
+            worst = margin
+        if margin > BOUND_TOLERANCE:
+            failures += 1
+            if witness is None:
+                witness = {
+                    "index": i,
+                    "margin": margin,
+                    "x": _point_payload(x),
+                    "y": _point_payload(y),
+                }
 
     return EmbeddingReport(
         dim_d=M.dim_d,
@@ -544,16 +519,15 @@ def embedding_check(
         seed=seed,
         checked_count=checked,
         failure_count=failures,
-        worst_margin=None if worst is None else worst[0],
+        worst_margin=worst,
         witness=witness,
-        elapsed=time.perf_counter() - t0,
     )
 
 
 def embedding_report_to_json(report: EmbeddingReport) -> str:
     doc = {
         "dim_d": report.dim_d,
-        "p": "inf" if math.isinf(report.p) else report.p,
+        "p": json_exponent(report.p),
         "eps": report.eps,
         "omega": [list(pt) for pt in report.omega],
         "omega_prime_size": report.omega_prime_size,
@@ -582,12 +556,7 @@ def embedding_report_from_json(text: str) -> EmbeddingReport:
         failure_count=int(doc["failure_count"]),
         worst_margin=doc["worst_margin"],
         witness=doc["witness"],
-        elapsed=math.nan,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def embedding_csv_header() -> str:
@@ -598,13 +567,11 @@ def embedding_csv_header() -> str:
 
 
 def embedding_to_csv_row(report: EmbeddingReport) -> str:
-    p = "inf" if math.isinf(report.p) else _fmt(report.p)
-    worst = "" if report.worst_margin is None else _fmt(report.worst_margin)
-    return (
-        f"{report.dim_d},{p},{_fmt(report.eps)},{len(report.omega)},"
-        f"{report.omega_prime_size},{report.sample_count},{report.seed},"
-        f"{report.checked_count},{report.failure_count},{worst},"
-    )
+    return csv_row([
+        report.dim_d, report.p, report.eps, len(report.omega),
+        report.omega_prime_size, report.sample_count, report.seed,
+        report.checked_count, report.failure_count, report.worst_margin, None,
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -653,7 +620,7 @@ def mean_dimension_table(
 def table_to_json(table: MeanDimensionTable) -> str:
     doc = {
         "dim_d": table.dim_d,
-        "p": "inf" if math.isinf(table.p) else table.p,
+        "p": json_exponent(table.p),
         "eps": table.eps,
         "widim_constant": table.constant,
         "rows": [
@@ -669,6 +636,4 @@ def table_csv_header() -> str:
 
 
 def table_to_csv_rows(table: MeanDimensionTable) -> list:
-    return [
-        f"{r},{size},{table.constant},{_fmt(ratio)}" for r, size, ratio in table.rows
-    ]
+    return [csv_row([r, size, table.constant, ratio]) for r, size, ratio in table.rows]

@@ -157,6 +157,11 @@ def test_saturation_regime():
     assert widim_upper(123, 1e-10, e) == 123  # n-capped value is still exact
     assert widim_lower_plateau(1e-10, e) is None
     assert widim_lower(7, 1e-10, e) == 7
+    # (2/eps)^r overflows a double here (r = 101): still the saturation marker
+    e = make_exponents(1, 1.01)
+    assert widim_upper_plateau(1e-5, e) is None
+    assert widim_lower_plateau(1e-5, e) is None
+    assert bracket(10, 1e-5, e).lower == bracket(10, 1e-5, e).upper == 10
 
 
 def test_asymptotic_fit_pinned():

@@ -1,6 +1,5 @@
 """Certification drivers: sampling, Monte Carlo, hill climbing, lemma oracles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -87,6 +86,9 @@ def test_sample_validation():
             draw(2, 3, 0.5, rng)
         with pytest.raises(ValueError):
             draw(2, 3, math.nan, rng)
+        for n in (True, 2.0, 2.5, "3"):
+            with pytest.raises(ValueError):
+                draw(2, n, 2.0, rng)
 
 
 def test_block_matches_fresh_stream_reference():
@@ -178,7 +180,7 @@ def test_determinism_across_workers_and_reruns():
     base = monte_carlo_certify(16, 3, e, 6000, seed=5)
     for workers in (2, 5):
         other = monte_carlo_certify(16, 3, e, 6000, seed=5, workers=workers)
-        assert other == base  # elapsed excluded from comparison
+        assert other == base
         assert report_to_json(other) == report_to_json(base)
         assert report_to_csv_row(other) == report_to_csv_row(base)
     assert adversarial_certify(6, 1, e, 8, seed=5, workers=3) == adversarial_certify(
@@ -236,7 +238,6 @@ def test_report_json_round_trip():
         text = report_to_json(rep)
         back = report_from_json(text)
         assert back == rep
-        assert math.isnan(back.elapsed)  # wall time is not round-tripped
         if math.isinf(q):
             assert '"q": "inf"' in text
         assert '"elapsed": null' in text
@@ -252,13 +253,6 @@ def test_report_csv_shape():
     cells = row.split(",")
     vec = cells[header.split(",").index("argmax_vector")]
     assert len(vec.split(";")) == 3
-
-
-def test_report_equality_ignores_elapsed():
-    e = make_exponents(1, 2)
-    rep = monte_carlo_certify(4, 1, e, 300)
-    clone = dataclasses.replace(rep, elapsed=rep.elapsed + 123.0)
-    assert clone == rep
 
 
 # --- scalar inequality oracles ---------------------------------------------------
@@ -304,6 +298,13 @@ def test_key_lemma_oracle_pinned():
     assert key_lemma_oracle_max(2, 1, 0.5, 4) == 0.5  # extra coordinates idle
     assert key_lemma_oracle_max(1, 1, 0.25, 10) == 1.0  # dyadic t sums exactly
     assert abs(key_lemma_oracle_max(1, 1, 0.3, 10) - 1.0) <= 1e-12
+
+
+def test_key_lemma_oracle_validation():
+    for n in (True, False, 0, 2.0, 2.5, "3"):
+        with pytest.raises(ValueError):
+            key_lemma_oracle_max(2, 1, 0.5, n)
+    assert key_lemma_oracle_max(2, 1, 0.5, np.int64(2)) == 0.5
 
 
 def test_key_lemma_oracle_never_exceeds_bound():

@@ -173,6 +173,59 @@ def test_group_embed_golden_bytes(capsys, config):
     assert hashlib.sha256(out.encode()).hexdigest() == EMBED_GOLDEN[config]
 
 
+# SHA-256 of every other command's output in both formats at the default
+# seed (unless the command sets one), recorded before the text format moved
+# into one module. VEC stands for a file holding the line
+# "-3 1 2 0.1 -0.7 1e-3".
+CLI_GOLDEN = {
+    ("bounds --p 1 --q 2 --eps 0.1,0.3,0.5,1,2.5 --n 1,3,100", "csv"): "926fd09eb928d4ad4b240d93a818f1b9b040bd7460811f170fb5f54e65ef3603",
+    ("bounds --p 1 --q 2 --eps 0.1,0.3,0.5,1,2.5 --n 1,3,100", "json"): "fad7e21a9be0e5f44368c06d16739d45ae6f3e05f4bb6cbdf34afc746518c894",
+    ("bounds --p 1.5 --q inf --eps 0.25,0.5,0.7 --n 2,100", "csv"): "0711d05df834311c6d54effb859846a84e9fb78db8692d4da15be24fb7efe857",
+    ("bounds --p 1.5 --q inf --eps 0.25,0.5,0.7 --n 2,100", "json"): "7e1b440522c87649fca5f0e0857757426157b60e2e01c70b3a1f6e3867f7a599",
+    ("bounds --p 2 --q 1 --eps 0.5,1,1.5 --n 7,20", "csv"): "a526526e7aae763ebb196993957496131e911dcdb6a49f09d649f4390d58ba9c",
+    ("bounds --p 2 --q 1 --eps 0.5,1,1.5 --n 7,20", "json"): "f596e2051bef400c219102cff881c9d4aa5fad0c1822ed65aea330d2a11caec7",
+    ("bounds --p inf --q inf --eps 0.5,2 --n 5", "csv"): "101d88f935bee76fd671354114f20c5d070dc2c07dbace1c5c025803680f426b",
+    ("bounds --p inf --q inf --eps 0.5,2 --n 5", "json"): "1f8913ec279b6b9418a5b4e8eb23f4d96739d69d87af2381333f15fdd303b427",
+    ("map --m 2 --in VEC", "csv"): "70697720159f58310d1720e6b0bdd08117d738797ec5ac451c1db11e47801c84",
+    ("map --m 2 --in VEC", "json"): "544a6cd3f0570adccd477cb4f981dcc838a2f81d33364da6f57615a99edd7fbd",
+    ("map --m 2 --q 2 --in VEC", "csv"): "a3eff6411f40aeb008c679b67a9abee81cc457a0ad4dfa920b01cb4d4678150c",
+    ("map --m 2 --q 2 --in VEC", "json"): "f7807850632f77b809522beb9b792177eceb58e0e51cb42135b2c20a4908a0e1",
+    ("map --m 1 --q inf --in VEC", "csv"): "dd0841f908b8b3d1510516074a223cd90460fd0fe929a08cae2951b68c41cdbd",
+    ("map --m 1 --q inf --in VEC", "json"): "4f09a75c92d1c6c3cd01447035aeb091c24c07ad8999b14ac3e7d1db729e2a52",
+    ("certify --p 1 --q 2 --n 6 --m 1 --samples 400", "csv"): "e6d4cd27293a7cc4b252b90250ea945b73e3e0d92d317724bf1ff4400e7b6692",
+    ("certify --p 1 --q 2 --n 6 --m 1 --samples 400", "json"): "e37cfa9856b9fdbf8044f810692145aabbfd1e7c72c8ef3a1de4bd159e23a27a",
+    ("certify --p 2 --q inf --n 5 --m 2 --samples 300 --seed 0xBEEF", "csv"): "f247303e0c5fd0d0a9d726de28e72c24130a808911073dc1be4114b1418009ba",
+    ("certify --p 2 --q inf --n 5 --m 2 --samples 300 --seed 0xBEEF", "json"): "86cb0d5ba0c1f70d906ca615b29ede6fa75514381b359f76df339890bdace7ff",
+    ("certify --p 1.5 --q 3 --n 3 --m 4 --samples 200", "csv"): "c9442e9cb0ff039cc616e099468703fb781a0fed6b25bf68e9981ceef85886aa",
+    ("certify --p 1.5 --q 3 --n 3 --m 4 --samples 200", "json"): "2cbf068dfdd9413f345cf9a5c9407b2f8015cf2616f126e62987afdc7e9abbfd",
+    ("certify --method adversarial --p 1 --q 2 --n 4 --m 1 --restarts 4", "csv"): "c0eb0c5733a2f771e96538e66843885b8c23204c934d47f6e7da56aa4b5fe29b",
+    ("certify --method adversarial --p 1 --q 2 --n 4 --m 1 --restarts 4", "json"): "6ab9a9b337f894372b0e64669196e553226497a93326981934d914113bd127fa",
+    ("certify --method adversarial --p 2 --q inf --n 5 --m 2 --restarts 3", "csv"): "909d4644749e7de734b6e75ee6ac3df59ab4b28c88b8e549fc3f12fdf3e711b1",
+    ("certify --method adversarial --p 2 --q inf --n 5 --m 2 --restarts 3", "json"): "f7d43ea0ac4f380c14db472074ffb9b7c24dd273ca4e15030a55ba1057dc409b",
+    ("certify --method adversarial --p 1 --q 3 --n 3 --m 3 --restarts 2", "csv"): "23166d176db711a6176bbd38ce056bf35295d1c1630cc5065d0513928e0a5411",
+    ("certify --method adversarial --p 1 --q 3 --n 3 --m 3 --restarts 2", "json"): "a2e9b23052987df55501491ccde05115062898f2cee69b5d790b0e004ee27c5c",
+    ("oracle --s 1,2.5 --c 1,0.7 --t 0.5,0.3 --n 1,4 --samples 256", "csv"): "528584163ec7b2684cf1dba84e3cb4074d1a50be6edf03dc38e03f64a0a8563b",
+    ("oracle --s 1,2.5 --c 1,0.7 --t 0.5,0.3 --n 1,4 --samples 256", "json"): "5402aa73fbcd73dd23db35c8e9030925b3692cb19f76ed2d4e5499f8c476ac4f",
+    ("group --task table", "csv"): "d8eedb4754ee6228beb7787be0b101869d0e172c1bcc2c0b20130f7c0bc7f1e7",
+    ("group --task table", "json"): "04646e99e9fb1fe0437d2495ed11a493ada2f85344677a77008364b07c117fb1",
+    ("group --task table --dim 2 --p 2 --eps 0.25 --n 1,3,10", "csv"): "00ce7e6a48b14f3c664f033f6e93f796c155ab265147ae0a0f91415bcf777da8",
+    ("group --task table --dim 2 --p 2 --eps 0.25 --n 1,3,10", "json"): "bb2235f5ca1b98f2024a350cc15cae3392f9f54635256ec41e8e90d0164835f1",
+    ("group --task table --p inf --eps 5 --n 0,2", "csv"): "c9a6fe2ef88583ded1a12d65676759c0a945436bb1466a1ed33b87b14645d5d9",
+    ("group --task table --p inf --eps 5 --n 0,2", "json"): "f741643820872832b98f50eaad03b5a4c7d19ce3f67bb0c96d31df5e4429b94e",
+}
+
+
+@pytest.mark.parametrize("config", sorted(CLI_GOLDEN))
+def test_cli_golden_bytes(capsys, tmp_path, config):
+    command, fmt = config
+    vec = tmp_path / "vec.txt"
+    vec.write_text("-3 1 2 0.1 -0.7 1e-3\n")
+    argv = [str(vec) if a == "VEC" else a for a in command.split()]
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[config]
+
+
 def test_group_embed_window_guard_exits_2_promptly(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",
@@ -204,6 +257,37 @@ def test_argument_errors_exit_2(capsys):
     code, _, err = run_cli(capsys, "group", "--task", "embed", "--n", "1,2",
                            "--samples", "10")
     assert code == 2 and "error:" in err
+
+
+def test_saturated_bounds_are_printed(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--p", "1", "--q", "1.01",
+                           "--eps", "1e-5", "--n", "10")
+    assert code == 0
+    assert out.splitlines()[-1] == "10,1.0000000000000001e-05,10,10,true"
+
+
+def test_io_and_overflow_errors_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (
+        ["bounds", "--p", "1", "--q", "2", "--eps", "0.5", "--n", "10",
+         "--out", str(missing / "rows.csv")],
+        ["map", "--m", "1", "--in", str(missing / "vec.txt")],
+        ["oracle", "--s", "400", "--c", "1", "--t", "10", "--n", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_cross_check_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("sampled objective exceeds the vertex maximum")
+
+    monkeypatch.setattr("widim.cli.key_lemma_oracle_max", broken)
+    code, out, err = run_cli(capsys, "oracle", "--s", "2", "--c", "1",
+                             "--t", "0.5", "--n", "2")
+    assert code == 3 and out == ""
+    assert err == "error: sampled objective exceeds the vertex maximum\n"
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widim.core import (
     Exponents,
@@ -73,6 +75,7 @@ def test_make_exponents_pinned_rates():
     assert make_exponents(1, 2).r == 2.0
     assert make_exponents(2, math.inf).r == 2.0
     assert make_exponents(2, 4).r == 4.0
+    assert make_exponents(1.5, 1.50015).q == 1.50015  # q close to p is accepted
 
 
 def test_rate_tends_to_p_as_q_grows():
@@ -100,10 +103,24 @@ def test_exponents_validation():
     with pytest.raises(ValueError):
         Exponents(p=1.0, q=2.0, r=3.0)  # 1/1 - 1/2 != 1/3
     with pytest.raises(ValueError):
+        Exponents(p=1.0, q=2.0, r=2.1)
+    with pytest.raises(ValueError):
         Exponents(p=2.0, q=math.inf, r=3.0)  # q = inf forces r = p
     # a consistent triple is accepted as is
     e = Exponents(p=1.0, q=2.0, r=2.0)
     assert e.inverse_rate == 0.5
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    p=st.floats(min_value=1.0, max_value=100.0),
+    log_gap=st.floats(min_value=-9.0, max_value=0.0),
+)
+def test_make_exponents_accepts_q_close_to_p(p, log_gap):
+    # 1/p - 1/q cancels when q is close to p; the consistency check must not
+    q = p * (1.0 + 10.0**log_gap)
+    e = make_exponents(p, q)
+    assert e.r > 0.0 and math.isfinite(e.r)
 
 
 def test_inverse_rate_matches_definition():

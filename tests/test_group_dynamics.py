@@ -227,6 +227,7 @@ def test_widim_constant_pinned():
     assert widim_constant(2, 1.0) == 15
     assert widim_constant(1, 4.0) == 0
     assert widim_constant(1, 1e-30) is None  # saturation marker
+    assert widim_constant(1000, 1e-3) is None  # 4000^1000 overflows a double
     with pytest.raises(ValueError):
         widim_constant(0.5, 0.5)
 
@@ -261,7 +262,6 @@ def test_embedding_report_round_trip():
     rep = embedding_check(M, [(0,), (1,)], 1.0, 0.5, 300, seed=9)
     back = embedding_report_from_json(embedding_report_to_json(rep))
     assert back == rep
-    assert math.isnan(back.elapsed)
     row = embedding_to_csv_row(rep)
     assert embedding_csv_header().count(",") == row.count(",")
 
