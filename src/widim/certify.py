@@ -66,6 +66,9 @@ CLIMB_SWEEPS = 200
 CLIMB_INITIAL_STEP = 0.25
 CLIMB_MIN_STEP = 1e-12
 
+#: Moves per chain scored in one ``distortion`` call by the hill climb.
+CLIMB_WINDOW = 8
+
 
 def _is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -284,11 +287,20 @@ def adversarial_certify(
     """Hill-climb the distortion from random starts and the extremal point.
 
     Moves perturb one coordinate by +-step; a point pushed outside the ball
-    is renormalized back to the sphere. A chain that completes a sweep with
-    no improvement halves its step; at most 200 sweeps. All chains advance
-    in one fixed vectorized schedule, so the result is deterministic and the
+    is renormalized back to the sphere. A sweep offers every chain the moves
+    (coordinate 0, +), (0, -), (1, +), ... in order, and a chain keeps the
+    first move that beats its best. A chain that completes a sweep with no
+    improvement halves its step; at most 200 sweeps. All chains advance in
+    one fixed vectorized schedule, so the result is deterministic and the
     ``workers`` argument (accepted for interface uniformity) cannot affect
     it.
+
+    Moves are scored in windows: each chain's next ``CLIMB_WINDOW`` moves,
+    all built from its current point, go into one ``distortion`` call. The
+    first winner of a window is the move the one-move-at-a-time schedule
+    accepts, since every earlier move lost against the same point and best;
+    the chain's next window starts right after it. The schedule, and so the
+    report, is bit for bit the same as scoring one move at a time.
     """
     n, m, restarts = _validate_run(n, m, e, restarts, "restarts")
     seed = int(seed)
@@ -306,22 +318,36 @@ def adversarial_certify(
     X = starts
     best = np.asarray(distortion(X, m, q))
     steps = np.full(restarts + 1, CLIMB_INITIAL_STEP)
+    # Move j of a sweep adds +step (j even) or -step (j odd) to coordinate
+    # j // 2; the tables are padded so a window may run past the last move.
+    moves = 2 * n
+    j = np.arange(moves + CLIMB_WINDOW)
+    coord = np.minimum(j, moves - 1) // 2
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    window = np.arange(CLIMB_WINDOW)
     for _ in range(CLIMB_SWEEPS):
         improved = np.zeros(restarts + 1, dtype=bool)
-        for i in range(n):
-            for sign in (1.0, -1.0):
-                Y = X.copy()
-                Y[:, i] += sign * steps
-                norms = np.sum(np.abs(Y) ** p, axis=1)
-                over = norms > 1.0
-                if np.any(over):
-                    Y[over] *= (norms[over] ** (-1.0 / p))[:, None]
-                d = np.asarray(distortion(Y, m, q))
-                win = d > best
-                if np.any(win):
-                    X[win] = Y[win]
-                    best[win] = d[win]
-                    improved |= win
+        pos = np.zeros(restarts + 1, dtype=np.intp)  # each chain's next move
+        active = np.arange(restarts + 1)
+        while active.size:
+            J = pos[active, None] + window
+            Y = np.repeat(X[active], CLIMB_WINDOW, axis=0)
+            Y[np.arange(Y.shape[0]), coord[J].ravel()] += (sign[J] * steps[active, None]).ravel()
+            norms = np.sum(np.abs(Y) ** p, axis=1)
+            over = norms > 1.0
+            if np.any(over):
+                Y[over] *= (norms[over] ** (-1.0 / p))[:, None]
+            d = np.asarray(distortion(Y, m, q))
+            win = (d.reshape(-1, CLIMB_WINDOW) > best[active, None]) & (J < moves)
+            first = np.argmax(win, axis=1)
+            hit = np.flatnonzero(win.any(axis=1))
+            row = hit * CLIMB_WINDOW + first[hit]
+            won = active[hit]
+            X[won], best[won] = Y[row], d[row]
+            improved[won] = True
+            pos[active] += CLIMB_WINDOW
+            pos[won] = J[hit, first[hit]] + 1
+            active = active[pos[active] < moves]
         steps = np.where(improved, steps, steps * 0.5)
         if float(np.max(steps)) < CLIMB_MIN_STEP:
             break

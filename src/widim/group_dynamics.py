@@ -164,13 +164,30 @@ def geometric_weight_metric(
         shrink = -2.0 * base ** (-radius) / (base + 1.0)
         return -total * math.expm1(dim_d * math.log1p(shrink))
 
-    return WeightedGroupMetric(
+    return _GeometricWeight(
         dim_d=dim_d,
         weight=weight,
         tail_bound=tail_bound,
         total_bound=total,
         description=f"geometric(d={dim_d}, base={base:g}, total={total:g})",
+        base=base,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class _GeometricWeight(WeightedGroupMetric):
+    """The geometric family, which keeps its base to know its tail exactly."""
+
+    base: float = 2.0
+
+    def tail_exceeds(self, radius: int, target: float) -> bool:
+        """Whether total * (1 - (1 - 2 base^-R / (base + 1))^d) > target,
+        decided in exact rationals from the float parameters."""
+        from fractions import Fraction  # imported here: only ties need it
+
+        b = Fraction(self.base)
+        inside = 1 - 2 / ((b + 1) * b**radius)
+        return Fraction(self.total_bound) * (1 - inside**self.dim_d) > Fraction(target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,14 +294,26 @@ def omega_distance(
 
 
 def tail_set(M: WeightedGroupMetric, delta, eps: float) -> LatticeBox:
-    """Smallest certified box around delta whose complement weighs at most eps/4."""
+    """Smallest certified box around delta whose complement weighs at most eps/4.
+
+    For the geometric family, a tail bound within a relative 1e-9 of eps/4
+    is replaced by the exact rational tail, so a tie is decided by the
+    weight's float parameters rather than by the rounding of its closed form.
+    """
     eps = float(eps)
     if not eps > 0.0:
         raise ValueError(f"scale must be positive, got {eps}")
     center = _as_point(delta, M.dim_d)
     target = eps / 4.0
+
+    def too_heavy(radius):
+        tail = M.tail_bound(radius)
+        if isinstance(M, _GeometricWeight) and abs(tail - target) <= 1e-9 * target:
+            return M.tail_exceeds(radius, target)
+        return tail > target
+
     radius = 0
-    while M.tail_bound(radius) > target:
+    while too_heavy(radius):
         radius += 1
         if radius > 100_000:
             raise ValueError("weight tail decays too slowly for this scale")
@@ -607,6 +636,8 @@ def mean_dimension_table(
         raise ValueError("box radii must be strictly increasing")
     constant = widim_constant(p, eps)
     if constant is None:
+        if math.isinf(float(p)):
+            raise ValueError("p = inf needs eps >= 4: (4/eps)^p is infinite for every eps < 4")
         raise ValueError("scale so small the width constant saturates; increase eps")
     rows = []
     for r in radii:

@@ -1,13 +1,21 @@
 """Certification drivers: sampling, Monte Carlo, hill climbing, lemma oracles."""
 
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from widim import certify
+from widim import certify, threshold_map
 from widim.certify import (
     BLOCK,
+    CLIMB_INITIAL_STEP,
+    CLIMB_MIN_STEP,
+    CLIMB_SWEEPS,
+    CertificationReport,
     adversarial_certify,
     check_key_lemma,
     check_lemma_swap,
@@ -21,7 +29,7 @@ from widim.certify import (
     sample_lp_ball_rows,
 )
 from widim.core import in_lp_ball, lp_norm_power, make_exponents
-from widim._streams import DOMAIN_BALL, fresh_stream
+from widim._streams import DOMAIN_BALL, DOMAIN_CLIMB, StreamFactory, fresh_stream
 from widim.threshold_map import distortion_bound, extremal_vector
 
 
@@ -165,6 +173,125 @@ def test_adversarial_pinned():
     rep = adversarial_certify(3, 2, make_exponents(2, math.inf), 8)
     assert abs(rep.max_observed_distortion - 3.0**-0.5) <= 1e-6
     assert rep.passed
+
+
+# --- hill climbing against the one-move-at-a-time reference --------------------
+
+
+def reference_climb(n, m, e, restarts, seed):
+    """The hill climb scored one move at a time, which the windowed climb
+    must match bit for bit: every chain tries move j (coordinate j // 2,
+    + then -) from its current point and keeps it if it beats its best."""
+    p, q = e.p, e.q
+    X = np.empty((restarts + 1, n))
+    X[0] = certify.extremal_vector(m, p, n) if m < n else 0.0
+    factory = StreamFactory(seed, DOMAIN_CLIMB)
+    for k in range(restarts):
+        X[k + 1] = sample_lp_ball(n, p, factory.generator(k))
+    best = np.asarray(threshold_map.distortion(X, m, q))
+    steps = np.full(restarts + 1, CLIMB_INITIAL_STEP)
+    for _ in range(CLIMB_SWEEPS):
+        improved = np.zeros(restarts + 1, dtype=bool)
+        for i in range(n):
+            for sign in (1.0, -1.0):
+                Y = X.copy()
+                Y[:, i] += sign * steps
+                norms = np.sum(np.abs(Y) ** p, axis=1)
+                over = norms > 1.0
+                if np.any(over):
+                    Y[over] *= (norms[over] ** (-1.0 / p))[:, None]
+                d = np.asarray(threshold_map.distortion(Y, m, q))
+                win = d > best
+                X[win], best[win] = Y[win], d[win]
+                improved |= win
+        steps = np.where(improved, steps, steps * 0.5)
+        if float(np.max(steps)) < CLIMB_MIN_STEP:
+            break
+    at = int(np.argmax(best))
+    bound = distortion_bound(m, e)
+    return CertificationReport(n, m, e, restarts, seed, float(best[at]), bound,
+                               bound - float(best[at]), tuple(float(v) for v in X[at]))
+
+
+# SHA-256 of report_to_json(adversarial_certify(n, m, make_exponents(p, q),
+# restarts, seed)), keyed by (p, q, n, m, restarts, seed), recorded before
+# the climb scored its moves in windows: the 16 criterion-2 configurations
+# at n = 8, two at n = 64, and edge cases (n = 1, m = 0, m >= n).
+ADVERSARIAL_GOLDEN = {
+    (1.0, 2.0, 8, 0, 32, 24301): "dc43c2f16c99c505a32c9e13fedbd8cbe34bd26ef5ef5f73b881cb46bf10f672",
+    (1.0, 2.0, 8, 1, 32, 24301): "8187d343c2202e0c681c7de93a201fe21661d73beb13de95b9d84cf8ef752d76",
+    (1.0, 2.0, 8, 3, 32, 24301): "06dd46e3b8f9f3dea329ac511bdd4cda1eebf11e03a4b7ddf04976da840441dc",
+    (1.0, 2.0, 8, 7, 32, 24301): "38e97c910d23d8fafeaf5796b6e2ee18380279edd0a6deb5afddc3c15717effb",
+    (1.0, math.inf, 8, 0, 32, 24301): "6e4adead273eb3c8c6510072756cef20452fabdf11e06fbb324cbffce52afdf0",
+    (1.0, math.inf, 8, 1, 32, 24301): "4ca5b68cff58d886b4c7d43272e95f5cbaded97eea8c83258c9ca5c531c91a7f",
+    (1.0, math.inf, 8, 3, 32, 24301): "ab232899ac2f5a35fb2d1f5dc803612fca53afbe64a891b854c1e9b4caa2fe2f",
+    (1.0, math.inf, 8, 7, 32, 24301): "b06fefb6814b988f61bf45de77def0187c8ad22548a461e7420c70081ada0bf5",
+    (2.0, math.inf, 8, 0, 32, 24301): "b1361681d5e283222ea35da6c1a7bc968594d5087b1bb19342faae7a17e48615",
+    (2.0, math.inf, 8, 1, 32, 24301): "22248ab3e31a2e8ba376388ae533edc71814dd17d8bce1226e06e2731e5a5516",
+    (2.0, math.inf, 8, 3, 32, 24301): "b95c32cd5b764347b66dee9e1647f11c45dcc15310716f03c9a3b80a55cb6b0b",
+    (2.0, math.inf, 8, 7, 32, 24301): "3bb1ac1a3bf7223e3d333bf8f4ffc9574134895eefda5640bc52f8300a1c1dd0",
+    (2.0, 4.0, 8, 0, 32, 24301): "40829c295a00f41cbf132e7a6fd69024b7294d36df4260e6ea8f05fb8d1190c7",
+    (2.0, 4.0, 8, 1, 32, 24301): "8fef932fcd57bc7da2e4098d94390c0241fbf504c44cf0f2ad96b9d4c98ada24",
+    (2.0, 4.0, 8, 3, 32, 24301): "3c4d0c8ee9b09dfda677329a37c540da39bd292a9e251fe2bdd1f00fd30c272d",
+    (2.0, 4.0, 8, 7, 32, 24301): "4beeb22e6575257d047a7c7721daacfa953eed7cd22b58c11df3af35defc70a8",
+    (1.0, 2.0, 64, 3, 32, 24301): "e19976353a81ee99409690ecbdb79123343565e643858812cea224ed3ee1b4f6",
+    (2.0, 4.0, 64, 7, 32, 24301): "8753a4005608eb6b8627c3a19abd07cfb8d6076e760b3e53cb9f8120e2e22c54",
+    (1.0, 2.0, 1, 0, 5, 24301): "23da5027c0cb344708ce484e09b2608a41dbd36066133a4f778730e171e1d158",
+    (2.0, math.inf, 1, 1, 5, 24301): "ba2746030b20716560bc50ad13cd5ddb66e0600c971707e0d90fb931adc875d9",
+    (1.5, 3.0, 6, 0, 4, 7): "53c6493053f057f81f95f263ff2cbc705e107fe29af03131c782a6120cbe8d34",
+    (1.5, 3.0, 4, 4, 3, 24301): "d73bd0b3c762295da0acce8190ceb8e7405afc691793be1b61fa8492e210d33e",
+    (1.0, math.inf, 3, 5, 3, 24301): "959f47be4cfe8cd83e5db9c47b21e19c0a63729d0bc4df65deab4d2933713d75",
+}
+
+
+@pytest.mark.parametrize("config", list(ADVERSARIAL_GOLDEN))
+def test_adversarial_golden_bytes(config):
+    p, q, n, m, restarts, seed = config
+    rep = adversarial_certify(n, m, make_exponents(p, q), restarts, seed=seed)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == ADVERSARIAL_GOLDEN[config]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nm=st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1))),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0)),
+    q_kind=st.sampled_from(("2p", "7.25", "inf")),
+    restarts=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_climb_matches_reference(nm, p, q_kind, restarts, seed):
+    n, m = nm
+    q = {"2p": 2.0 * p, "7.25": 7.25, "inf": math.inf}[q_kind]
+    e = make_exponents(p, q)
+    got = adversarial_certify(n, m, e, restarts, seed=seed)
+    assert report_to_json(got) == report_to_json(reference_climb(n, m, e, restarts, seed))
+    # The extremal chain attains the bound and wins ties, so it is usually
+    # the reported argmax and hides the other chains' paths. Started at half
+    # its scale it has to climb, and the best climbed point is reported.
+    def half(m, p, n):
+        return 0.5 * extremal_vector(m, p, n)
+
+    with mock.patch.object(certify, "extremal_vector", half):
+        got = adversarial_certify(n, m, e, restarts, seed=seed)
+        want = reference_climb(n, m, e, restarts, seed)
+    assert report_to_json(got) == report_to_json(want)
+
+
+def test_climb_batches_its_moves(monkeypatch):
+    # one n = 16 job must stay well under the 2n calls per sweep of the
+    # one-move-at-a-time loop
+    calls = []
+    real = threshold_map.distortion
+
+    def spy(x, m, q):
+        calls.append(np.shape(x))
+        return real(x, m, q)
+
+    n, e = 16, make_exponents(1, 2)
+    monkeypatch.setattr(certify, "distortion", spy)
+    adversarial_certify(n, 3, e, 8, seed=1)
+    assert 0 < len(calls) < 2 * n * CLIMB_SWEEPS / 3
+    assert all(len(shape) == 2 for shape in calls)
 
 
 def test_margin_and_bound_fields():

@@ -226,6 +226,18 @@ def test_cli_golden_bytes(capsys, tmp_path, config):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[config]
 
 
+def test_group_table_p_inf_below_eps_4_exits_2(capsys):
+    # (4/eps)^inf is infinite for every eps < 4: the message names that cause
+    code, out, err = run_cli(capsys, "group", "--task", "table", "--dim", "2",
+                             "--p", "inf", "--eps", "0.25")
+    assert code == 2 and out == ""
+    assert "p = inf needs eps >= 4" in err and "increase eps" not in err
+    code, _, err = run_cli(capsys, "group", "--task", "table", "--p", "1", "--eps", "1e-30")
+    assert code == 2 and "saturates" in err
+    code, _, _ = run_cli(capsys, "group", "--task", "table", "--p", "inf", "--eps", "4")
+    assert code == 0
+
+
 def test_group_embed_window_guard_exits_2_promptly(capsys):
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",

@@ -2,6 +2,7 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,6 +221,40 @@ def test_tail_set_pinned():
     assert set(tail_set(M, (3,), 0.5)) == {(1,), (2,), (3,), (4,), (5,)}
     with pytest.raises(ValueError):
         tail_set(M, (0,), 0.0)
+
+
+def test_tail_set_decides_ties_exactly():
+    # the exact tail of the float weight at radius 1 is 0.9 * 5/9 with 0.9
+    # rounded up, so it exceeds eps/4 = 0.5 by about 1e-17 although the
+    # closed form rounds to 0.5
+    M = geometric_weight_metric(dim_d=2, total=0.9)
+    assert M.tail_bound(1) == 0.5
+    assert tail_set(M, (0, 0), 2.0).radius == 2
+    # float 0.9 / 12 exceeds float 0.3 / 4
+    assert tail_set(geometric_weight_metric(total=0.9), (0,), 0.3).radius == 4
+    # exact ties keep the smaller box: the default weight's tail(2) = 1/8
+    assert tail_set(geometric_weight_metric(), (0,), 0.5).radius == 2
+    assert tail_set(geometric_weight_metric(), (0,), 2.0).radius == 0
+
+
+def test_tail_set_matches_exact_rationals():
+    # the radius is the smallest R whose exact tail is at most eps/4, tried
+    # at scales where the closed form sits on or next to a tie
+    for d in (1, 2, 3):
+        for base in (1.5, 2.0, 3.0):
+            for total in (0.5, 0.75, 0.9, 1.0):
+                M = geometric_weight_metric(d, base, total)
+                b = Fraction(base)
+
+                def exact_tail(R):
+                    return Fraction(total) * (1 - (1 - 2 / ((b + 1) * b**R)) ** d)
+
+                for R in range(8):
+                    for eps in (4.0 * M.tail_bound(R), 4.0 * float(exact_tail(R)), 0.3):
+                        want = 0
+                        while exact_tail(want) > Fraction(eps) / 4:
+                            want += 1
+                        assert tail_set(M, (0,) * d, eps).radius == want
 
 
 def test_widim_constant_pinned():
