@@ -8,11 +8,13 @@ epsilon apart. For the unit ball of the p-norm measured in the q-distance
 The q = inf case is exact, and the q <= p regime collapses to the full
 dimension for every eps < 1.
 
-Ceilings are guarded: a power within 1e-9 of an integer snaps to it before
-the ceiling is taken, because ceil(.)-1 jumps at integer points and float
-noise there would flip a bound by one. Powers beyond 2^62 saturate to an
-explicit ``None`` marker rather than overflowing; the n-capped bounds then
-return n, which is the correct value.
+Ceilings are guarded: a power within 1e-9, or within a relative 1e-13, of
+an integer snaps to it before the ceiling is taken, because ceil(.)-1 jumps
+at integer points and float noise there would flip a bound by one. The
+relative band takes over above 1e4, so the snap stays wider than the
+power's rounding error once one ulp exceeds 1e-9 (values above about 1e7).
+Powers beyond 2^62 saturate to an explicit ``None`` marker rather than
+overflowing; the n-capped bounds then return n, which is the correct value.
 """
 
 from __future__ import annotations
@@ -42,8 +44,9 @@ __all__ = [
     "ball_inclusion_holds",
 ]
 
-#: Integer-snap distance for the guarded ceiling.
+#: Integer-snap distance for the guarded ceiling, absolute and relative.
 CEILING_GUARD = 1e-9
+CEILING_BAND = 1e-13
 
 #: Counts above this saturate to None instead of risking float overflow lies.
 SATURATION_LIMIT = 2.0**62
@@ -68,17 +71,19 @@ def _validate_eps(eps: float) -> float:
 def guarded_count(value: float) -> Optional[int]:
     """ceil(value) - 1 with an integer snap, or None when value exceeds 2^62.
 
-    Values within 1e-9 of an integer are treated as that integer before the
-    ceiling. The result is clamped at zero. ``None`` is the saturation
-    marker: the count is astronomically large but a min against any real
-    dimension is still exact.
+    Values within 1e-9 of an integer, or within 1e-13 times the value, are
+    treated as that integer before the ceiling. The result is clamped at
+    zero. ``None`` is the saturation marker: the count is astronomically
+    large but a min against any real dimension is still exact.
     """
     if value < 0.0:
         raise ValueError(f"count argument must be nonnegative, got {value}")
     if not math.isfinite(value) or value > SATURATION_LIMIT:
         return None
     nearest = round(value)
-    count = nearest if abs(value - nearest) <= CEILING_GUARD else math.ceil(value)
+    off = abs(value - nearest)
+    snap = off <= CEILING_GUARD or off <= CEILING_BAND * value
+    count = nearest if snap else math.ceil(value)
     return max(count - 1, 0)
 
 

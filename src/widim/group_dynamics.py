@@ -372,92 +372,123 @@ def _point_payload(x: FinitelySupportedPoint) -> dict:
     return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
 
 
-def _draw_point(gen, window_pts, p, max_support) -> FinitelySupportedPoint:
-    k = int(gen.integers(1, max_support + 1))
-    idx = gen.choice(len(window_pts), size=k, replace=False)
-    vals = sample_lp_ball(k, p, gen)
-    return FinitelySupportedPoint(
-        tuple(window_pts[int(i)] for i in idx), tuple(vals), p
-    )
-
-
-def _pair(gen, kind, window_pts, outside_pts, prime_set, p, eps):
-    """Draw one (x, y) pair. Kinds cycle: independent, tail-only, perturbed."""
-    max_support = min(len(window_pts), MAX_SUPPORT)
-    x = _draw_point(gen, window_pts, p, max_support)
-    if kind == 0:
-        return x, _draw_point(gen, window_pts, p, max_support)
-    if kind == 1:
-        # Same inside the union box, fresh mass outside: exercises the tail
-        # branch of the distance estimate with an always-true hypothesis.
-        inside = [(pt, v) for pt, v in zip(x.support, x.values) if pt in prime_set]
-        if math.isinf(p):
-            budget_scale = 1.0
-        else:
-            mass_in = sum(abs(v) ** p for _, v in inside)
-            budget_scale = max(1.0 - mass_in, 0.0) ** (1.0 / p)
-        pts = [pt for pt, _ in inside]
-        vals = [v for _, v in inside]
-        cap = min(len(outside_pts), MAX_OUTSIDE_SUPPORT)
-        k2 = int(gen.integers(0, cap + 1)) if cap else 0
-        if k2 > 0:
-            idx = gen.choice(len(outside_pts), size=k2, replace=False)
-            u = sample_lp_ball(k2, p, gen)
-            pts.extend(outside_pts[int(i)] for i in idx)
-            vals.extend(budget_scale * u)
-        return x, FinitelySupportedPoint(tuple(pts), tuple(vals), p)
-    # kind == 2: sup-norm perturbation well inside the hypothesis threshold.
-    noise = gen.uniform(-eps / 8.0, eps / 8.0, size=len(x.values))
-    vals = np.asarray(x.values) + noise
-    if math.isinf(p):
-        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > 1.0:
-            vals /= peak
-    else:
-        mass = float(np.sum(np.abs(vals) ** p))
-        if mass > 1.0:
-            vals *= mass ** (-1.0 / p)
-    return x, FinitelySupportedPoint(x.support, tuple(vals), p)
+#: Pairs drawn into dense rows and scored per distance pass in embedding_check,
+#: fewer where a window is so wide that the block would exceed 2^18 entries.
+PAIR_BLOCK = 64
+_BLOCK_CELLS = 1 << 18
 
 
 class _DenseWindow:
-    """Pairs as dense vectors over the lexicographic window.
+    """Pairs as dense rows over the lexicographic window.
 
     Row k of the weight table holds w(gamma - delta_k) for the window points
     gamma, so translating both points by delta_k only selects a row. The
     row's products with |x - y| are folded left to right in window order,
     which is the sorted order :func:`weighted_distance` sums in (translation
     preserves lexicographic order), and every column outside the union of
-    supports adds exactly +0.0. So :meth:`omega_distance` equals the sparse
+    supports adds exactly +0.0. So :meth:`omega_distances` equals the sparse
     :func:`omega_distance` bit for bit; ``np.sum`` or a matrix product
     would sum in another order and could move the last bit.
     """
 
     def __init__(self, M, deltas, window_pts, prime_pts):
-        self.column = {gamma: j for j, gamma in enumerate(window_pts)}
-        self.weights = np.array(
-            [
-                [M.weight(tuple(g - c for g, c in zip(gamma, delta))) for gamma in window_pts]
-                for delta in deltas
-            ],
-            dtype=np.float64,
+        self.points = window_pts
+        column = {gamma: j for j, gamma in enumerate(window_pts)}
+        weight = {}  # M.weight by offset: many (gamma, delta) share one
+        rows = []
+        for delta in deltas:
+            row = []
+            for gamma in window_pts:
+                offset = tuple(g - c for g, c in zip(gamma, delta))
+                if offset not in weight:
+                    weight[offset] = M.weight(offset)
+                row.append(weight[offset])
+            rows.append(row)
+        self.weights = np.array(rows, dtype=np.float64)
+        self.prime_columns = np.array([column[gamma] for gamma in prime_pts], dtype=np.intp)
+        self.inside = np.zeros(len(window_pts), dtype=bool)
+        self.inside[self.prime_columns] = True
+        self.outside_columns = np.flatnonzero(~self.inside)
+
+    def _draw_point(self, gen, row, p) -> None:
+        ncol = len(self.points)
+        k = int(gen.integers(1, min(ncol, MAX_SUPPORT) + 1))
+        cols = gen.choice(ncol, size=k, replace=False)
+        row[cols] = sample_lp_ball(k, p, gen)
+
+    def draw_pair(self, gen, kind, x, y, p, eps) -> None:
+        """Draw pair (x, y) into two zeroed rows. Kinds cycle: independent,
+        tail-only, perturbed.
+
+        A drawn index set is the column set, because the window is sorted,
+        and a point's support in sorted order with exact zeros dropped is
+        ``np.flatnonzero`` of its row. The stream calls and every float
+        operation are those of drawing sparse points in that canonical form.
+        """
+        self._draw_point(gen, x, p)
+        if kind == 0:
+            self._draw_point(gen, y, p)
+            return
+        support = np.flatnonzero(x)
+        if kind == 1:
+            # Same inside the union box, fresh mass outside: exercises the
+            # tail branch of the distance estimate with an always-true
+            # hypothesis.
+            inside = support[self.inside[support]]
+            y[inside] = x[inside]
+            if math.isinf(p):
+                budget_scale = 1.0
+            else:
+                mass_in = sum(abs(v) ** p for v in x[inside].tolist())
+                budget_scale = max(1.0 - mass_in, 0.0) ** (1.0 / p)
+            outside = self.outside_columns
+            cap = min(len(outside), MAX_OUTSIDE_SUPPORT)
+            k2 = int(gen.integers(0, cap + 1)) if cap else 0
+            if k2 > 0:
+                idx = gen.choice(len(outside), size=k2, replace=False)
+                y[outside[idx]] = budget_scale * sample_lp_ball(k2, p, gen)
+            return
+        # kind == 2: sup-norm perturbation well inside the hypothesis threshold.
+        noise = gen.uniform(-eps / 8.0, eps / 8.0, size=len(support))
+        vals = x[support] + noise
+        if math.isinf(p):
+            peak = float(np.max(np.abs(vals))) if vals.size else 0.0
+            if peak > 1.0:
+                vals /= peak
+        else:
+            mass = float(np.sum(np.abs(vals) ** p))
+            if mass > 1.0:
+                vals *= mass ** (-1.0 / p)
+        y[support] = vals
+
+    def point(self, row, p) -> FinitelySupportedPoint:
+        support = np.flatnonzero(row)
+        return FinitelySupportedPoint(
+            tuple(self.points[j] for j in support), tuple(row[support].tolist()), p
         )
-        self.prime_columns = np.array([self.column[gamma] for gamma in prime_pts])
 
-    def dense(self, x: FinitelySupportedPoint) -> np.ndarray:
-        v = np.zeros(len(self.column))
-        v[[self.column[gamma] for gamma in x.support]] = x.values
-        return v
+    def gaps(self, D: np.ndarray) -> np.ndarray:
+        """Per row of D = |X - Y|: the sup-norm distance of the projections
+        to the union box."""
+        return D[:, self.prime_columns].max(axis=1)
 
-    def abs_diff(self, x, y) -> np.ndarray:
-        return np.abs(self.dense(x) - self.dense(y))
+    def omega_distances(self, D: np.ndarray) -> np.ndarray:
+        """Per row of D = |X - Y|: d_Omega, folded one probe row at a time."""
+        best = np.cumsum(D * self.weights[0], axis=1)[:, -1]
+        for w in self.weights[1:]:
+            np.maximum(best, np.cumsum(D * w, axis=1)[:, -1], out=best)
+        return best
 
-    def gap(self, diff: np.ndarray) -> float:
-        """Sup-norm distance of the projections to the union box."""
-        return float(diff[self.prime_columns].max())
 
-    def omega_distance(self, diff: np.ndarray) -> float:
-        return float(np.cumsum(self.weights * diff, axis=1)[:, -1].max())
+def _check_in_ball(B: np.ndarray, p) -> None:
+    """The membership checks of :class:`FinitelySupportedPoint`, per row of B."""
+    if not np.isfinite(B).all():
+        raise ValueError("values must be finite")
+    A = np.abs(B)
+    mass = A.max(axis=1) if math.isinf(p) else (A**p).sum(axis=1)
+    outside = np.flatnonzero(mass > 1.0 + 1e-12)
+    if outside.size:
+        raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")
 
 
 def embedding_check(
@@ -479,9 +510,19 @@ def embedding_check(
     differing only outside the union box, and small perturbations, so both
     halves of the estimate (projection term and tail term) are exercised.
     Runs whose weight table, |Omega| times the window size, would exceed
-    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``. The
-    pairs are checked in one index-ordered scan; ``workers`` is accepted for
-    interface uniformity and cannot affect the report.
+    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
+
+    Pair i is drawn from stream (seed, i) straight into two dense rows over
+    the lexicographic window, with the stream calls and float operations of
+    drawing it as two canonical sparse points. Pairs are scored in blocks of
+    :data:`PAIR_BLOCK` (fewer on windows above 4096 cells, to bound the
+    block's memory): each block's rows are checked for finiteness and
+    ball membership as the point constructor checks them, and one
+    vectorised pass computes their gaps and d_Omega. Results merge in index
+    order, so the report does not depend on the block size, and a
+    :class:`FinitelySupportedPoint` is built only for the first failure's
+    witness. ``workers`` is accepted for interface uniformity and cannot
+    affect the report.
     """
     eps = float(eps)
     if not eps > 0.0:
@@ -512,31 +553,43 @@ def embedding_check(
         prime |= set(LatticeBox(delta, tail_radius))
     prime_pts = tuple(sorted(prime))
     window_pts = tuple(sorted(LatticeBox((0,) * M.dim_d, window_radius)))
-    outside_pts = tuple(pt for pt in window_pts if pt not in prime)
     window = _DenseWindow(M, deltas, window_pts, prime_pts)
 
     factory = StreamFactory(seed, DOMAIN_PAIRS)
+    block = max(1, min(PAIR_BLOCK, _BLOCK_CELLS // len(window_pts)))
+    X = np.zeros((block, len(window_pts)))
+    Y = np.zeros_like(X)
     checked = failures = 0
     worst = None
     witness = None
-    for i in range(samples):
-        x, y = _pair(factory.generator(i), i % 3, window_pts, outside_pts, prime, p, eps)
-        diff = window.abs_diff(x, y)
-        if window.gap(diff) > eps / 2.0:
+    for start in range(0, samples, block):
+        size = min(block, samples - start)
+        X.fill(0.0)
+        Y.fill(0.0)
+        for r in range(size):
+            i = start + r
+            window.draw_pair(factory.generator(i), i % 3, X[r], Y[r], p, eps)
+        _check_in_ball(X[:size], p)
+        _check_in_ball(Y[:size], p)
+        D = np.abs(X[:size] - Y[:size])
+        rows = np.flatnonzero(window.gaps(D) <= eps / 2.0)
+        if not rows.size:
             continue
-        checked += 1
-        margin = window.omega_distance(diff) - eps
-        if worst is None or margin > worst:
-            worst = margin
-        if margin > BOUND_TOLERANCE:
-            failures += 1
-            if witness is None:
-                witness = {
-                    "index": i,
-                    "margin": margin,
-                    "x": _point_payload(x),
-                    "y": _point_payload(y),
-                }
+        margins = window.omega_distances(D[rows]) - eps
+        checked += rows.size
+        top = float(margins.max())
+        if worst is None or top > worst:
+            worst = top
+        bad = np.flatnonzero(margins > BOUND_TOLERANCE)
+        failures += bad.size
+        if bad.size and witness is None:
+            r = int(rows[bad[0]])
+            witness = {
+                "index": start + r,
+                "margin": float(margins[bad[0]]),
+                "x": _point_payload(window.point(X[r], p)),
+                "y": _point_payload(window.point(Y[r], p)),
+            }
 
     return EmbeddingReport(
         dim_d=M.dim_d,

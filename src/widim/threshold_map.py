@@ -9,7 +9,8 @@ everything else:
   :func:`f0`, then undo the group element.
 * :func:`f_closed` evaluates the closed form
   ``sign(x_i) * max(|x_i| - tau, 0)`` directly, selecting the threshold
-  ``tau`` with a sort (small n) or a linear-time partition (large n).
+  ``tau`` with a linear-time partition; the batch :func:`distortion` shares
+  that kernel.
 
 The two routes share no selection or ordering code, which makes each an
 independent oracle for the other; the test suite requires them to agree bit
@@ -38,11 +39,6 @@ __all__ = [
     "extremal_vector",
 ]
 
-#: Threshold selection switches from a full sort to a linear-time partition
-#: above this dimension.
-SORT_CUTOFF = 4096
-
-
 def _validate_m(m: int) -> int:
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"sparsity level must be an integer, got {m!r}")
@@ -50,6 +46,14 @@ def _validate_m(m: int) -> int:
     if m < 0:
         raise ValueError(f"sparsity level must be nonnegative, got {m}")
     return m
+
+
+def _shrink(a: np.ndarray, m: int) -> np.ndarray:
+    """Row-wise ``max(a - tau, 0)`` for ``a >= 0``, with ``tau`` the (m+1)-th
+    largest entry of the row; requires m < n."""
+    k = a.shape[1] - 1 - m
+    tau = np.partition(a, k, axis=1)[:, k, None]
+    return np.maximum(a - tau, 0.0)
 
 
 def f0(y, m: int, tol: float = 1e-12) -> ConePoint:
@@ -141,12 +145,7 @@ def f_closed(x, m: int) -> np.ndarray:
     if m >= n:
         out = arr + 0.0
         return out[0] if single else out
-    a = np.abs(arr)
-    if n <= SORT_CUTOFF:
-        tau = np.sort(a, axis=1)[:, n - 1 - m]
-    else:
-        tau = np.partition(a, n - 1 - m, axis=1)[:, n - 1 - m]
-    shrunk = np.maximum(a - tau[:, None], 0.0)
+    shrunk = _shrink(np.abs(arr), m)
     out = np.where(arr >= 0.0, shrunk, -shrunk) + 0.0
     return out[0] if single else out
 
@@ -176,10 +175,8 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
             diff = np.zeros_like(arr)
         else:
             diff = np.abs(arr)
-            if m > 0:
-                k = n - 1 - m
-                tau = np.partition(diff, k, axis=1)[:, k, None]
-                diff -= np.maximum(diff - tau, 0.0)
+            if m > 0:  # m = 0 shrinks every entry to 0
+                diff -= _shrink(diff, m)
         if math.isinf(q):
             return np.max(diff, axis=1)
         return np.sum(diff**q, axis=1) ** (1.0 / q)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widim.bounds import (
     SATURATION_LIMIT,
@@ -149,6 +151,47 @@ def test_ceiling_guard_at_integer_points():
         eps = 2.0 / math.sqrt(k)
         assert widim_upper_plateau(eps, e) == k - 1
     assert widim_upper_plateau(2.0 / 3.0, e) == 8  # (2/(2/3))^2 = 9 up to noise
+
+
+#: (p, q) giving each rate r = pq/(q - p) exactly, with the largest k at
+#: which eps = 2/k^(1/r) still carries k: above 2^45 the float eps itself
+#: no longer represents k at r = 1.5 or 3.
+_RATE_CASES = {
+    1.0: ((1.0, math.inf), 2**50),
+    2.0: ((1.0, 2.0), 2**50),
+    4.0: ((2.0, 4.0), 2**50),
+    1.5: ((1.0, 3.0), 2**45),
+    3.0: ((1.5, 3.0), 2**45),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_RATE_CASES)), st.data())
+def test_ceiling_guard_at_integer_points_of_any_scale(r, data):
+    # the snap must hold beyond 1e7, where one ulp of k exceeds 1e-9
+    (p, q), top = _RATE_CASES[r]
+    e = make_exponents(p, q)
+    assert e.r == r
+    k = data.draw(st.integers(2, top))
+    eps = 2.0 / k ** (1.0 / r)
+    assert widim_upper_plateau(eps, e) == k - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(1.0, 2.0), (1.0, math.inf), (2.0, 4.0), (1.0, 3.0), (1.5, 3.0)]),
+    st.floats(1e-4, 4.0),
+    st.floats(1e-4, 4.0),
+    st.integers(1, 10**9),
+)
+def test_counts_are_monotone_in_eps(pq, a, b, n):
+    e = make_exponents(*pq)
+    small, large = min(a, b), max(a, b)
+    for plateau in (widim_upper_plateau, widim_lower_plateau):
+        hi, lo = plateau(small, e), plateau(large, e)
+        assert hi is None or (lo is not None and hi >= lo)
+    assert widim_upper(n, small, e) >= widim_upper(n, large, e)
+    assert widim_lower(n, small, e) >= widim_lower(n, large, e)
 
 
 def test_saturation_regime():

@@ -1,7 +1,9 @@
 """Lattice harness: weights, finitely supported points, tails, embedding."""
 
+import hashlib
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import widim.group_dynamics as group_dynamics
+from widim._streams import DOMAIN_PAIRS, fresh_stream
 from widim.group_dynamics import (
+    MAX_OUTSIDE_SUPPORT,
+    MAX_SUPPORT,
     MAX_WINDOW_CELLS,
+    PAIR_BLOCK,
     EmbeddingReport,
     FinitelySupportedPoint,
     LatticeBox,
@@ -342,7 +349,204 @@ def test_embedding_check_window_guard():
     assert time.perf_counter() - t0 < 5.0
 
 
+# SHA-256 of embedding_report_to_json, recorded before pairs were drawn
+# straight into dense rows. Unlike EMBED_GOLDEN in test_cli.py these runs
+# reach p = 1.5 and 3, an exact zero drawn at p = 50 (pair 168 of seed 561),
+# and a weight whose tail bound lies, so failures and their witness payload
+# are pinned too.
+def _lying_metric():
+    # claims no mass outside radius 1 although the weight decays slowly
+    return WeightedGroupMetric(
+        dim_d=1,
+        weight=lambda g: 0.5 * 2.0 ** (-0.2 * sum(abs(c) for c in g)),
+        tail_bound=lambda radius: 0.0 if radius >= 1 else 1.0,
+        total_bound=1.0,
+        description="lying tail",
+    )
+
+
+EMBED_WITNESS_GOLDEN = {
+    # name: (metric, probe radius, p, eps, samples, seed, digest)
+    "d=2 p=1.5": (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7,
+                  "479698b563dfead2de945680d53d4220c47c7c57af4fdfe54f7101654d6a83eb"),
+    "d=2 p=3": (lambda: geometric_weight_metric(dim_d=2), 1, 3.0, 0.6, 300, 11,
+                "ba243cb569c772534da68c1707691d35f1ab5e62c3b9d8e954ef60ecf3d3d485"),
+    "d=2 p=inf": (lambda: geometric_weight_metric(dim_d=2), 1, math.inf, 0.5, 300, 5,
+                  "23cee7e67019582807a2e5be10a342f232963a82312a751cfc33ebd160ec4a2e"),
+    "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 561,
+                 "9db39119249a4339c638e5b12f882d9da5a74246b404e9d156a43f8c391f25f4"),
+    "lying p=1": (_lying_metric, 0, 1.0, 0.5, 300, 1,
+                  "4a3e397164283a59e9875b9c62fecd13508221c10fceb76c4d83f480a6beb07f"),
+    "lying p=2": (_lying_metric, 1, 2.0, 0.3, 300, 2,
+                  "a7c7dd402c66502c5d503f151168f5b5f8b477d71d3903f161783a7ea82e0204"),
+}
+
+
+@pytest.mark.parametrize("name", list(EMBED_WITNESS_GOLDEN))
+def test_embedding_witness_golden_bytes(name):
+    metric, radius, p, eps, samples, seed, digest = EMBED_WITNESS_GOLDEN[name]
+    M = metric()
+    rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
+    assert (rep.witness is not None) == name.startswith("lying")
+    assert hashlib.sha256(embedding_report_to_json(rep).encode()).hexdigest() == digest
+
+
+def test_embedding_check_rejects_points_outside_the_ball(monkeypatch):
+    # the membership checks of the point constructor run on every drawn row
+    M = geometric_weight_metric()
+    monkeypatch.setattr(group_dynamics, "sample_lp_ball", lambda k, p, gen: np.full(k, 1.5))
+    with pytest.raises(ValueError, match="outside the unit ball"):
+        embedding_check(M, [(0,)], 1.0, 0.5, 10)
+    monkeypatch.setattr(group_dynamics, "sample_lp_ball", lambda k, p, gen: np.full(k, math.nan))
+    with pytest.raises(ValueError, match="values must be finite"):
+        embedding_check(M, [(0,)], 1.0, 0.5, 10)
+
+
+def test_passing_embedding_check_builds_no_sparse_points(monkeypatch):
+    built = []
+    post_init = FinitelySupportedPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FinitelySupportedPoint, "__post_init__", counting)
+    rep = embedding_check(geometric_weight_metric(dim_d=2), LatticeBox((0, 0), 1), 1.0, 0.5, 300)
+    assert rep.passed and rep.checked_count > 0
+    assert built == []
+    # a failing run builds exactly the witness pair
+    rep = embedding_check(_lying_metric(), [(0,)], 1.0, 0.5, 300, seed=1)
+    assert rep.failure_count > 1 and len(built) == 2
+
+
+def test_weight_table_calls_weight_once_per_offset():
+    base = geometric_weight_metric(dim_d=2)
+    calls = Counter()
+
+    def weight(gamma):
+        calls[gamma] += 1
+        return base.weight(gamma)
+
+    M = WeightedGroupMetric(2, weight, base.tail_bound, base.total_bound)
+    assert tail_set(M, (0, 0), 0.5).radius == 3  # window radius 2 * (1 + 3) = 8
+    embedding_check(M, LatticeBox((0, 0), 1), 1.0, 0.5, 10)
+    # 9 probes x 289 window cells share the 19^2 offsets in [-9, 9]^2
+    assert len(calls) == 19**2
+    assert set(calls.values()) == {1}
+
+
 # --- dense window kernel -------------------------------------------------------------
+
+
+def _reference_draw_point(gen, window_pts, p, max_support):
+    k = int(gen.integers(1, max_support + 1))
+    idx = gen.choice(len(window_pts), size=k, replace=False)
+    vals = group_dynamics.sample_lp_ball(k, p, gen)
+    return FinitelySupportedPoint(tuple(window_pts[int(i)] for i in idx), tuple(vals), p)
+
+
+def _reference_pair(gen, kind, window_pts, outside_pts, prime_set, p, eps):
+    """The sparse pair draw that dense rows replaced, kept as the oracle."""
+    max_support = min(len(window_pts), MAX_SUPPORT)
+    x = _reference_draw_point(gen, window_pts, p, max_support)
+    if kind == 0:
+        return x, _reference_draw_point(gen, window_pts, p, max_support)
+    if kind == 1:
+        inside = [(pt, v) for pt, v in zip(x.support, x.values) if pt in prime_set]
+        if math.isinf(p):
+            budget_scale = 1.0
+        else:
+            mass_in = sum(abs(v) ** p for _, v in inside)
+            budget_scale = max(1.0 - mass_in, 0.0) ** (1.0 / p)
+        pts = [pt for pt, _ in inside]
+        vals = [v for _, v in inside]
+        cap = min(len(outside_pts), MAX_OUTSIDE_SUPPORT)
+        k2 = int(gen.integers(0, cap + 1)) if cap else 0
+        if k2 > 0:
+            idx = gen.choice(len(outside_pts), size=k2, replace=False)
+            u = group_dynamics.sample_lp_ball(k2, p, gen)
+            pts.extend(outside_pts[int(i)] for i in idx)
+            vals.extend(budget_scale * u)
+        return x, FinitelySupportedPoint(tuple(pts), tuple(vals), p)
+    noise = gen.uniform(-eps / 8.0, eps / 8.0, size=len(x.values))
+    vals = np.asarray(x.values) + noise
+    if math.isinf(p):
+        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
+        if peak > 1.0:
+            vals /= peak
+    else:
+        mass = float(np.sum(np.abs(vals) ** p))
+        if mass > 1.0:
+            vals *= mass ** (-1.0 / p)
+    return x, FinitelySupportedPoint(x.support, tuple(vals), p)
+
+
+def _dense(window, x):
+    v = np.zeros(len(window))
+    column = {gamma: j for j, gamma in enumerate(window)}
+    v[[column[gamma] for gamma in x.support]] = x.values
+    return v
+
+
+def _hex(row):
+    # a signed zero in a dense row is a zero the sparse form drops
+    return [float(v).hex() for v in row + 0.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from((1, 2)),
+    kind=st.integers(0, 2),
+    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, math.inf)),
+    eps=st.floats(0.01, 4.0),
+    seed=st.integers(0, 2**64 - 1),
+    index=st.integers(0, 2**64 - 1),
+    data=st.data(),
+)
+def test_dense_pair_draw_matches_sparse_reference(d, kind, p, eps, seed, index, data):
+    window = tuple(sorted(LatticeBox((0,) * d, data.draw(st.integers(0, 4 if d == 1 else 2)))))
+    prime = sorted(data.draw(st.lists(st.sampled_from(window), min_size=1, unique=True)))
+    outside = tuple(g for g in window if g not in set(prime))
+    dense = _DenseWindow(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
+    # optionally zero every other drawn value, as an underflowing gamma draw does
+    zap = data.draw(st.booleans())
+    sampler = group_dynamics.sample_lp_ball
+
+    def zapped(k, p, gen):
+        v = sampler(k, p, gen)
+        v[::2] = np.copysign(0.0, v[::2])
+        return v
+
+    with pytest.MonkeyPatch.context() as mp:
+        if zap:
+            mp.setattr(group_dynamics, "sample_lp_ball", zapped)
+        gen = fresh_stream(seed, DOMAIN_PAIRS, index)
+        x, y = np.zeros(len(window)), np.zeros(len(window))
+        dense.draw_pair(gen, kind, x, y, p, eps)
+        ref_gen = fresh_stream(seed, DOMAIN_PAIRS, index)
+        rx, ry = _reference_pair(ref_gen, kind, window, outside, set(prime), p, eps)
+    assert _hex(x) == _hex(_dense(window, rx))
+    assert _hex(y) == _hex(_dense(window, ry))
+    assert dense.point(x, p) == rx and dense.point(y, p) == ry
+    assert gen.random() == ref_gen.random()  # the same stream use
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_tail_pairs_sum_the_inside_mass_in_python_floats(p):
+    # the inside mass of a tail-only pair is a left-to-right sum of Python
+    # float powers; a numpy power or np.sum moves its last bit in about one
+    # pair in ten, which moves the fresh outside values
+    window = tuple(sorted(LatticeBox((0,), 4)))
+    prime = window[1:-1]
+    outside = (window[0], window[-1])
+    dense = _DenseWindow(geometric_weight_metric(), [(0,)], window, prime)
+    for index in range(300):
+        x, y = np.zeros(len(window)), np.zeros(len(window))
+        dense.draw_pair(fresh_stream(5, DOMAIN_PAIRS, index), 1, x, y, p, 0.5)
+        _, ry = _reference_pair(fresh_stream(5, DOMAIN_PAIRS, index), 1, window,
+                                outside, set(prime), p, 0.5)
+        assert _hex(y) == _hex(_dense(window, ry))
+
 
 _small_value = st.floats(-0.125, 0.125, allow_nan=False)  # 8 of them stay in every unit ball
 
@@ -356,26 +560,48 @@ def _window_pairs(draw):
     coord = st.integers(-3, 3)
     omega = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
     prime = draw(st.lists(st.sampled_from(window), min_size=1, max_size=9, unique=True))
-    sx = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
-    x = FinitelySupportedPoint(tuple(sx), tuple(draw(_small_value) for _ in sx), p)
-    sy = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
-    vy = [
-        x.value_at(g) if g in x.support and draw(st.booleans()) else draw(_small_value)
-        for g in sy
-    ]
-    y = FinitelySupportedPoint(tuple(sy), tuple(vy), p)
-    return M, sorted(omega), window, sorted(prime), x, y
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        sx = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
+        x = FinitelySupportedPoint(tuple(sx), tuple(draw(_small_value) for _ in sx), p)
+        sy = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
+        vy = [
+            x.value_at(g) if g in x.support and draw(st.booleans()) else draw(_small_value)
+            for g in sy
+        ]
+        pairs.append((x, FinitelySupportedPoint(tuple(sy), tuple(vy), p)))
+    return M, sorted(omega), window, sorted(prime), pairs
 
 
 @settings(max_examples=300, deadline=None)
 @given(_window_pairs())
 def test_dense_window_matches_sparse_bitwise(case):
-    M, omega, window, prime, x, y = case
+    # one block of several pairs, scored by the kernel embedding_check uses
+    M, omega, window, prime, pairs = case
     dense = _DenseWindow(M, omega, window, prime)
-    diff = dense.abs_diff(x, y)
-    gap = max(abs(x.value_at(g) - y.value_at(g)) for g in prime)
-    assert dense.gap(diff).hex() == gap.hex()
-    assert dense.omega_distance(diff).hex() == omega_distance(x, y, M, omega).hex()
+    X = np.array([_dense(window, x) for x, _ in pairs])
+    Y = np.array([_dense(window, y) for _, y in pairs])
+    D = np.abs(X - Y)
+    gaps = dense.gaps(D)
+    dists = dense.omega_distances(D)
+    assert gaps.shape == dists.shape == (len(pairs),)
+    for (x, y), gap, dist in zip(pairs, gaps, dists):
+        assert float(gap).hex() == max(abs(x.value_at(g) - y.value_at(g)) for g in prime).hex()
+        assert float(dist).hex() == omega_distance(x, y, M, omega).hex()
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    M = geometric_weight_metric()
+    omega = LatticeBox((0,), 2)
+    base = embedding_report_to_json(embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4))
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(group_dynamics, "PAIR_BLOCK", block)
+        rep = embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4)
+        assert embedding_report_to_json(rep) == base
+    # a window too wide for the cell budget falls back to fewer rows
+    monkeypatch.setattr(group_dynamics, "_BLOCK_CELLS", 100)  # 17 cells: 5 rows
+    rep = embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4)
+    assert embedding_report_to_json(rep) == base
 
 
 # --- mean dimension table -----------------------------------------------------------
