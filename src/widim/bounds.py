@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Exponents, make_exponents
+from .core import Exponents, _check_exponent, _check_int, _check_scale, make_exponents
 
 __all__ = [
     "guarded_count",
@@ -50,22 +50,6 @@ CEILING_BAND = 1e-13
 
 #: Counts above this saturate to None instead of risking float overflow lies.
 SATURATION_LIMIT = 2.0**62
-
-
-def _validate_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
-    return n
-
-
-def _validate_eps(eps: float) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0.0:
-        raise ValueError(f"scale must be a positive finite real, got {eps}")
-    return eps
 
 
 def guarded_count(value: float) -> Optional[int]:
@@ -97,26 +81,26 @@ def _power(base: float, exponent: float) -> float:
 
 def widim_upper_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free upper count ceil((2/eps)^r) - 1; None if saturated."""
-    eps = _validate_eps(eps)
+    eps = _check_scale(eps)
     return guarded_count(_power(2.0 / eps, e.r))
 
 
 def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free lower count ceil(eps^-r) - 1; None if saturated."""
-    eps = _validate_eps(eps)
+    eps = _check_scale(eps)
     return guarded_count(_power(eps, -e.r))
 
 
 def widim_upper(n: int, eps: float, e: Exponents) -> int:
     """Upper width bound min(n, ceil((2/eps)^r) - 1)."""
-    n = _validate_n(n)
+    n = _check_int(n, "dimension n", 1)
     plateau = widim_upper_plateau(eps, e)
     return n if plateau is None else min(n, plateau)
 
 
 def widim_lower(n: int, eps: float, e: Exponents) -> int:
     """Lower width bound min(n, ceil(eps^-r) - 1)."""
-    n = _validate_n(n)
+    n = _check_int(n, "dimension n", 1)
     plateau = widim_lower_plateau(eps, e)
     return n if plateau is None else min(n, plateau)
 
@@ -126,9 +110,6 @@ def widim_exact_q_infinity(n: int, eps: float, p: float) -> int:
 
     Equals widim_upper(n, eps, make_exponents(p, inf)) for every input.
     """
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"ball exponent must satisfy p >= 1, got {p}")
     return widim_upper(n, eps, make_exponents(p, math.inf))
 
 
@@ -139,12 +120,17 @@ def widim_equal_case(n: int, eps: float, p: float, q: float) -> Optional[int]:
     closed form is available. Raises if q > p; use the bracketing bounds
     there instead.
     """
-    n = _validate_n(n)
-    eps = _validate_eps(eps)
-    p, q = float(p), float(q)
-    if math.isnan(p) or math.isnan(q) or q < 1.0 or p < q:
-        raise ValueError(f"equal-case formula needs 1 <= q <= p, got p={p}, q={q}")
+    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
+    _check_equal_case(p, q)
     return n if eps < 1.0 else None
+
+
+def _check_equal_case(p, q) -> tuple:
+    """(p, q) as floats with 1 <= q <= p, the regime of the equal case."""
+    p, q = _check_exponent(p, "ball exponent p"), _check_exponent(q, "distance exponent q")
+    if p < q:
+        raise ValueError(f"equal case needs q <= p, got p={p}, q={q}")
+    return p, q
 
 
 @dataclass(frozen=True)
@@ -155,10 +141,9 @@ class EqualCase:
     q: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
-        if math.isnan(self.p) or math.isnan(self.q) or self.q < 1.0 or self.p < self.q:
-            raise ValueError(f"equal case needs 1 <= q <= p, got p={self.p}, q={self.q}")
+        p, q = _check_equal_case(self.p, self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True)
@@ -187,10 +172,10 @@ def bracket(n: int, eps: float, e: Exponents) -> WidimBoundReport:
     For q = inf both sides are replaced by the exact formula and the report
     is flagged exact; otherwise exact means the two bounds coincide.
     """
-    n = _validate_n(n)
-    eps = _validate_eps(eps)
+    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
     if math.isinf(e.q):
-        value = widim_exact_q_infinity(n, eps, e.p)
+        # widim_exact_q_infinity(n, eps, e.p), without rebuilding e per row
+        value = widim_upper(n, eps, e)
         return WidimBoundReport(n, eps, e, value, value, True)
     lower = widim_lower(n, eps, e)
     upper = widim_upper(n, eps, e)
@@ -242,13 +227,9 @@ def ball_inclusion_max_radius(m: int, e: Exponents) -> float:
     The norm comparison ||x||_p <= m^(1/r) ||x||_q on m coordinates gives
     rho = m^(-1/r), attained by the constant-coordinate corner vector.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or int(m) < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {m!r}")
-    return float(int(m) ** (-e.inverse_rate))
+    return float(_check_int(m, "coordinate count m", 1) ** (-e.inverse_rate))
 
 
 def ball_inclusion_holds(rho: float, m: int, e: Exponents, tol: float = 1e-12) -> bool:
     """Inclusion predicate rho * m^(1/r) <= 1 (+ tol)."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or int(m) < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {m!r}")
-    return float(rho) * int(m) ** e.inverse_rate <= 1.0 + tol
+    return float(rho) * _check_int(m, "coordinate count m", 1) ** e.inverse_rate <= 1.0 + tol

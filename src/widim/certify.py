@@ -34,7 +34,7 @@ from ._streams import (
     fresh_stream,
 )
 from ._output import csv_row, json_exponent
-from .core import Exponents
+from .core import Exponents, _check_exponent, _check_int
 from .threshold_map import distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -70,19 +70,6 @@ CLIMB_MIN_STEP = 1e-12
 CLIMB_WINDOW = 8
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _validate_ball(n, p) -> float:
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"ball exponent must satisfy p >= 1 or p = inf, got {p}")
-    return p
-
-
 def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """One point uniform in the unit p-ball of dimension n.
 
@@ -95,7 +82,8 @@ def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     Draw order per sample is fixed: magnitudes, then signs, then the
     auxiliary exponential.
     """
-    p = _validate_ball(n, p)
+    _check_int(n, "dimension n", 1)
+    p = _check_exponent(p, "ball exponent p")
     if math.isinf(p):
         return rng.uniform(-1.0, 1.0, n)
     w = rng.gamma(1.0 / p, 1.0, n)  # |g_i|^p
@@ -111,7 +99,9 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator) -
     order for the whole batch is fixed: every magnitude (row by row), then
     every sign, then one auxiliary exponential per row.
     """
-    p = _validate_ball(n, p)
+    _check_int(rows, "rows", 1)
+    _check_int(n, "dimension n", 1)
+    p = _check_exponent(p, "ball exponent p")
     if math.isinf(p):
         return rng.uniform(-1.0, 1.0, (rows, n))
     w = rng.gamma(1.0 / p, 1.0, (rows, n))  # |g_ij|^p
@@ -203,16 +193,13 @@ def report_to_csv_row(report: CertificationReport) -> str:
     ])
 
 
-def _validate_run(n, m, e, count, count_name):
+def _validate_run(n, m, e, count, count_name, workers):
     if not isinstance(e, Exponents):
         raise ValueError(f"expected an Exponents triple, got {e!r}")
-    if not _is_integer(n) or int(n) < 1:
-        raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if not _is_integer(m) or int(m) < 0:
-        raise ValueError(f"sparsity level must be a nonnegative integer, got {m!r}")
-    if not _is_integer(count) or int(count) < 1:
-        raise ValueError(f"{count_name} must be a positive integer, got {count!r}")
-    return int(n), int(m), int(count)
+    n, m = _check_int(n, "dimension n", 1), _check_int(m, "sparsity m", 0)
+    count = _check_int(count, count_name, 1)
+    _check_int(workers, "workers", 1)
+    return n, m, count
 
 
 def _sample_block(seed, b, n, p) -> np.ndarray:
@@ -234,7 +221,7 @@ def monte_carlo_certify(
     it wins ties and the reported maximum can never undershoot the known
     equality case. Deterministic for a fixed seed, independent of workers.
     """
-    n, m, samples = _validate_run(n, m, e, samples, "samples")
+    n, m, samples = _validate_run(n, m, e, samples, "samples", workers)
     seed = int(seed)
     bound = distortion_bound(m, e)
 
@@ -302,9 +289,8 @@ def adversarial_certify(
     the chain's next window starts right after it. The schedule, and so the
     report, is bit for bit the same as scoring one move at a time.
     """
-    n, m, restarts = _validate_run(n, m, e, restarts, "restarts")
+    n, m, restarts = _validate_run(n, m, e, restarts, "restarts", workers)
     seed = int(seed)
-    del workers  # fixed serial schedule; see docstring
     bound = distortion_bound(m, e)
     p, q = e.p, e.q
 
@@ -373,9 +359,7 @@ def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
     Shifting mass z onto the larger of two values can only increase the sum
     of s-th powers. Checked with relative slack 1e-12.
     """
-    s, x, y, z = float(s), float(x), float(y), float(z)
-    if s < 1.0 or math.isnan(s):
-        raise ValueError(f"power must satisfy s >= 1, got {s}")
+    s, x, y, z = _check_exponent(s, "power s"), float(x), float(y), float(z)
     if min(x, y, z) < 0.0:
         raise ValueError("arguments must be nonnegative")
     if x < y:
@@ -391,9 +375,7 @@ def check_key_lemma(s: float, c: float, t: float, xs) -> bool:
     Preconditions are enforced (with relative slack 1e-12) and violations
     raise. The inequality itself is checked with the same slack.
     """
-    s, c, t = float(s), float(c), float(t)
-    if s < 1.0 or math.isnan(s):
-        raise ValueError(f"power must satisfy s >= 1, got {s}")
+    s, c, t = _check_exponent(s, "power s"), float(c), float(t)
     if c < 0.0 or t < 0.0:
         raise ValueError("budget and cap must be nonnegative")
     arr = np.asarray(xs, dtype=np.float64)
@@ -424,14 +406,11 @@ def key_lemma_oracle_max(
     k. Dense random interior sampling cross-checks the enumeration (it can
     confirm but never exceed the vertex maximum).
     """
-    s, c, t = float(s), float(c), float(t)
-    if s < 1.0 or math.isnan(s):
-        raise ValueError(f"power must satisfy s >= 1, got {s}")
+    s, c, t = _check_exponent(s, "power s"), float(c), float(t)
     if c < 0.0 or t < 0.0:
         raise ValueError("budget and cap must be nonnegative")
-    if not _is_integer(n) or n < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_int(n, "coordinate count n", 1)
+    samples = _check_int(samples, "samples", 0)
 
     best = 0.0
     for k in range(n + 1):
@@ -446,7 +425,7 @@ def key_lemma_oracle_max(
         # cross-check only: scaled samples stay inside the polytope, so any
         # apparent excess beyond rounding means the vertex scan is wrong
         rng = StreamFactory(seed, DOMAIN_POLYTOPE).generator(0)
-        U = rng.uniform(0.0, t, size=(int(samples), n))
+        U = rng.uniform(0.0, t, size=(samples, n))
         sums = np.sum(U, axis=1)
         over = sums > c
         if np.any(over):

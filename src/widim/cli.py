@@ -34,7 +34,7 @@ from .certify import (
     report_to_csv_row,
     report_to_json,
 )
-from .core import make_exponents
+from .core import _check_exponent, make_exponents
 from .group_dynamics import (
     LatticeBox,
     embedding_check,
@@ -100,15 +100,14 @@ def _write(args, command, params, doc, header, rows) -> None:
 
 
 def _run_bounds(args) -> int:
-    p = args.p
-    q = args.q
-    if p < 1.0 or q < 1.0:
-        raise ValueError(f"exponents must be at least 1, got p={p}, q={q}")
+    p = _check_exponent(args.p, "ball exponent p")
+    q = _check_exponent(args.q, "distance exponent q")
+    e = make_exponents(p, q) if q > p else None
     reports = []
     for n in args.n:
         for eps in args.eps:
-            if q > p:
-                rep = bracket(n, eps, make_exponents(p, q))
+            if e is not None:
+                rep = bracket(n, eps, e)
                 r, lower, upper, exact = rep.exponents.r, rep.lower, rep.upper, rep.exact
             else:
                 r, lower = None, widim_equal_case(n, eps, p, q)

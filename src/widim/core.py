@@ -28,6 +28,46 @@ __all__ = [
 BALL_TOLERANCE = 1e-12
 
 
+# The input rules every public entry point applies, and the one place they
+# are written down. Each helper returns the value in its working type, and
+# builds its message only when it raises, so hot paths can call it per call.
+
+
+def _check_int(value, what: str, least: int) -> int:
+    """An ``int`` or numpy integer, never a ``bool``, that is at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _check_exponent(value, what: str, finite: bool = False) -> float:
+    """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
+    x = float(value)
+    if isinstance(value, bool) or not x >= 1.0 or (finite and x == math.inf):
+        rule = "a finite real of at least 1" if finite else "at least 1 or inf"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
+    return x
+
+
+def _check_scale(eps) -> float:
+    """A positive finite real."""
+    x = float(eps)
+    if isinstance(eps, bool) or not 0.0 < x < math.inf:
+        raise ValueError(f"scale eps must be a positive finite real, got {eps!r}")
+    return x
+
+
+def _check_rows(X: np.ndarray) -> np.ndarray:
+    """A 2-D float batch with at least one column and only finite values."""
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of row vectors, got shape {X.shape}")
+    if X.shape[1] < 1:
+        raise ValueError("vectors must have at least one coordinate")
+    if not np.isfinite(X).all():
+        raise ValueError("values must be finite")
+    return X
+
+
 def as_vector(x) -> np.ndarray:
     """Validate and return ``x`` as a 1-D float64 array.
 
@@ -38,18 +78,8 @@ def as_vector(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if arr.size < 1:
-        raise ValueError("vector must have at least one coordinate")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector coordinates must be finite")
+    _check_rows(arr[None, :])
     return arr
-
-
-def _validate_q(q: float) -> float:
-    q = float(q)
-    if math.isnan(q) or q < 1.0:
-        raise ValueError(f"distance exponent must satisfy q >= 1 or q = inf, got {q}")
-    return q
 
 
 def lq_distance(x, y, q: float) -> float:
@@ -65,7 +95,7 @@ def lq_distance(x, y, q: float) -> float:
     xv, yv = as_vector(x), as_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
-    q = _validate_q(q)
+    q = _check_exponent(q, "distance exponent q")
     diff = np.abs(xv - yv)
     if math.isinf(q):
         return float(np.max(diff))
@@ -79,9 +109,7 @@ def lp_norm_power(x, p: float) -> float:
     membership predicate applies.
     """
     xv = as_vector(x)
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"ball exponent must satisfy p >= 1, got {p}")
+    p = _check_exponent(p, "ball exponent p")
     a = np.abs(xv)
     if math.isinf(p):
         return float(np.max(a))
@@ -107,11 +135,9 @@ class Exponents:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _check_exponent(self.p, "ball exponent p", finite=True))
         object.__setattr__(self, "q", float(self.q))
         object.__setattr__(self, "r", float(self.r))
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise ValueError(f"need 1 <= p < inf, got p={self.p}")
         if not self.q > self.p:
             raise ValueError(f"need q > p, got p={self.p}, q={self.q}")
         if math.isinf(self.q):
@@ -141,9 +167,7 @@ def make_exponents(p: float, q: float) -> Exponents:
 
     ``q = math.inf`` gives r = p. Raises on p < 1 or p >= q.
     """
-    p, q = float(p), float(q)
-    if not math.isfinite(p) or p < 1.0:
-        raise ValueError(f"need 1 <= p < inf, got p={p}")
+    p, q = _check_exponent(p, "ball exponent p", finite=True), float(q)
     if not q > p:
         raise ValueError(f"need p < q, got p={p}, q={q}")
     r = p if math.isinf(q) else p * q / (q - p)

@@ -30,7 +30,8 @@ import numpy as np
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, StreamFactory
 from ._output import csv_row, json_exponent
 from .bounds import _power, guarded_count
-from .certify import BOUND_TOLERANCE, _is_integer, sample_lp_ball
+from .certify import BOUND_TOLERANCE, sample_lp_ball
+from .core import BALL_TOLERANCE, _check_exponent, _check_int, _check_rows, _check_scale
 
 __all__ = [
     "LatticeBox",
@@ -82,10 +83,8 @@ class LatticeBox:
         center = tuple(int(v) for v in self.center)
         if len(center) < 1:
             raise ValueError("box center must have at least one coordinate")
-        if int(self.radius) < 0:
-            raise ValueError(f"box radius must be nonnegative, got {self.radius}")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", int(self.radius))
+        object.__setattr__(self, "radius", _check_int(self.radius, "box radius", 0))
 
     @property
     def dim(self) -> int:
@@ -121,9 +120,7 @@ class WeightedGroupMetric:
     description: str = "custom"
 
     def __post_init__(self):
-        if int(self.dim_d) < 1:
-            raise ValueError(f"lattice dimension must be positive, got {self.dim_d}")
-        object.__setattr__(self, "dim_d", int(self.dim_d))
+        object.__setattr__(self, "dim_d", _check_int(self.dim_d, "lattice dimension d", 1))
         total = float(self.total_bound)
         if not 0.0 < total <= 1.0:
             raise ValueError(f"total weight bound must lie in (0, 1], got {total}")
@@ -140,14 +137,10 @@ def geometric_weight_metric(
     geometric decay makes box partial sums a product of geometric series,
     so the tail bound is an exact closed form, not an estimate.
     """
-    dim_d = int(dim_d)
+    dim_d = _check_int(dim_d, "lattice dimension d", 1)
     base, total = float(base), float(total)
-    if dim_d < 1:
-        raise ValueError(f"lattice dimension must be positive, got {dim_d}")
     if not base > 1.0:
         raise ValueError(f"decay base must exceed 1, got {base}")
-    if not 0.0 < total <= 1.0:
-        raise ValueError(f"total weight must lie in (0, 1], got {total}")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
     scale = total / axis_total**dim_d
 
@@ -195,7 +188,8 @@ class FinitelySupportedPoint:
     """A lattice point assignment with finite support inside the unit p-ball.
 
     Stored canonically: support sorted lexicographically, exact zeros
-    dropped. Construction validates ball membership with 1e-12 slack.
+    dropped. Construction validates ball membership with
+    :data:`~widim.core.BALL_TOLERANCE` slack.
     """
 
     support: tuple
@@ -204,9 +198,7 @@ class FinitelySupportedPoint:
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = float(self.p)
-        if math.isnan(p) or p < 1.0:
-            raise ValueError(f"ball exponent must satisfy p >= 1 or p = inf, got {p}")
+        p = _check_exponent(self.p, "ball exponent p")
         pts = [tuple(int(c) for c in pt) for pt in self.support]
         vals = [float(v) for v in self.values]
         if len(pts) != len(vals):
@@ -224,7 +216,7 @@ class FinitelySupportedPoint:
             mass = max((abs(v) for v in vals), default=0.0)
         else:
             mass = sum(abs(v) ** p for v in vals)
-        if mass > 1.0 + 1e-12:
+        if mass > 1.0 + BALL_TOLERANCE:
             raise ValueError(f"point lies outside the unit ball: mass {mass}")
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "values", vals)
@@ -300,9 +292,7 @@ def tail_set(M: WeightedGroupMetric, delta, eps: float) -> LatticeBox:
     is replaced by the exact rational tail, so a tie is decided by the
     weight's float parameters rather than by the rounding of its closed form.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
+    eps = _check_scale(eps)
     center = _as_point(delta, M.dim_d)
     target = eps / 4.0
 
@@ -326,12 +316,7 @@ def widim_constant(p: float, eps: float) -> Optional[int]:
     Uses the same guarded ceiling as the bound formulas; returns None in
     the saturation regime (astronomically small eps).
     """
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"ball exponent must satisfy p >= 1, got {p}")
-    eps = float(eps)
-    if not eps > 0.0 or not math.isfinite(eps):
-        raise ValueError(f"scale must be a positive finite real, got {eps}")
+    p, eps = _check_exponent(p, "ball exponent p"), _check_scale(eps)
     return guarded_count(_power(4.0 / eps, p))
 
 
@@ -482,11 +467,9 @@ class _DenseWindow:
 
 def _check_in_ball(B: np.ndarray, p) -> None:
     """The membership checks of :class:`FinitelySupportedPoint`, per row of B."""
-    if not np.isfinite(B).all():
-        raise ValueError("values must be finite")
-    A = np.abs(B)
+    A = np.abs(_check_rows(B))
     mass = A.max(axis=1) if math.isinf(p) else (A**p).sum(axis=1)
-    outside = np.flatnonzero(mass > 1.0 + 1e-12)
+    outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
     if outside.size:
         raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")
 
@@ -524,14 +507,10 @@ def embedding_check(
     witness. ``workers`` is accepted for interface uniformity and cannot
     affect the report.
     """
-    eps = float(eps)
-    if not eps > 0.0:
-        raise ValueError(f"scale must be positive, got {eps}")
-    if not _is_integer(samples) or int(samples) < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    samples = int(samples)
+    p, eps = _check_exponent(p, "ball exponent p"), _check_scale(eps)
+    samples = _check_int(samples, "samples", 1)
+    _check_int(workers, "workers", 1)  # serial scan; see docstring
     seed = int(seed)
-    del workers  # serial scan; see docstring
 
     if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
         raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
@@ -593,7 +572,7 @@ def embedding_check(
 
     return EmbeddingReport(
         dim_d=M.dim_d,
-        p=float(p),
+        p=p,
         eps=eps,
         omega=deltas,
         omega_prime_size=len(prime_pts),
@@ -680,11 +659,9 @@ def mean_dimension_table(
     M: WeightedGroupMetric, p: float, eps: float, box_radii
 ) -> MeanDimensionTable:
     """Tabulate constant / |box| for probe boxes [-i, i]^d, i in box_radii."""
-    radii = [int(r) for r in box_radii]
+    radii = [_check_int(r, "box radius", 0) for r in box_radii]
     if not radii:
         raise ValueError("need at least one box radius")
-    if any(r < 0 for r in radii):
-        raise ValueError("box radii must be nonnegative")
     if any(a >= b for a, b in zip(radii, radii[1:])):
         raise ValueError("box radii must be strictly increasing")
     constant = widim_constant(p, eps)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import Exponents, _validate_q, as_vector, lq_distance
+from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector, lq_distance
 from .signed_perm import ConePoint, act, canonicalize, inverse
 
 __all__ = [
@@ -38,15 +38,6 @@ __all__ = [
     "distortion_bound",
     "extremal_vector",
 ]
-
-def _validate_m(m: int) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
-        raise ValueError(f"sparsity level must be an integer, got {m!r}")
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"sparsity level must be nonnegative, got {m}")
-    return m
-
 
 def _shrink(a: np.ndarray, m: int) -> np.ndarray:
     """Row-wise ``max(a - tau, 0)`` for ``a >= 0``, with ``tau`` the (m+1)-th
@@ -64,7 +55,7 @@ def f0(y, m: int, tol: float = 1e-12) -> ConePoint:
     clamped at zero, which changes nothing for exact cone input and guards
     the invariant against sub-tolerance dirt.
     """
-    m = _validate_m(m)
+    m = _check_int(m, "sparsity m", 0)
     trusted = isinstance(y, ConePoint)
     if trusted:
         yv = y.coords
@@ -92,7 +83,7 @@ def f_equivariant(x, m: int) -> np.ndarray:
     runs the same ordering arithmetic vectorized; a unit test pins it to the
     single-vector route bit for bit.
     """
-    m = _validate_m(m)
+    m = _check_int(m, "sparsity m", 0)
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
         return _equivariant_rows(arr, m)
@@ -105,12 +96,7 @@ def f_equivariant(x, m: int) -> np.ndarray:
 
 
 def _equivariant_rows(X: np.ndarray, m: int) -> np.ndarray:
-    if not np.all(np.isfinite(X)):
-        raise ValueError("vector coordinates must be finite")
-    n = X.shape[1]
-    if n < 1:
-        raise ValueError("vectors must have at least one coordinate")
-    if m >= n:
+    if m >= _check_rows(X).shape[1]:
         return X + 0.0
     order = np.argsort(-np.abs(X), axis=1, kind="stable")
     gx = np.take_along_axis(X, order, axis=1)
@@ -132,17 +118,11 @@ def f_closed(x, m: int) -> np.ndarray:
     vector or a 2-D array of row vectors. Agrees with
     :func:`f_equivariant` bit for bit on every input.
     """
-    m = _validate_m(m)
+    m = _check_int(m, "sparsity m", 0)
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
-    if single:
-        arr = as_vector(arr)[None, :]
-    elif not np.all(np.isfinite(arr)):
-        raise ValueError("vector coordinates must be finite")
-    n = arr.shape[1]
-    if n < 1:
-        raise ValueError("vectors must have at least one coordinate")
-    if m >= n:
+    arr = as_vector(arr)[None, :] if single else _check_rows(arr)
+    if m >= arr.shape[1]:
         out = arr + 0.0
         return out[0] if single else out
     shrunk = _shrink(np.abs(arr), m)
@@ -164,14 +144,9 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 2:
-        m = _validate_m(m)
-        q = _validate_q(q)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("vector coordinates must be finite")
-        n = arr.shape[1]
-        if n < 1:
-            raise ValueError("vectors must have at least one coordinate")
-        if m >= n:
+        m = _check_int(m, "sparsity m", 0)
+        q = _check_exponent(q, "distance exponent q")
+        if m >= _check_rows(arr).shape[1]:
             diff = np.zeros_like(arr)
         else:
             diff = np.abs(arr)
@@ -190,7 +165,7 @@ def distortion_bound(m: int, e: Exponents) -> float:
     Computed from p and q directly rather than through r, matching the
     arithmetic of the extremal configuration as closely as possible.
     """
-    m = _validate_m(m)
+    m = _check_int(m, "sparsity m", 0)
     return float((m + 1) ** (-e.inverse_rate))
 
 
@@ -201,12 +176,9 @@ def extremal_vector(m: int, p: float, n: int) -> np.ndarray:
     m+1 entries tie for the threshold, so the map collapses the vector to
     zero and the distortion equals the bound exactly. Requires m < n.
     """
-    m = _validate_m(m)
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        raise ValueError(f"ball exponent must satisfy p >= 1, got {p}")
-    if n < 1:
-        raise ValueError(f"dimension must be positive, got {n}")
+    m = _check_int(m, "sparsity m", 0)
+    p = _check_exponent(p, "ball exponent p")
+    n = _check_int(n, "dimension n", 1)
     if m >= n:
         raise ValueError(f"extremal configuration needs m < n, got m={m}, n={n}")
     out = np.zeros(n, dtype=np.float64)

@@ -434,6 +434,14 @@ def test_key_lemma_oracle_validation():
     assert key_lemma_oracle_max(2, 1, 0.5, np.int64(2)) == 0.5
 
 
+def test_key_lemma_oracle_zero_samples_skips_the_cross_check(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("samples=0 drew from a stream")
+
+    monkeypatch.setattr("widim.certify.StreamFactory", no_stream)
+    assert key_lemma_oracle_max(2, 1, 0.5, 2, samples=0) == 0.5
+
+
 def test_key_lemma_oracle_never_exceeds_bound():
     for s in (1.0, 1.5, 2.0, 4.0):
         for c in (0.5, 1.0, 2.0):

@@ -271,6 +271,19 @@ def test_argument_errors_exit_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_bad_counts_and_scales_exit_2(capsys):
+    # an infinite scale used to reach the exact tail comparison and fail
+    # there; a negative oracle sample count used to skip the cross-check
+    for argv, what in (
+        (["group", "--task", "embed", "--n", "2", "--eps", "inf", "--samples", "10"], "scale"),
+        (["oracle", "--s", "2", "--c", "1", "--t", "0.5", "--n", "2", "--samples", "-5"],
+         "samples"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and what in err
+
+
 def test_saturated_bounds_are_printed(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--p", "1", "--q", "1.01",
                            "--eps", "1e-5", "--n", "10")
