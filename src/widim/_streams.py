@@ -4,9 +4,10 @@ Every randomized driver in this package derives an isolated stream per
 unit of work from (seed, domain, index), so results never depend on how
 work is split across threads. The unit is the driver's choice: Monte Carlo
 certification draws a whole fixed-size block of samples from stream
-(seed, domain, b) for block b, while hill-climbing starts and lattice pairs
-draw one stream per item. The generator is Philox: its state is a pure
-128-bit counter plus a 128-bit key, so a stream is just a counter position.
+(seed, domain, b) for block b, and so does the embedding check for each
+fixed block of lattice pairs, while hill-climbing starts draw one stream
+per start. The generator is Philox: its state is a pure 128-bit counter
+plus a 128-bit key, so a stream is just a counter position.
 
 Index i is placed in the high counter word, giving consecutive indices a
 stride of 2^192 draw blocks; no realistic draw volume can make two streams

@@ -81,27 +81,36 @@ def _power(base: float, exponent: float) -> float:
 
 def widim_upper_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free upper count ceil((2/eps)^r) - 1; None if saturated."""
-    eps = _check_scale(eps)
-    return guarded_count(_power(2.0 / eps, e.r))
+    return _upper_plateau(_check_scale(eps), e)
 
 
 def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free lower count ceil(eps^-r) - 1; None if saturated."""
-    eps = _check_scale(eps)
-    return guarded_count(_power(eps, -e.r))
+    return _lower_plateau(_check_scale(eps), e)
 
 
 def widim_upper(n: int, eps: float, e: Exponents) -> int:
     """Upper width bound min(n, ceil((2/eps)^r) - 1)."""
-    n = _check_int(n, "dimension n", 1)
-    plateau = widim_upper_plateau(eps, e)
-    return n if plateau is None else min(n, plateau)
+    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
+    return _capped(n, _upper_plateau(eps, e))
 
 
 def widim_lower(n: int, eps: float, e: Exponents) -> int:
     """Lower width bound min(n, ceil(eps^-r) - 1)."""
-    n = _check_int(n, "dimension n", 1)
-    plateau = widim_lower_plateau(eps, e)
+    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
+    return _capped(n, _lower_plateau(eps, e))
+
+
+# Unchecked cores of the bounds above, for callers that checked n and eps.
+def _upper_plateau(eps: float, e: Exponents) -> Optional[int]:
+    return guarded_count(_power(2.0 / eps, e.r))
+
+
+def _lower_plateau(eps: float, e: Exponents) -> Optional[int]:
+    return guarded_count(_power(eps, -e.r))
+
+
+def _capped(n: int, plateau: Optional[int]) -> int:
     return n if plateau is None else min(n, plateau)
 
 
@@ -173,12 +182,9 @@ def bracket(n: int, eps: float, e: Exponents) -> WidimBoundReport:
     is flagged exact; otherwise exact means the two bounds coincide.
     """
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    if math.isinf(e.q):
-        # widim_exact_q_infinity(n, eps, e.p), without rebuilding e per row
-        value = widim_upper(n, eps, e)
-        return WidimBoundReport(n, eps, e, value, value, True)
-    lower = widim_lower(n, eps, e)
-    upper = widim_upper(n, eps, e)
+    upper = _capped(n, _upper_plateau(eps, e))
+    # at q = inf both sides are widim_exact_q_infinity(n, eps, e.p)
+    lower = upper if math.isinf(e.q) else _capped(n, _lower_plateau(eps, e))
     return WidimBoundReport(n, eps, e, lower, upper, lower == upper)
 
 

@@ -34,7 +34,7 @@ from ._streams import (
     fresh_stream,
 )
 from ._output import csv_row, json_exponent
-from .core import Exponents, _check_exponent, _check_int
+from .core import Exponents, _check_exponent, _check_int, _check_nonnegative
 from .threshold_map import distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -92,25 +92,34 @@ def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return (signs * w ** (1.0 / p)) / ((np.sum(w) + y) ** (1.0 / p))
 
 
-def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
+                        sizes=None) -> np.ndarray:
     """``rows`` points uniform in the unit p-ball of dimension n, one per row.
 
     The construction of :func:`sample_lp_ball`, vectorized over rows. Draw
     order for the whole batch is fixed: every magnitude (row by row), then
-    every sign, then one auxiliary exponential per row.
+    every sign, then one auxiliary exponential per row. With ``sizes``, row
+    r is uniform in the ball of its first sizes[r] coordinates and zero
+    beyond: unused magnitudes are drawn but masked before the normalizing sum.
     """
     _check_int(rows, "rows", 1)
     _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
+    unused = None if sizes is None else np.arange(n) >= np.asarray(sizes)[:, None]
     if math.isinf(p):
-        return rng.uniform(-1.0, 1.0, (rows, n))
-    w = rng.gamma(1.0 / p, 1.0, (rows, n))  # |g_ij|^p
-    signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
-    y = rng.standard_exponential(rows)
-    scale = (np.sum(w, axis=1) + y) ** (1.0 / p)
-    X = w ** (1.0 / p)
-    X *= signs
-    X /= scale[:, None]
+        X = rng.uniform(-1.0, 1.0, (rows, n))
+    else:
+        w = rng.gamma(1.0 / p, 1.0, (rows, n))  # |g_ij|^p
+        signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
+        y = rng.standard_exponential(rows)
+        if unused is not None:
+            w[unused] = 0.0
+        scale = (np.sum(w, axis=1) + y) ** (1.0 / p)
+        X = w ** (1.0 / p)
+        X *= signs
+        X /= scale[:, None]
+    if unused is not None:
+        X[unused] = 0.0
     return X
 
 
@@ -375,9 +384,8 @@ def check_key_lemma(s: float, c: float, t: float, xs) -> bool:
     Preconditions are enforced (with relative slack 1e-12) and violations
     raise. The inequality itself is checked with the same slack.
     """
-    s, c, t = _check_exponent(s, "power s"), float(c), float(t)
-    if c < 0.0 or t < 0.0:
-        raise ValueError("budget and cap must be nonnegative")
+    s = _check_exponent(s, "power s")
+    c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("xs must be a nonempty 1-D list of reals")
@@ -406,9 +414,8 @@ def key_lemma_oracle_max(
     k. Dense random interior sampling cross-checks the enumeration (it can
     confirm but never exceed the vertex maximum).
     """
-    s, c, t = _check_exponent(s, "power s"), float(c), float(t)
-    if c < 0.0 or t < 0.0:
-        raise ValueError("budget and cap must be nonnegative")
+    s = _check_exponent(s, "power s")
+    c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
     n = _check_int(n, "coordinate count n", 1)
     samples = _check_int(samples, "samples", 0)
 

@@ -57,6 +57,14 @@ def _check_scale(eps) -> float:
     return x
 
 
+def _check_nonnegative(value, what: str) -> float:
+    """A nonnegative finite real."""
+    x = float(value)
+    if isinstance(value, bool) or not 0.0 <= x < math.inf:
+        raise ValueError(f"{what} must be a nonnegative finite real, got {value!r}")
+    return x
+
+
 def _check_rows(X: np.ndarray) -> np.ndarray:
     """A 2-D float batch with at least one column and only finite values."""
     if X.ndim != 2:

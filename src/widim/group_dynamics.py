@@ -12,9 +12,9 @@ coordinate count that does not grow with Omega. The ratio of that constant
 to the size of growing boxes is the vanishing quantity the
 :func:`mean_dimension_table` tabulates.
 
-The embedding check draws pair i from its own derived stream and scans the
-pairs in index order, so a report is a pure function of its parameters and
-seed.
+The embedding check draws pair i as part of fixed block i // PAIR_DRAW,
+one derived stream per block, and scans the pairs in index order, so a
+report is a pure function of its parameters and seed.
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, StreamFactory
+from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, fresh_stream
 from ._output import csv_row, json_exponent
 from .bounds import _power, guarded_count
-from .certify import BOUND_TOLERANCE, sample_lp_ball
+from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
+from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
 from .core import BALL_TOLERANCE, _check_exponent, _check_int, _check_rows, _check_scale
 
 __all__ = [
@@ -357,10 +358,27 @@ def _point_payload(x: FinitelySupportedPoint) -> dict:
     return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
 
 
-#: Pairs drawn into dense rows and scored per distance pass in embedding_check,
-#: fewer where a window is so wide that the block would exceed 2^18 entries.
+#: Pairs drawn from one stream in one pass (PAIR_DRAW), and pairs scored per
+#: distance pass (PAIR_BLOCK, fewer where the block would exceed 2^18 cells).
+PAIR_DRAW = 64
 PAIR_BLOCK = 64
 _BLOCK_CELLS = 1 << 18
+
+
+def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
+    """Uniform subsets of range(n), sizes[r] <= width of them in row r (-1 pads).
+
+    Floyd's algorithm in O(rows * width^2), whatever n: step s of a row of
+    size k takes t uniform in [0, n - k + s] (one ``integers`` call for all
+    steps; unused ones draw from [0, 0]), or n - k + s if t is taken.
+    """
+    used = np.arange(width) < sizes[:, None]
+    top = n - sizes[:, None] + np.arange(width)
+    t = gen.integers(0, np.where(used, top, 0), endpoint=True).T.copy()  # step-major
+    for s in range(1, width):
+        np.copyto(t[s], top[:, s], where=(t[:s] == t[s]).any(axis=0))
+    t[~used.T] = -1
+    return t.T
 
 
 class _DenseWindow:
@@ -395,62 +413,62 @@ class _DenseWindow:
         self.inside[self.prime_columns] = True
         self.outside_columns = np.flatnonzero(~self.inside)
 
-    def _draw_point(self, gen, row, p) -> None:
-        ncol = len(self.points)
-        k = int(gen.integers(1, min(ncol, MAX_SUPPORT) + 1))
-        cols = gen.choice(ncol, size=k, replace=False)
-        row[cols] = sample_lp_ball(k, p, gen)
+    def draw_block(self, gen, first: int, p: float, eps: float) -> tuple:
+        """Pairs first .. first + PAIR_DRAW - 1 as sparse rows: x_cols, x_vals,
+        y_cols, y_vals, where column -1 marks an unused slot.
 
-    def draw_pair(self, gen, kind, x, y, p, eps) -> None:
-        """Draw pair (x, y) into two zeroed rows. Kinds cycle: independent,
-        tail-only, perturbed.
-
-        A drawn index set is the column set, because the window is sorted,
-        and a point's support in sorted order with exact zeros dropped is
-        ``np.flatnonzero`` of its row. The stream calls and every float
-        operation are those of drawing sparse points in that canonical form.
+        Kinds cycle with the index: independent, tail-only, perturbed. Points
+        (every x, then the y of each kind-0 pair) draw support sizes in [1,
+        min(window, MAX_SUPPORT)], column subsets and ball values. Kind 1
+        keeps x inside the union box, then draws outside counts in [0,
+        min(outside, MAX_OUTSIDE_SUPPORT)], subsets and ball values scaled by
+        the budget (1 - inside mass)^(1/p), unless no column is outside.
+        Kind 2 adds noise in [-eps/8, eps/8) where x is nonzero and scales
+        the row back into the ball if it left it.
         """
-        self._draw_point(gen, x, p)
-        if kind == 0:
-            self._draw_point(gen, y, p)
-            return
-        support = np.flatnonzero(x)
-        if kind == 1:
-            # Same inside the union box, fresh mass outside: exercises the
-            # tail branch of the distance estimate with an always-true
-            # hypothesis.
-            inside = support[self.inside[support]]
-            y[inside] = x[inside]
-            if math.isinf(p):
-                budget_scale = 1.0
-            else:
-                mass_in = sum(abs(v) ** p for v in x[inside].tolist())
-                budget_scale = max(1.0 - mass_in, 0.0) ** (1.0 / p)
-            outside = self.outside_columns
-            cap = min(len(outside), MAX_OUTSIDE_SUPPORT)
-            k2 = int(gen.integers(0, cap + 1)) if cap else 0
-            if k2 > 0:
-                idx = gen.choice(len(outside), size=k2, replace=False)
-                y[outside[idx]] = budget_scale * sample_lp_ball(k2, p, gen)
-            return
-        # kind == 2: sup-norm perturbation well inside the hypothesis threshold.
-        noise = gen.uniform(-eps / 8.0, eps / 8.0, size=len(support))
-        vals = x[support] + noise
-        if math.isinf(p):
-            peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-            if peak > 1.0:
-                vals /= peak
-        else:
-            mass = float(np.sum(np.abs(vals) ** p))
-            if mass > 1.0:
-                vals *= mass ** (-1.0 / p)
-        y[support] = vals
+        ncol, outside = len(self.points), self.outside_columns
+        kinds = (first + np.arange(PAIR_DRAW)) % 3
+        own, tail, jitter = (np.flatnonzero(kinds == k) for k in range(3))
+        width, cap = min(ncol, MAX_SUPPORT), min(outside.size, MAX_OUTSIDE_SUPPORT)
+        sizes = gen.integers(1, width, size=PAIR_DRAW + own.size, endpoint=True)
+        cols = _subsets(gen, sizes, width, ncol)
+        vals = sample_lp_ball_rows(sizes.size, width, p, gen, sizes)
+        xc, xv = cols[:PAIR_DRAW], vals[:PAIR_DRAW]
+        yc, yv = np.full((PAIR_DRAW, width + cap), -1), np.zeros((PAIR_DRAW, width + cap))
+        yc[own, :width], yv[own, :width] = cols[PAIR_DRAW:], vals[PAIR_DRAW:]
+        # Kind 1 tests the tail branch: x inside the union box, fresh mass outside.
+        inside = (xc[tail] >= 0) & self.inside[xc[tail]]
+        yc[tail, :width] = np.where(inside, xc[tail], -1)
+        yv[tail, :width] = np.where(inside, xv[tail], 0.0)
+        if cap:
+            counts = gen.integers(0, cap, size=tail.size, endpoint=True)
+            picks = _subsets(gen, counts, cap, outside.size)
+            fresh = sample_lp_ball_rows(tail.size, cap, p, gen, counts)
+            if not math.isinf(p):
+                mass_in = np.sum(np.abs(yv[tail, :width]) ** p, axis=1)
+                fresh *= (np.maximum(1.0 - mass_in, 0.0) ** (1.0 / p))[:, None]
+            yc[tail, width:] = np.where(picks >= 0, outside[picks], -1)
+            yv[tail, width:] = fresh
+        # Kind 2: a sup-norm perturbation well inside the hypothesis threshold.
+        noise = gen.uniform(-eps / 8.0, eps / 8.0, (jitter.size, width))
+        v = xv[jitter] + noise * (xv[jitter] != 0.0)
+        A = np.abs(v)
+        norm = A.max(axis=1) if math.isinf(p) else np.sum(A**p, axis=1) ** (1.0 / p)
+        yc[jitter, :width], yv[jitter, :width] = xc[jitter], v / np.maximum(norm, 1.0)[:, None]
+        return xc, xv, yc, yv
 
     def point(self, row, p) -> FinitelySupportedPoint:
         support = np.flatnonzero(row)
         return FinitelySupportedPoint(
             tuple(self.points[j] for j in support), tuple(row[support].tolist()), p
         )
+
+    @staticmethod
+    def scatter(out, cols, vals) -> None:
+        """Zero the dense rows ``out`` and write sparse rows (cols, vals) in."""
+        out.fill(0.0)
+        r, s = np.nonzero(cols >= 0)
+        out[r, cols[r, s]] = vals[r, s]
 
     def gaps(self, D: np.ndarray) -> np.ndarray:
         """Per row of D = |X - Y|: the sup-norm distance of the projections
@@ -495,14 +513,14 @@ def embedding_check(
     Runs whose weight table, |Omega| times the window size, would exceed
     :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
 
-    Pair i is drawn from stream (seed, i) straight into two dense rows over
-    the lexicographic window, with the stream calls and float operations of
-    drawing it as two canonical sparse points. Pairs are scored in blocks of
-    :data:`PAIR_BLOCK` (fewer on windows above 4096 cells, to bound the
-    block's memory): each block's rows are checked for finiteness and
-    ball membership as the point constructor checks them, and one
-    vectorised pass computes their gaps and d_Omega. Results merge in index
-    order, so the report does not depend on the block size, and a
+    Pair i belongs to block b = i // :data:`PAIR_DRAW`, drawn in full from
+    stream (seed, b) in one pass, so pair i never depends on ``samples``.
+    Pairs are scattered into dense rows over the lexicographic window and
+    scored in blocks of :data:`PAIR_BLOCK` (fewer on windows above 4096
+    cells, to bound the block's memory): each block's rows are checked for
+    finiteness and ball membership as the point constructor checks them,
+    and one vectorised pass computes their gaps and d_Omega. Results merge
+    in index order, so the report does not depend on the block size, and a
     :class:`FinitelySupportedPoint` is built only for the first failure's
     witness. ``workers`` is accepted for interface uniformity and cannot
     affect the report.
@@ -534,41 +552,41 @@ def embedding_check(
     window_pts = tuple(sorted(LatticeBox((0,) * M.dim_d, window_radius)))
     window = _DenseWindow(M, deltas, window_pts, prime_pts)
 
-    factory = StreamFactory(seed, DOMAIN_PAIRS)
     block = max(1, min(PAIR_BLOCK, _BLOCK_CELLS // len(window_pts)))
     X = np.zeros((block, len(window_pts)))
     Y = np.zeros_like(X)
     checked = failures = 0
     worst = None
     witness = None
-    for start in range(0, samples, block):
-        size = min(block, samples - start)
-        X.fill(0.0)
-        Y.fill(0.0)
-        for r in range(size):
-            i = start + r
-            window.draw_pair(factory.generator(i), i % 3, X[r], Y[r], p, eps)
-        _check_in_ball(X[:size], p)
-        _check_in_ball(Y[:size], p)
-        D = np.abs(X[:size] - Y[:size])
-        rows = np.flatnonzero(window.gaps(D) <= eps / 2.0)
-        if not rows.size:
-            continue
-        margins = window.omega_distances(D[rows]) - eps
-        checked += rows.size
-        top = float(margins.max())
-        if worst is None or top > worst:
-            worst = top
-        bad = np.flatnonzero(margins > BOUND_TOLERANCE)
-        failures += bad.size
-        if bad.size and witness is None:
-            r = int(rows[bad[0]])
-            witness = {
-                "index": start + r,
-                "margin": float(margins[bad[0]]),
-                "x": _point_payload(window.point(X[r], p)),
-                "y": _point_payload(window.point(Y[r], p)),
-            }
+    for first in range(0, samples, PAIR_DRAW):
+        gen = fresh_stream(seed, DOMAIN_PAIRS, first // PAIR_DRAW)
+        xc, xv, yc, yv = window.draw_block(gen, first, p, eps)
+        for start in range(first, min(first + PAIR_DRAW, samples), block):
+            size = min(block, first + PAIR_DRAW - start, samples - start)
+            rows = slice(start - first, start - first + size)
+            window.scatter(X[:size], xc[rows], xv[rows])
+            window.scatter(Y[:size], yc[rows], yv[rows])
+            _check_in_ball(X[:size], p)
+            _check_in_ball(Y[:size], p)
+            D = np.abs(X[:size] - Y[:size])
+            close = np.flatnonzero(window.gaps(D) <= eps / 2.0)
+            if not close.size:
+                continue
+            margins = window.omega_distances(D[close]) - eps
+            checked += close.size
+            top = float(margins.max())
+            if worst is None or top > worst:
+                worst = top
+            bad = np.flatnonzero(margins > BOUND_TOLERANCE)
+            failures += bad.size
+            if bad.size and witness is None:
+                r = int(close[bad[0]])
+                witness = {
+                    "index": start + r,
+                    "margin": float(margins[bad[0]]),
+                    "x": _point_payload(window.point(X[r], p)),
+                    "y": _point_payload(window.point(Y[r], p)),
+                }
 
     return EmbeddingReport(
         dim_d=M.dim_d,

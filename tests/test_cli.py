@@ -146,20 +146,21 @@ def test_group_embed(capsys):
 
 
 # SHA-256 of `group --task embed --eps 0.5 --samples 500` output at the
-# default seed, recorded before the embedding check moved to dense window
-# vectors: the (dim, n) configurations of the benchmark at p = 1, plus p = 2
-# and p = inf.
+# default seed: the (dim, n) configurations of the benchmark at p = 1, plus
+# p = 2 and p = inf. Re-recorded when pairs moved to one stream per block of
+# PAIR_DRAW pairs, a declared change of the stream layout, after checking that
+# every run still reports no failure and criterion 7 passes.
 EMBED_GOLDEN = {
-    ("1", "2", "1", "json"): "01bdf7bf894531c95ed4b7e2dc5d964f70f577a27fdf261d0f98519fde1ac634",
-    ("1", "2", "1", "csv"): "695f0f46dd1f092a5febce50699689daa8fa62fa1def09dcdb2bff4b4a89fb6d",
-    ("1", "4", "1", "json"): "bca7221fb0443e1ce44adc936b8558b31ffa25b940b47796b21250deaa22dc97",
-    ("1", "4", "1", "csv"): "9447ac8b40ae5ee955f2ebee8aff843042863af93d11721f921956ef2cbecb2a",
-    ("2", "1", "1", "json"): "069ac023b27b7c5108cbce84412107d4ba7124bc1ff1320886410854da9cf05d",
-    ("2", "1", "1", "csv"): "25c6d82d1633b97204184396e184e5632dc86808f2ac0148ffee61237d2d943f",
-    ("1", "2", "2", "json"): "2b04fe602f500b8b3af0727396340c82cac37c3913807fcd92a52baf6fa8c6a7",
-    ("1", "2", "2", "csv"): "9633bc9dd0c784dba3e5ea1a18b39c35393f0af013468bbe5d8ea90478255d61",
-    ("1", "2", "inf", "json"): "287f499005a0473c5bb696e82fb28ab62a782fb19908051f61b2e817c758285e",
-    ("1", "2", "inf", "csv"): "0b8d6e37f5b38ff2d5e880f68f9e85ac303003cf2ed80ec4305cda403aaf4cdd",
+    ("1", "2", "1", "json"): "35068ccb21e9c4ca5b21b597eafc0ede555a362bccf9ac01a028bbb2551343fa",
+    ("1", "2", "1", "csv"): "2361f411c7408a882d7476d8ea871f3cfaea9d068d0cc2af1d237c4133c51f7f",
+    ("1", "4", "1", "json"): "e36f8538d6f2702c7e876d617d3880cc0d1fd12e1ca9b7d6c029734214589b19",
+    ("1", "4", "1", "csv"): "2c1e4c4a93c7d2e5947c8bb3891de21c58f902e8f7d7fdca2450368e2c9cc274",
+    ("2", "1", "1", "json"): "5e3867522a762d70fc0dbab4d7ce5f4707d2032a4a0ee8f40b17e44faa1b80fe",
+    ("2", "1", "1", "csv"): "942074216b5a0294b2b081c1e33d4cba79c1635eb01535d885404b0c6806d6e4",
+    ("1", "2", "2", "json"): "993ae6efec52df23c097c49ea0ec54c6ad8034a35c9ef0d463b557d319b0eca7",
+    ("1", "2", "2", "csv"): "dcebac10ecd8e0c787bfc3fad831d42925676e9ff49c17dd9187b9d87e0774de",
+    ("1", "2", "inf", "json"): "0543928f3d17a185e9a2ca2034fb6d0571d5ecc4fe4d767671becb6ab1c93ad5",
+    ("1", "2", "inf", "csv"): "adb3cd747675a56f5c4926f171a845215e3fb5b14a8be40d7c489f145dbecd05",
 }
 
 
@@ -282,6 +283,15 @@ def test_bad_counts_and_scales_exit_2(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and what in err
+
+
+def test_nan_budget_or_cap_exits_2(capsys):
+    # NaN passed the old `c < 0 or t < 0` test and printed a failed row (exit 1)
+    for flag in ("--c", "--t"):
+        argv = {"--s": "2", "--c": "1", "--t": "0.5", "--n": "2", flag: "nan"}
+        code, out, err = run_cli(capsys, "oracle", *[a for kv in argv.items() for a in kv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and ("budget c" if flag == "--c" else "cap t") in err
 
 
 def test_saturated_bounds_are_printed(capsys):

@@ -286,6 +286,14 @@ _SCALES = [
     ("mean_dimension_table eps", lambda v: mean_dimension_table(_M, 1.0, v, [1, 2])),
 ]
 
+# (entry point and argument, message name, the call): nonnegative finite reals
+_NONNEGATIVE = [
+    ("check_key_lemma c", "budget c", lambda v: check_key_lemma(2, v, 0.5, (0.0,))),
+    ("check_key_lemma t", "cap t", lambda v: check_key_lemma(2, 1, v, (0.0,))),
+    ("key_lemma_oracle_max c", "budget c", lambda v: key_lemma_oracle_max(2, v, 0.5, 2)),
+    ("key_lemma_oracle_max t", "cap t", lambda v: key_lemma_oracle_max(2, 1, v, 2)),
+]
+
 
 def _input_rule_cases():
     rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf))
@@ -294,6 +302,8 @@ def _input_rule_cases():
              for name, what, finite, call in _EXPONENTS]
     rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf))
              for name, call in _SCALES]
+    rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf))
+             for name, what, call in _NONNEGATIVE]
     for name, what, call, bads in rows:
         for bad in bads:
             yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
@@ -316,6 +326,9 @@ def test_input_rule_table_covers_valid_values():
     for _, _, _, call in _EXPONENTS:
         call(2.0)
     for _, call in _SCALES:
+        call(0.5)
+    for _, _, call in _NONNEGATIVE:
+        call(0.0)
         call(0.5)
 
 

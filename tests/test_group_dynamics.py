@@ -18,6 +18,7 @@ from widim.group_dynamics import (
     MAX_SUPPORT,
     MAX_WINDOW_CELLS,
     PAIR_BLOCK,
+    PAIR_DRAW,
     EmbeddingReport,
     FinitelySupportedPoint,
     LatticeBox,
@@ -38,6 +39,7 @@ from widim.group_dynamics import (
     weighted_distance,
     widim_constant,
     _DenseWindow,
+    _subsets,
 )
 
 
@@ -349,11 +351,13 @@ def test_embedding_check_window_guard():
     assert time.perf_counter() - t0 < 5.0
 
 
-# SHA-256 of embedding_report_to_json, recorded before pairs were drawn
-# straight into dense rows. Unlike EMBED_GOLDEN in test_cli.py these runs
-# reach p = 1.5 and 3, an exact zero drawn at p = 50 (pair 168 of seed 561),
-# and a weight whose tail bound lies, so failures and their witness payload
-# are pinned too.
+# SHA-256 of embedding_report_to_json. Re-recorded when pairs moved to one
+# stream per block of PAIR_DRAW pairs, a declared change of the stream
+# layout, after checking that every geometric-weight run still passes, both
+# lying-tail runs still fail with a witness, and criterion 7 passes. Unlike
+# EMBED_GOLDEN in test_cli.py these runs reach p = 1.5 and 3, an exact zero
+# drawn at p = 50 (in pair 89 of seed 2697, a perturbed pair), and a weight
+# whose tail bound lies, so failures and their witness payload are pinned too.
 def _lying_metric():
     # claims no mass outside radius 1 although the weight decays slowly
     return WeightedGroupMetric(
@@ -368,17 +372,17 @@ def _lying_metric():
 EMBED_WITNESS_GOLDEN = {
     # name: (metric, probe radius, p, eps, samples, seed, digest)
     "d=2 p=1.5": (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7,
-                  "479698b563dfead2de945680d53d4220c47c7c57af4fdfe54f7101654d6a83eb"),
+                  "1fbea0f3609c5c3d963fc67833c4d0ab90dd91f0414aebb93c53189f9add9eb8"),
     "d=2 p=3": (lambda: geometric_weight_metric(dim_d=2), 1, 3.0, 0.6, 300, 11,
-                "ba243cb569c772534da68c1707691d35f1ab5e62c3b9d8e954ef60ecf3d3d485"),
+                "5393b7033caf3dd3fb8a926413d8c65c6638e51e7416de31da96d4c5a971e6ef"),
     "d=2 p=inf": (lambda: geometric_weight_metric(dim_d=2), 1, math.inf, 0.5, 300, 5,
-                  "23cee7e67019582807a2e5be10a342f232963a82312a751cfc33ebd160ec4a2e"),
-    "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 561,
-                 "9db39119249a4339c638e5b12f882d9da5a74246b404e9d156a43f8c391f25f4"),
+                  "1b5ab6ae9dd363747045f16981864b665195c134b257025b34dc846bd5dad660"),
+    "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 2697,
+                 "f7adbefc5b2ca51f1ba28ed81837523e146b73d273d8887b23fc42b77a5912d5"),
     "lying p=1": (_lying_metric, 0, 1.0, 0.5, 300, 1,
-                  "4a3e397164283a59e9875b9c62fecd13508221c10fceb76c4d83f480a6beb07f"),
+                  "250b4cf3fab91c3f206a6c4c235792729b3be90b9f84456f82ee12d03d8d9f17"),
     "lying p=2": (_lying_metric, 1, 2.0, 0.3, 300, 2,
-                  "a7c7dd402c66502c5d503f151168f5b5f8b477d71d3903f161783a7ea82e0204"),
+                  "0c88b8142753d3996d2eedeef9fa8ca3c45f95038f9d6720e56c5d53387e6d9d"),
 }
 
 
@@ -394,10 +398,12 @@ def test_embedding_witness_golden_bytes(name):
 def test_embedding_check_rejects_points_outside_the_ball(monkeypatch):
     # the membership checks of the point constructor run on every drawn row
     M = geometric_weight_metric()
-    monkeypatch.setattr(group_dynamics, "sample_lp_ball", lambda k, p, gen: np.full(k, 1.5))
+    monkeypatch.setattr(group_dynamics, "sample_lp_ball_rows",
+                        lambda rows, n, p, gen, sizes: np.full((rows, n), 1.5))
     with pytest.raises(ValueError, match="outside the unit ball"):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
-    monkeypatch.setattr(group_dynamics, "sample_lp_ball", lambda k, p, gen: np.full(k, math.nan))
+    monkeypatch.setattr(group_dynamics, "sample_lp_ball_rows",
+                        lambda rows, n, p, gen, sizes: np.full((rows, n), math.nan))
     with pytest.raises(ValueError, match="values must be finite"):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
 
@@ -438,49 +444,6 @@ def test_weight_table_calls_weight_once_per_offset():
 # --- dense window kernel -------------------------------------------------------------
 
 
-def _reference_draw_point(gen, window_pts, p, max_support):
-    k = int(gen.integers(1, max_support + 1))
-    idx = gen.choice(len(window_pts), size=k, replace=False)
-    vals = group_dynamics.sample_lp_ball(k, p, gen)
-    return FinitelySupportedPoint(tuple(window_pts[int(i)] for i in idx), tuple(vals), p)
-
-
-def _reference_pair(gen, kind, window_pts, outside_pts, prime_set, p, eps):
-    """The sparse pair draw that dense rows replaced, kept as the oracle."""
-    max_support = min(len(window_pts), MAX_SUPPORT)
-    x = _reference_draw_point(gen, window_pts, p, max_support)
-    if kind == 0:
-        return x, _reference_draw_point(gen, window_pts, p, max_support)
-    if kind == 1:
-        inside = [(pt, v) for pt, v in zip(x.support, x.values) if pt in prime_set]
-        if math.isinf(p):
-            budget_scale = 1.0
-        else:
-            mass_in = sum(abs(v) ** p for _, v in inside)
-            budget_scale = max(1.0 - mass_in, 0.0) ** (1.0 / p)
-        pts = [pt for pt, _ in inside]
-        vals = [v for _, v in inside]
-        cap = min(len(outside_pts), MAX_OUTSIDE_SUPPORT)
-        k2 = int(gen.integers(0, cap + 1)) if cap else 0
-        if k2 > 0:
-            idx = gen.choice(len(outside_pts), size=k2, replace=False)
-            u = group_dynamics.sample_lp_ball(k2, p, gen)
-            pts.extend(outside_pts[int(i)] for i in idx)
-            vals.extend(budget_scale * u)
-        return x, FinitelySupportedPoint(tuple(pts), tuple(vals), p)
-    noise = gen.uniform(-eps / 8.0, eps / 8.0, size=len(x.values))
-    vals = np.asarray(x.values) + noise
-    if math.isinf(p):
-        peak = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if peak > 1.0:
-            vals /= peak
-    else:
-        mass = float(np.sum(np.abs(vals) ** p))
-        if mass > 1.0:
-            vals *= mass ** (-1.0 / p)
-    return x, FinitelySupportedPoint(x.support, tuple(vals), p)
-
-
 def _dense(window, x):
     v = np.zeros(len(window))
     column = {gamma: j for j, gamma in enumerate(window)}
@@ -493,59 +456,217 @@ def _hex(row):
     return [float(v).hex() for v in row + 0.0]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    d=st.sampled_from((1, 2)),
-    kind=st.integers(0, 2),
-    p=st.sampled_from((1.0, 1.5, 2.0, 3.0, math.inf)),
-    eps=st.floats(0.01, 4.0),
-    seed=st.integers(0, 2**64 - 1),
-    index=st.integers(0, 2**64 - 1),
-    data=st.data(),
-)
-def test_dense_pair_draw_matches_sparse_reference(d, kind, p, eps, seed, index, data):
-    window = tuple(sorted(LatticeBox((0,) * d, data.draw(st.integers(0, 4 if d == 1 else 2)))))
-    prime = sorted(data.draw(st.lists(st.sampled_from(window), min_size=1, unique=True)))
-    outside = tuple(g for g in window if g not in set(prime))
-    dense = _DenseWindow(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
-    # optionally zero every other drawn value, as an underflowing gamma draw does
-    zap = data.draw(st.booleans())
-    sampler = group_dynamics.sample_lp_ball
+def _pow(values, e):
+    # numpy's vector power: a scalar power can differ from it in the last bit
+    return np.asarray(values, dtype=np.float64) ** e
 
-    def zapped(k, p, gen):
-        v = sampler(k, p, gen)
-        v[::2] = np.copysign(0.0, v[::2])
+
+def _reference_points(gen, sizes, width, n, p):
+    """Subsets and ball values of draw_block's point rows, row by row."""
+    tops = [[n - k + s if s < k else 0 for s in range(width)] for k in sizes]
+    t = gen.integers(0, np.array(tops, dtype=np.int64).reshape(len(sizes), width),
+                     endpoint=True)
+    cols = []
+    for r, k in enumerate(sizes):
+        row = []
+        for s in range(k):  # Floyd: take j = n - k + s when t is taken
+            row.append(n - k + s if int(t[r, s]) in row else int(t[r, s]))
+        cols.append(row)
+    if math.isinf(p):
+        U = gen.uniform(-1.0, 1.0, (len(sizes), width))
+        return cols, [U[r, :k].tolist() for r, k in enumerate(sizes)]
+    W = gen.gamma(1.0 / p, 1.0, (len(sizes), width))
+    S = gen.integers(0, 2, (len(sizes), width))
+    E = gen.standard_exponential(len(sizes))
+    vals = []
+    for r, k in enumerate(sizes):
+        masked = np.concatenate([W[r, :k], np.zeros(width - k)])  # masked before the sum
+        scale = _pow([float(np.sum(masked)) + E[r]], 1.0 / p)[0]
+        mags = _pow(W[r, :k], 1.0 / p).tolist()
+        vals.append([(m * (2.0 * S[r, s] - 1.0)) / scale for s, m in enumerate(mags)])
+    return cols, vals
+
+
+def _reference_block(window, prime, p, eps, seed, b):
+    """The documented draw of pair block b, pair by pair, as dense rows."""
+    gen = fresh_stream(seed, DOMAIN_PAIRS, b)
+    n = len(window)
+    outside = [j for j, g in enumerate(window) if g not in prime]
+    width, cap = min(n, MAX_SUPPORT), min(len(outside), MAX_OUTSIDE_SUPPORT)
+    kinds = [(b * PAIR_DRAW + r) % 3 for r in range(PAIR_DRAW)]
+    owners = list(range(PAIR_DRAW)) + [r for r in range(PAIR_DRAW) if kinds[r] == 0]
+    sizes = gen.integers(1, width, size=len(owners), endpoint=True).tolist()
+    cols, vals = _reference_points(gen, sizes, width, n, p)
+    Y = [None] * PAIR_DRAW
+    for y, r in enumerate(owners[PAIR_DRAW:], start=PAIR_DRAW):
+        Y[r] = list(zip(cols[y], vals[y]))
+    tail = [r for r in range(PAIR_DRAW) if kinds[r] == 1]
+    for r in tail:
+        Y[r] = [(c, v) for c, v in zip(cols[r], vals[r]) if window[c] in prime]
+    if cap:
+        counts = gen.integers(0, cap, size=len(tail), endpoint=True).tolist()
+        picks, fresh = _reference_points(gen, counts, cap, len(outside), p)
+        for r, pick, u in zip(tail, picks, fresh):
+            budget = 1.0
+            if not math.isinf(p):
+                inside = [abs(v) if window[c] in prime else 0.0 for c, v in zip(cols[r], vals[r])]
+                mass = float(np.sum(_pow(inside + [0.0] * (width - len(inside)), p)))
+                budget = _pow([max(1.0 - mass, 0.0)], 1.0 / p)[0]
+            Y[r] += [(outside[j], v * budget) for j, v in zip(pick, u)]
+    jitter = [r for r in range(PAIR_DRAW) if kinds[r] == 2]
+    noise = gen.uniform(-eps / 8.0, eps / 8.0, (len(jitter), width))
+    for r, row in zip(jitter, noise.tolist()):
+        v = [x + (e if x != 0.0 else 0.0) for x, e in zip(vals[r], row)]
+        A = [abs(t) for t in v] + [0.0] * (width - len(v))
+        norm = max(A) if math.isinf(p) else _pow([float(np.sum(_pow(A, p)))], 1.0 / p)[0]
+        Y[r] = [(c, t / max(norm, 1.0)) for c, t in zip(cols[r], v)]
+
+    def dense(entries):
+        row = np.zeros(n)
+        for c, v in entries:
+            row[c] = v
+        return row
+
+    return [dense(zip(cols[r], vals[r])) for r in range(PAIR_DRAW)], [dense(y) for y in Y]
+
+
+@st.composite
+def _draw_windows(draw):
+    d = draw(st.sampled_from((1, 2)))
+    window = tuple(sorted(LatticeBox((0,) * d, draw(st.integers(0, 4 if d == 1 else 2)))))
+    prime = sorted(draw(st.lists(st.sampled_from(window), min_size=1, unique=True)))
+    return window, prime, _DenseWindow(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
+
+
+def _drawn_rows(dense, gen, b, p, eps):
+    xc, xv, yc, yv = dense.draw_block(gen, b * PAIR_DRAW, p, eps)
+    X, Y = np.zeros((PAIR_DRAW, len(dense.points))), np.zeros((PAIR_DRAW, len(dense.points)))
+    dense.scatter(X, xc, xv)
+    dense.scatter(Y, yc, yv)
+    return xc, X, Y
+
+
+_exponents = st.sampled_from((1.0, 1.5, 2.0, 3.0, 50.0, math.inf))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_draw_windows(), p=_exponents, eps=st.floats(0.01, 4.0),
+       seed=st.integers(0, 2**64 - 1), b=st.integers(0, 2**40))
+def test_block_draw_matches_literal_reference(case, p, eps, seed, b):
+    window, prime, dense = case
+    _, X, Y = _drawn_rows(dense, fresh_stream(seed, DOMAIN_PAIRS, b), b, p, eps)
+    RX, RY = _reference_block(window, set(prime), p, eps, seed, b)
+    for r in range(PAIR_DRAW):
+        assert _hex(X[r]) == _hex(RX[r])
+        assert _hex(Y[r]) == _hex(RY[r])
+
+
+def _rescaled_within(x, y, tol):
+    # some c >= 1 has |c * y_j - x_j| <= tol on x's support: y is x plus
+    # noise of at most tol, divided by a renormalising factor c
+    lo, hi = 1.0, math.inf
+    for j in np.flatnonzero(x):
+        if y[j] == 0.0:
+            if abs(x[j]) > tol:
+                return False
+            continue
+        a, b = sorted(((x[j] - tol) / y[j], (x[j] + tol) / y[j]))
+        lo, hi = max(lo, a), min(hi, b)
+    return lo <= hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_draw_windows(), p=_exponents, eps=st.floats(0.01, 4.0),
+       seed=st.integers(0, 2**64 - 1), b=st.integers(0, 2**20), zap=st.booleans())
+def test_block_draw_contract(case, p, eps, seed, b, zap):
+    window, prime, dense = case
+    inside = {j for j, g in enumerate(window) if g in set(prime)}
+    sampler = group_dynamics.sample_lp_ball_rows
+
+    def zapped(*args):
+        # exact zeros among the drawn values, as an underflowing gamma draw gives
+        v = sampler(*args)
+        v[:, ::2] = 0.0
         return v
 
     with pytest.MonkeyPatch.context() as mp:
         if zap:
-            mp.setattr(group_dynamics, "sample_lp_ball", zapped)
-        gen = fresh_stream(seed, DOMAIN_PAIRS, index)
-        x, y = np.zeros(len(window)), np.zeros(len(window))
-        dense.draw_pair(gen, kind, x, y, p, eps)
-        ref_gen = fresh_stream(seed, DOMAIN_PAIRS, index)
-        rx, ry = _reference_pair(ref_gen, kind, window, outside, set(prime), p, eps)
-    assert _hex(x) == _hex(_dense(window, rx))
-    assert _hex(y) == _hex(_dense(window, ry))
-    assert dense.point(x, p) == rx and dense.point(y, p) == ry
-    assert gen.random() == ref_gen.random()  # the same stream use
+            mp.setattr(group_dynamics, "sample_lp_ball_rows", zapped)
+        xc, X, Y = _drawn_rows(dense, fresh_stream(seed, DOMAIN_PAIRS, b), b, p, eps)
+    group_dynamics._check_in_ball(X, p)  # x and y lie in the ball
+    group_dynamics._check_in_ball(Y, p)
+    for r in range(PAIR_DRAW):
+        drawn = xc[r][xc[r] >= 0]
+        assert 1 <= drawn.size <= min(len(window), MAX_SUPPORT)
+        assert len(set(drawn.tolist())) == drawn.size
+        x_support, y_support = set(np.flatnonzero(X[r])), set(np.flatnonzero(Y[r]))
+        assert x_support <= set(drawn.tolist())
+        kind = (b * PAIR_DRAW + r) % 3
+        if kind == 1:
+            assert all(Y[r, j] == X[r, j] for j in inside)
+            assert len(y_support - inside) <= MAX_OUTSIDE_SUPPORT
+        elif kind == 2:
+            assert y_support <= x_support
+            assert _rescaled_within(X[r], Y[r], eps / 8.0 * (1 + 1e-12) + 1e-15)
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
-def test_tail_pairs_sum_the_inside_mass_in_python_floats(p):
-    # the inside mass of a tail-only pair is a left-to-right sum of Python
-    # float powers; a numpy power or np.sum moves its last bit in about one
-    # pair in ten, which moves the fresh outside values
-    window = tuple(sorted(LatticeBox((0,), 4)))
-    prime = window[1:-1]
-    outside = (window[0], window[-1])
-    dense = _DenseWindow(geometric_weight_metric(), [(0,)], window, prime)
-    for index in range(300):
-        x, y = np.zeros(len(window)), np.zeros(len(window))
-        dense.draw_pair(fresh_stream(5, DOMAIN_PAIRS, index), 1, x, y, p, 0.5)
-        _, ry = _reference_pair(fresh_stream(5, DOMAIN_PAIRS, index), 1, window,
-                                outside, set(prime), p, 0.5)
-        assert _hex(y) == _hex(_dense(window, ry))
+def test_pair_draw_does_not_depend_on_the_sample_count(monkeypatch):
+    # pair i comes from block i // PAIR_DRAW, which is drawn in full
+    seen = []
+    check = group_dynamics._check_in_ball
+
+    def spy(B, p):
+        seen.append(B.copy())
+        check(B, p)
+
+    monkeypatch.setattr(group_dynamics, "_check_in_ball", spy)
+    runs = {}
+    for samples in (1, 63, 64, 65, 200):
+        seen.clear()
+        embedding_check(geometric_weight_metric(), LatticeBox((0,), 2), 1.5, 0.5, samples, seed=6)
+        runs[samples] = [[_hex(row) for row in np.concatenate(seen[k::2])] for k in (0, 1)]
+        assert len(runs[samples][0]) == len(runs[samples][1]) == samples
+    for samples, (xs, ys) in runs.items():
+        assert xs == runs[200][0][:samples] and ys == runs[200][1][:samples]
+
+
+def _pearson(counts, expected):
+    counts, expected = np.asarray(counts, float), np.asarray(expected, float)
+    return float(np.sum((counts - expected) ** 2 / expected))
+
+
+def test_block_draw_is_uniform_at_a_fixed_seed():
+    # bounds are the 0.9999 quantiles of chi-square with k - 1 degrees of freedom
+    window = tuple(sorted(LatticeBox((0,), 4)))  # 9 columns, 5 inside, 4 outside
+    dense = _DenseWindow(geometric_weight_metric(), [(0,)], window, window[2:7])
+    sizes, columns, norms = Counter(), Counter(), []
+    outside_counts, outside_columns = Counter(), Counter()
+    for b in range(200):
+        xc, xv, yc, _ = dense.draw_block(fresh_stream(1, DOMAIN_PAIRS, b), b * PAIR_DRAW, 1.5, 0.5)
+        for r in range(PAIR_DRAW):
+            drawn = xc[r][xc[r] >= 0]
+            sizes[drawn.size] += 1
+            columns.update(drawn.tolist())
+            norms.append(float(np.sum(np.abs(xv[r]) ** 1.5)) ** (drawn.size / 1.5))
+            if (b * PAIR_DRAW + r) % 3 == 1:
+                fresh = yc[r, MAX_SUPPORT:][yc[r, MAX_SUPPORT:] >= 0]
+                outside_counts[fresh.size] += 1
+                outside_columns.update(fresh.tolist())
+    rows = sum(sizes.values())
+    assert _pearson([sizes[k] for k in range(1, 9)], [rows / 8] * 8) < 29.9
+    share = sum(k * c for k, c in sizes.items()) / 9
+    assert _pearson([columns[j] for j in range(9)], [share] * 9) < 31.9
+    # ||x||_p^k is uniform on [0, 1] for x uniform in the k-dimensional ball
+    assert abs(np.mean(norms) - 0.5) < 0.01
+    tails = sum(outside_counts.values())
+    assert _pearson([outside_counts[k] for k in range(5)], [tails / 5] * 5) < 23.6
+    share = sum(k * c for k, c in outside_counts.items()) / 4
+    assert sorted(outside_columns) == [0, 1, 7, 8]
+    assert _pearson(list(outside_columns.values()), [share] * 4) < 21.2
+    # every 2-subset of 5 columns is equally likely
+    picks = _subsets(np.random.default_rng(3), np.full(5000, 2), 2, 5)
+    pairs = Counter(tuple(sorted(row)) for row in picks.tolist())
+    assert len(pairs) == 10 and _pearson(list(pairs.values()), [500] * 10) < 33.8
 
 
 _small_value = st.floats(-0.125, 0.125, allow_nan=False)  # 8 of them stay in every unit ball
