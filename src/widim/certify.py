@@ -231,7 +231,7 @@ def monte_carlo_certify(
     equality case. Deterministic for a fixed seed, independent of workers.
     """
     n, m, samples = _validate_run(n, m, e, samples, "samples", workers)
-    seed = int(seed)
+    seed = _check_int(seed, "seed", 0)
     bound = distortion_bound(m, e)
 
     def eval_block(b):
@@ -299,7 +299,7 @@ def adversarial_certify(
     report, is bit for bit the same as scoring one move at a time.
     """
     n, m, restarts = _validate_run(n, m, e, restarts, "restarts", workers)
-    seed = int(seed)
+    seed = _check_int(seed, "seed", 0)
     bound = distortion_bound(m, e)
     p, q = e.p, e.q
 
@@ -418,6 +418,7 @@ def key_lemma_oracle_max(
     c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
     n = _check_int(n, "coordinate count n", 1)
     samples = _check_int(samples, "samples", 0)
+    seed = _check_int(seed, "seed", 0)
 
     best = 0.0
     for k in range(n + 1):

@@ -63,6 +63,9 @@ MAX_OUTSIDE_SUPPORT = 6
 
 #: Cap on |Omega| * |window|, the entry count of embedding_check's weight
 #: table (2^22 doubles, 32 MiB). Larger runs are refused before allocating.
+#: Pairs are scored on their sparse rows, so a block's d_Omega arrays hold
+#: |Omega| * PAIR_DRAW * 22 doubles whatever the window: at most 23 MiB, as
+#: the window contains Omega and so |Omega| <= 2^11.
 MAX_WINDOW_CELLS = 1 << 22
 
 
@@ -354,15 +357,8 @@ class EmbeddingReport:
         return self.failure_count == 0
 
 
-def _point_payload(x: FinitelySupportedPoint) -> dict:
-    return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
-
-
-#: Pairs drawn from one stream in one pass (PAIR_DRAW), and pairs scored per
-#: distance pass (PAIR_BLOCK, fewer where the block would exceed 2^18 cells).
+#: Pairs drawn from one stream in one pass and scored together.
 PAIR_DRAW = 64
-PAIR_BLOCK = 64
-_BLOCK_CELLS = 1 << 18
 
 
 def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
@@ -381,41 +377,54 @@ def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
     return t.T
 
 
-class _DenseWindow:
-    """Pairs as dense rows over the lexicographic window.
+def _union(xc, xv, yc, yv) -> tuple:
+    """Per pair of sparse rows: the union of its columns in ascending order, C,
+    and |x - y| on them, D.
+
+    The slots of x and of -y are ordered by one stable sort of their columns,
+    so a column both points hold has x's slot first; x's value is added into
+    y's slot (a + (-b) is exactly the dense a - b) and x's slot is zeroed.
+    Unused slots have column -1 and value 0, so merging them changes nothing.
+    """
+    C = np.concatenate([xc, yc], axis=1)
+    order = np.argsort(C, axis=1, kind="stable")
+    C = np.take_along_axis(C, order, axis=1)
+    V = np.take_along_axis(np.concatenate([xv, -yv], axis=1), order, axis=1)
+    shared = C[:, 1:] == C[:, :-1]
+    V[:, 1:][shared] += V[:, :-1][shared]
+    V[:, :-1][shared] = 0.0
+    return C, np.abs(V)
+
+
+class _Window:
+    """Pairs as sparse rows over the lexicographic window.
 
     Row k of the weight table holds w(gamma - delta_k) for the window points
-    gamma, so translating both points by delta_k only selects a row. The
-    row's products with |x - y| are folded left to right in window order,
-    which is the sorted order :func:`weighted_distance` sums in (translation
-    preserves lexicographic order), and every column outside the union of
-    supports adds exactly +0.0. So :meth:`omega_distances` equals the sparse
-    :func:`omega_distance` bit for bit; ``np.sum`` or a matrix product
-    would sum in another order and could move the last bit.
+    gamma, so translating both points by delta_k only selects a row. A pair's
+    products are folded left to right in ascending column order, which is
+    the sorted order :func:`weighted_distance` sums in (translation preserves
+    lexicographic order), and a zeroed or unused slot adds exactly +0.0. So
+    :meth:`omega_distances` equals the sparse :func:`omega_distance` bit for
+    bit; ``np.sum`` or a matrix product would sum in another order and could
+    move the last bit.
     """
 
     def __init__(self, M, deltas, window_pts, prime_pts):
         self.points = window_pts
-        column = {gamma: j for j, gamma in enumerate(window_pts)}
-        weight = {}  # M.weight by offset: many (gamma, delta) share one
-        rows = []
-        for delta in deltas:
-            row = []
-            for gamma in window_pts:
-                offset = tuple(g - c for g, c in zip(gamma, delta))
-                if offset not in weight:
-                    weight[offset] = M.weight(offset)
-                row.append(weight[offset])
-            rows.append(row)
-        self.weights = np.array(rows, dtype=np.float64)
-        self.prime_columns = np.array([column[gamma] for gamma in prime_pts], dtype=np.intp)
-        self.inside = np.zeros(len(window_pts), dtype=bool)
-        self.inside[self.prime_columns] = True
+        # One M.weight call per distinct offset gamma - delta. An offset's key
+        # reads its coordinates as digits in [-L, L] of base 2L + 1.
+        offsets = (np.array(window_pts)[None] - np.array(deltas)[:, None]).reshape(-1, M.dim_d)
+        key = offsets @ (2 * np.abs(offsets).max() + 1) ** np.arange(M.dim_d)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        table = np.array([M.weight(tuple(o)) for o in offsets[first].tolist()], dtype=np.float64)
+        self.weights = table[inverse].reshape(len(deltas), len(window_pts))
+        prime = set(prime_pts)
+        self.inside = np.array([gamma in prime for gamma in window_pts])
         self.outside_columns = np.flatnonzero(~self.inside)
 
     def draw_block(self, gen, first: int, p: float, eps: float) -> tuple:
         """Pairs first .. first + PAIR_DRAW - 1 as sparse rows: x_cols, x_vals,
-        y_cols, y_vals, where column -1 marks an unused slot.
+        y_cols, y_vals, where column -1 and value 0 mark an unused slot.
 
         Kinds cycle with the index: independent, tail-only, perturbed. Points
         (every x, then the y of each kind-0 pair) draw support sizes in [1,
@@ -457,30 +466,22 @@ class _DenseWindow:
         yc[jitter, :width], yv[jitter, :width] = xc[jitter], v / np.maximum(norm, 1.0)[:, None]
         return xc, xv, yc, yv
 
-    def point(self, row, p) -> FinitelySupportedPoint:
-        support = np.flatnonzero(row)
-        return FinitelySupportedPoint(
-            tuple(self.points[j] for j in support), tuple(row[support].tolist()), p
+    def payload(self, cols, vals, p) -> dict:
+        """The witness form of one sparse row, checked as a point."""
+        used = cols >= 0
+        x = FinitelySupportedPoint(
+            tuple(self.points[c] for c in cols[used]), tuple(vals[used].tolist()), p
         )
+        return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
 
-    @staticmethod
-    def scatter(out, cols, vals) -> None:
-        """Zero the dense rows ``out`` and write sparse rows (cols, vals) in."""
-        out.fill(0.0)
-        r, s = np.nonzero(cols >= 0)
-        out[r, cols[r, s]] = vals[r, s]
+    def gaps(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Per pair of :func:`_union`: the sup-norm distance of the
+        projections to the union box."""
+        return np.where((C >= 0) & self.inside[C], D, 0.0).max(axis=1)
 
-    def gaps(self, D: np.ndarray) -> np.ndarray:
-        """Per row of D = |X - Y|: the sup-norm distance of the projections
-        to the union box."""
-        return D[:, self.prime_columns].max(axis=1)
-
-    def omega_distances(self, D: np.ndarray) -> np.ndarray:
-        """Per row of D = |X - Y|: d_Omega, folded one probe row at a time."""
-        best = np.cumsum(D * self.weights[0], axis=1)[:, -1]
-        for w in self.weights[1:]:
-            np.maximum(best, np.cumsum(D * w, axis=1)[:, -1], out=best)
-        return best
+    def omega_distances(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Per pair of :func:`_union`: d_Omega, every probe row in one pass."""
+        return np.cumsum(D * self.weights[:, C], axis=2)[..., -1].max(axis=0)
 
 
 def _check_in_ball(B: np.ndarray, p) -> None:
@@ -515,12 +516,11 @@ def embedding_check(
 
     Pair i belongs to block b = i // :data:`PAIR_DRAW`, drawn in full from
     stream (seed, b) in one pass, so pair i never depends on ``samples``.
-    Pairs are scattered into dense rows over the lexicographic window and
-    scored in blocks of :data:`PAIR_BLOCK` (fewer on windows above 4096
-    cells, to bound the block's memory): each block's rows are checked for
+    Each block is scored on its sparse rows: their values are checked for
     finiteness and ball membership as the point constructor checks them,
-    and one vectorised pass computes their gaps and d_Omega. Results merge
-    in index order, so the report does not depend on the block size, and a
+    and one vectorised pass computes their gaps and d_Omega over the union
+    of each pair's columns, so a block's memory does not grow with the
+    window. Results merge in index order, and a
     :class:`FinitelySupportedPoint` is built only for the first failure's
     witness. ``workers`` is accepted for interface uniformity and cannot
     affect the report.
@@ -528,7 +528,7 @@ def embedding_check(
     p, eps = _check_exponent(p, "ball exponent p"), _check_scale(eps)
     samples = _check_int(samples, "samples", 1)
     _check_int(workers, "workers", 1)  # serial scan; see docstring
-    seed = int(seed)
+    seed = _check_int(seed, "seed", 0)
 
     if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
         raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
@@ -550,43 +550,35 @@ def embedding_check(
         prime |= set(LatticeBox(delta, tail_radius))
     prime_pts = tuple(sorted(prime))
     window_pts = tuple(sorted(LatticeBox((0,) * M.dim_d, window_radius)))
-    window = _DenseWindow(M, deltas, window_pts, prime_pts)
+    window = _Window(M, deltas, window_pts, prime_pts)
 
-    block = max(1, min(PAIR_BLOCK, _BLOCK_CELLS // len(window_pts)))
-    X = np.zeros((block, len(window_pts)))
-    Y = np.zeros_like(X)
     checked = failures = 0
     worst = None
     witness = None
     for first in range(0, samples, PAIR_DRAW):
         gen = fresh_stream(seed, DOMAIN_PAIRS, first // PAIR_DRAW)
-        xc, xv, yc, yv = window.draw_block(gen, first, p, eps)
-        for start in range(first, min(first + PAIR_DRAW, samples), block):
-            size = min(block, first + PAIR_DRAW - start, samples - start)
-            rows = slice(start - first, start - first + size)
-            window.scatter(X[:size], xc[rows], xv[rows])
-            window.scatter(Y[:size], yc[rows], yv[rows])
-            _check_in_ball(X[:size], p)
-            _check_in_ball(Y[:size], p)
-            D = np.abs(X[:size] - Y[:size])
-            close = np.flatnonzero(window.gaps(D) <= eps / 2.0)
-            if not close.size:
-                continue
-            margins = window.omega_distances(D[close]) - eps
-            checked += close.size
-            top = float(margins.max())
-            if worst is None or top > worst:
-                worst = top
-            bad = np.flatnonzero(margins > BOUND_TOLERANCE)
-            failures += bad.size
-            if bad.size and witness is None:
-                r = int(close[bad[0]])
-                witness = {
-                    "index": start + r,
-                    "margin": float(margins[bad[0]]),
-                    "x": _point_payload(window.point(X[r], p)),
-                    "y": _point_payload(window.point(Y[r], p)),
-                }
+        xc, xv, yc, yv = (a[: samples - first] for a in window.draw_block(gen, first, p, eps))
+        _check_in_ball(xv, p)
+        _check_in_ball(yv, p)
+        C, D = _union(xc, xv, yc, yv)
+        close = np.flatnonzero(window.gaps(C, D) <= eps / 2.0)
+        if not close.size:
+            continue
+        margins = window.omega_distances(C[close], D[close]) - eps
+        checked += close.size
+        top = float(margins.max())
+        if worst is None or top > worst:
+            worst = top
+        bad = np.flatnonzero(margins > BOUND_TOLERANCE)
+        failures += bad.size
+        if bad.size and witness is None:
+            r = int(close[bad[0]])
+            witness = {
+                "index": first + r,
+                "margin": float(margins[bad[0]]),
+                "x": window.payload(xc[r], xv[r], p),
+                "y": window.payload(yc[r], yv[r], p),
+            }
 
     return EmbeddingReport(
         dim_d=M.dim_d,

@@ -285,6 +285,20 @@ def test_bad_counts_and_scales_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1 and what in err
 
 
+def test_negative_seed_exits_2(capsys):
+    # a seed is checked as a count, so -1 is refused, not masked to 2^64 - 1
+    for argv in (
+        ["certify", "--p", "1", "--q", "2", "--n", "4", "--m", "1", "--samples", "10"],
+        ["certify", "--method", "adversarial", "--p", "1", "--q", "2", "--n", "4", "--m", "1",
+         "--restarts", "2"],
+        ["oracle", "--s", "2", "--c", "1", "--t", "0.5", "--n", "2"],
+        ["group", "--task", "embed", "--n", "1", "--samples", "10"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be an integer of at least 0, got -1\n"
+
+
 def test_nan_budget_or_cap_exits_2(capsys):
     # NaN passed the old `c < 0 or t < 0` test and printed a failed row (exit 1)
     for flag in ("--c", "--t"):

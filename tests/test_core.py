@@ -201,15 +201,19 @@ _COUNTS = [
     ("monte_carlo_certify samples", "samples", 1, lambda v: monte_carlo_certify(4, 1, _E, v)),
     ("monte_carlo_certify workers", "workers", 1,
      lambda v: monte_carlo_certify(4, 1, _E, 10, workers=v)),
+    ("monte_carlo_certify seed", "seed", 0, lambda v: monte_carlo_certify(4, 1, _E, 10, seed=v)),
     ("adversarial_certify n", "dimension n", 1, lambda v: adversarial_certify(v, 1, _E, 2)),
     ("adversarial_certify m", "sparsity m", 0, lambda v: adversarial_certify(4, v, _E, 2)),
     ("adversarial_certify restarts", "restarts", 1, lambda v: adversarial_certify(4, 1, _E, v)),
     ("adversarial_certify workers", "workers", 1,
      lambda v: adversarial_certify(4, 1, _E, 2, workers=v)),
+    ("adversarial_certify seed", "seed", 0, lambda v: adversarial_certify(4, 1, _E, 2, seed=v)),
     ("key_lemma_oracle_max n", "coordinate count n", 1,
      lambda v: key_lemma_oracle_max(2, 1, 0.5, v)),
     ("key_lemma_oracle_max samples", "samples", 0,
      lambda v: key_lemma_oracle_max(2, 1, 0.5, 2, samples=v)),
+    ("key_lemma_oracle_max seed", "seed", 0,
+     lambda v: key_lemma_oracle_max(2, 1, 0.5, 2, seed=v)),
     ("f0 m", "sparsity m", 0, lambda v: f0([2.0, 1.0], v)),
     ("f_equivariant m", "sparsity m", 0, lambda v: f_equivariant([2.0, 1.0], v)),
     ("f_closed m", "sparsity m", 0, lambda v: f_closed(_X, v)),
@@ -235,6 +239,8 @@ _COUNTS = [
     ("embedding_check samples", "samples", 1, lambda v: embedding_check(_M, [(0,)], 1.0, 0.5, v)),
     ("embedding_check workers", "workers", 1,
      lambda v: embedding_check(_M, [(0,)], 1.0, 0.5, 10, workers=v)),
+    ("embedding_check seed", "seed", 0,
+     lambda v: embedding_check(_M, [(0,)], 1.0, 0.5, 10, seed=v)),
     ("mean_dimension_table radius", "box radius", 0,
      lambda v: mean_dimension_table(_M, 1.0, 0.5, [v, 5])),
 ]

@@ -17,7 +17,6 @@ from widim.group_dynamics import (
     MAX_OUTSIDE_SUPPORT,
     MAX_SUPPORT,
     MAX_WINDOW_CELLS,
-    PAIR_BLOCK,
     PAIR_DRAW,
     EmbeddingReport,
     FinitelySupportedPoint,
@@ -38,8 +37,9 @@ from widim.group_dynamics import (
     translate,
     weighted_distance,
     widim_constant,
-    _DenseWindow,
+    _Window,
     _subsets,
+    _union,
 )
 
 
@@ -369,6 +369,17 @@ def _lying_metric():
     )
 
 
+def _lying_wide_metric():
+    # the same lie at radius 20 in the plane: 6561 window columns
+    return WeightedGroupMetric(
+        dim_d=2,
+        weight=lambda g: 0.5 * 2.0 ** (-0.02 * sum(abs(c) for c in g)),
+        tail_bound=lambda radius: 0.0 if radius >= 20 else 1.0,
+        total_bound=1.0,
+        description="lying tail",
+    )
+
+
 EMBED_WITNESS_GOLDEN = {
     # name: (metric, probe radius, p, eps, samples, seed, digest)
     "d=2 p=1.5": (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7,
@@ -383,6 +394,16 @@ EMBED_WITNESS_GOLDEN = {
                   "250b4cf3fab91c3f206a6c4c235792729b3be90b9f84456f82ee12d03d8d9f17"),
     "lying p=2": (_lying_metric, 1, 2.0, 0.3, 300, 2,
                   "0c88b8142753d3996d2eedeef9fa8ca3c45f95038f9d6720e56c5d53387e6d9d"),
+    # Windows of 4225 to 9261 columns, recorded while pairs were still scored
+    # on dense window rows, in chunks of fewer than 64 pairs on such windows.
+    "d=3 4913 columns": (lambda: geometric_weight_metric(dim_d=3), 0, 1.0, 0.5, 100, 3,
+                         "d531d13b878f458270df8db1cd317722d5036cdc8966a436cf15371eb5d8a189"),
+    "d=3 9261 columns": (lambda: geometric_weight_metric(dim_d=3), 1, 2.0, 0.5, 100, 8,
+                         "70459b5e6863a28a7ed9ce14d226e46c8122f2c80c6a33900546390314d810e8"),
+    "d=2 eps=1e-4": (lambda: geometric_weight_metric(dim_d=2), 0, 1.5, 1e-4, 200, 5,
+                     "ea89e0da6ed0e7c9a4bf0f6cf86b610f9cf6164b685b6a620215de800f1c8685"),
+    "lying d=2 6561 columns": (_lying_wide_metric, 0, 2.0, 0.5, 200, 4,
+                               "2705750c1957c3f752a32b1c5d7a3fc3cd306bc13d8b3ef676c6753dbf5d4b77"),
 }
 
 
@@ -441,14 +462,7 @@ def test_weight_table_calls_weight_once_per_offset():
     assert set(calls.values()) == {1}
 
 
-# --- dense window kernel -------------------------------------------------------------
-
-
-def _dense(window, x):
-    v = np.zeros(len(window))
-    column = {gamma: j for j, gamma in enumerate(window)}
-    v[[column[gamma] for gamma in x.support]] = x.values
-    return v
+# --- pair draws and the sparse kernel ---------------------------------------------------
 
 
 def _hex(row):
@@ -535,14 +549,17 @@ def _draw_windows(draw):
     d = draw(st.sampled_from((1, 2)))
     window = tuple(sorted(LatticeBox((0,) * d, draw(st.integers(0, 4 if d == 1 else 2)))))
     prime = sorted(draw(st.lists(st.sampled_from(window), min_size=1, unique=True)))
-    return window, prime, _DenseWindow(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
+    return window, prime, _Window(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
 
 
-def _drawn_rows(dense, gen, b, p, eps):
-    xc, xv, yc, yv = dense.draw_block(gen, b * PAIR_DRAW, p, eps)
-    X, Y = np.zeros((PAIR_DRAW, len(dense.points))), np.zeros((PAIR_DRAW, len(dense.points)))
-    dense.scatter(X, xc, xv)
-    dense.scatter(Y, yc, yv)
+def _drawn_rows(window, gen, b, p, eps):
+    """draw_block's sparse rows of x and y, scattered into dense window rows."""
+    xc, xv, yc, yv = window.draw_block(gen, b * PAIR_DRAW, p, eps)
+    X, Y = np.zeros((PAIR_DRAW, len(window.points))), np.zeros((PAIR_DRAW, len(window.points)))
+    for out, cols, vals in ((X, xc, xv), (Y, yc, yv)):
+        assert not vals[cols < 0].any()  # _union relies on unused slots holding 0
+        r, s = np.nonzero(cols >= 0)
+        out[r, cols[r, s]] = vals[r, s]
     return xc, X, Y
 
 
@@ -613,21 +630,23 @@ def test_block_draw_contract(case, p, eps, seed, b, zap):
 def test_pair_draw_does_not_depend_on_the_sample_count(monkeypatch):
     # pair i comes from block i // PAIR_DRAW, which is drawn in full
     seen = []
-    check = group_dynamics._check_in_ball
+    union = group_dynamics._union
 
-    def spy(B, p):
-        seen.append(B.copy())
-        check(B, p)
+    def spy(*rows):
+        seen.append([a.copy() for a in rows])
+        return union(*rows)
 
-    monkeypatch.setattr(group_dynamics, "_check_in_ball", spy)
+    monkeypatch.setattr(group_dynamics, "_union", spy)
     runs = {}
     for samples in (1, 63, 64, 65, 200):
         seen.clear()
         embedding_check(geometric_weight_metric(), LatticeBox((0,), 2), 1.5, 0.5, samples, seed=6)
-        runs[samples] = [[_hex(row) for row in np.concatenate(seen[k::2])] for k in (0, 1)]
-        assert len(runs[samples][0]) == len(runs[samples][1]) == samples
-    for samples, (xs, ys) in runs.items():
-        assert xs == runs[200][0][:samples] and ys == runs[200][1][:samples]
+        # x columns, x values, y columns, y values of every scored pair
+        runs[samples] = [[_hex(row) for row in np.concatenate([block[k] for block in seen])]
+                         for k in range(4)]
+        assert all(len(rows) == samples for rows in runs[samples])
+    for samples, rows in runs.items():
+        assert rows == [full[:samples] for full in runs[200]]
 
 
 def _pearson(counts, expected):
@@ -638,7 +657,7 @@ def _pearson(counts, expected):
 def test_block_draw_is_uniform_at_a_fixed_seed():
     # bounds are the 0.9999 quantiles of chi-square with k - 1 degrees of freedom
     window = tuple(sorted(LatticeBox((0,), 4)))  # 9 columns, 5 inside, 4 outside
-    dense = _DenseWindow(geometric_weight_metric(), [(0,)], window, window[2:7])
+    dense = _Window(geometric_weight_metric(), [(0,)], window, window[2:7])
     sizes, columns, norms = Counter(), Counter(), []
     outside_counts, outside_columns = Counter(), Counter()
     for b in range(200):
@@ -681,48 +700,46 @@ def _window_pairs(draw):
     coord = st.integers(-3, 3)
     omega = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
     prime = draw(st.lists(st.sampled_from(window), min_size=1, max_size=9, unique=True))
-    pairs = []
+    # sparse rows as draw_block leaves them: slots in any order, unused ones
+    # at column -1 and value 0, exact zeros kept, columns shared by x and y
+    widths = draw(st.integers(8, 10)), draw(st.integers(8, 14))
+    rows = []
     for _ in range(draw(st.integers(1, 6))):
-        sx = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
-        x = FinitelySupportedPoint(tuple(sx), tuple(draw(_small_value) for _ in sx), p)
-        sy = draw(st.lists(st.sampled_from(window), max_size=8, unique=True))
-        vy = [
-            x.value_at(g) if g in x.support and draw(st.booleans()) else draw(_small_value)
-            for g in sy
-        ]
-        pairs.append((x, FinitelySupportedPoint(tuple(sy), tuple(vy), p)))
-    return M, sorted(omega), window, sorted(prime), pairs
+        sx = draw(st.lists(st.sampled_from(range(len(window))), max_size=8, unique=True))
+        vx = [draw(_small_value) for _ in sx]
+        sy = draw(st.lists(st.sampled_from(range(len(window))), max_size=8, unique=True))
+        vy = [vx[sx.index(j)] if j in sx and draw(st.booleans()) else draw(_small_value)
+              for j in sy]
+        rows.append([(sx, vx), (sy, vy)])
+    sparse = []
+    for k, width in enumerate(widths):
+        C, V = np.full((len(rows), width), -1), np.zeros((len(rows), width))
+        for r, row in enumerate(rows):
+            cols, vals = row[k]
+            slots = draw(st.permutations(range(width)))[: len(cols)]
+            C[r, slots], V[r, slots] = cols, vals
+        sparse += [C, V]
+    points = [
+        [FinitelySupportedPoint(tuple(window[j] for j in cols), tuple(vals), p)
+         for cols, vals in row]
+        for row in rows
+    ]
+    return M, sorted(omega), window, sorted(prime), points, sparse
 
 
 @settings(max_examples=300, deadline=None)
 @given(_window_pairs())
-def test_dense_window_matches_sparse_bitwise(case):
+def test_window_kernel_matches_omega_distance_bitwise(case):
     # one block of several pairs, scored by the kernel embedding_check uses
-    M, omega, window, prime, pairs = case
-    dense = _DenseWindow(M, omega, window, prime)
-    X = np.array([_dense(window, x) for x, _ in pairs])
-    Y = np.array([_dense(window, y) for _, y in pairs])
-    D = np.abs(X - Y)
-    gaps = dense.gaps(D)
-    dists = dense.omega_distances(D)
-    assert gaps.shape == dists.shape == (len(pairs),)
-    for (x, y), gap, dist in zip(pairs, gaps, dists):
+    M, omega, window, prime, points, sparse = case
+    win = _Window(M, omega, window, prime)
+    C, D = _union(*sparse)
+    assert (np.diff(C, axis=1) >= 0).all()  # the fold runs in column order
+    gaps, dists = win.gaps(C, D), win.omega_distances(C, D)
+    assert gaps.shape == dists.shape == (len(points),)
+    for (x, y), gap, dist in zip(points, gaps, dists):
         assert float(gap).hex() == max(abs(x.value_at(g) - y.value_at(g)) for g in prime).hex()
         assert float(dist).hex() == omega_distance(x, y, M, omega).hex()
-
-
-def test_reports_do_not_depend_on_the_block_size(monkeypatch):
-    M = geometric_weight_metric()
-    omega = LatticeBox((0,), 2)
-    base = embedding_report_to_json(embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4))
-    for block in (1, 7, 1000):
-        monkeypatch.setattr(group_dynamics, "PAIR_BLOCK", block)
-        rep = embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4)
-        assert embedding_report_to_json(rep) == base
-    # a window too wide for the cell budget falls back to fewer rows
-    monkeypatch.setattr(group_dynamics, "_BLOCK_CELLS", 100)  # 17 cells: 5 rows
-    rep = embedding_check(M, omega, 2.0, 0.5, 2 * PAIR_BLOCK + 5, seed=4)
-    assert embedding_report_to_json(rep) == base
 
 
 # --- mean dimension table -----------------------------------------------------------
