@@ -34,45 +34,22 @@ _MASK64 = (1 << 64) - 1
 
 
 class StreamFactory:
-    """Hands out a Generator positioned at the isolated stream of an index.
-
-    One Philox instance and one Generator are constructed per factory;
-    :meth:`generator` repositions them by resetting the bit generator state,
-    which is several times faster than building fresh objects per index and
-    produces identical bits (pinned by a test). The returned Generator is
-    shared, so draw from it before requesting the next index, and use one
-    factory per thread.
+    """The streams of one (seed, domain) pair: :meth:`generator` returns
+    :func:`fresh_stream` of an index. No driver in this package uses it; it
+    stays for callers that hold a factory.
     """
 
     def __init__(self, seed: int, domain: int):
-        key = np.array([int(seed) & _MASK64, int(domain) & _MASK64], dtype=np.uint64)
-        self._bg = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bg)
-        self._template = dict(self._bg.state)
-        self._counter = np.zeros(4, dtype=np.uint64)
-        self._key = key
-        self._buffer = np.zeros(4, dtype=np.uint64)
+        self._seed, self._domain = seed, domain
 
     def generator(self, index: int) -> np.random.Generator:
         if index < 0:
             raise ValueError(f"stream index must be nonnegative, got {index}")
-        st = dict(self._template)
-        self._counter[3] = index  # high word: streams sit 2^192 blocks apart
-        st["state"] = {"counter": self._counter, "key": self._key}
-        st["buffer"] = self._buffer
-        st["buffer_pos"] = 4  # empty buffer: first draw advances the counter
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen
+        return fresh_stream(self._seed, self._domain, index)
 
 
 def fresh_stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """Reference construction of a single stream, one fresh object per call.
-
-    Slower than :class:`StreamFactory` but trivially correct; the test suite
-    pins the factory to this function bit for bit.
-    """
+    """The isolated stream of (seed, domain, index), one fresh Generator per call."""
     key = np.array([int(seed) & _MASK64, int(domain) & _MASK64], dtype=np.uint64)
     counter = np.array([0, 0, 0, int(index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))

@@ -25,16 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import (
-    DEFAULT_SEED,
-    DOMAIN_BALL,
-    DOMAIN_CLIMB,
-    DOMAIN_POLYTOPE,
-    StreamFactory,
-    fresh_stream,
-)
+from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
 from ._output import csv_row, json_exponent
-from .core import Exponents, _check_exponent, _check_int, _check_nonnegative
+from .core import Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative
 from .threshold_map import distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -306,9 +299,8 @@ def adversarial_certify(
     starts = np.empty((restarts + 1, n), dtype=np.float64)
     # Chain 0 is the analytic extremal configuration (reported as index -1).
     starts[0] = extremal_vector(m, p, n) if m < n else 0.0
-    factory = StreamFactory(seed, DOMAIN_CLIMB)
     for k in range(restarts):
-        starts[k + 1] = sample_lp_ball(n, p, factory.generator(k))
+        starts[k + 1] = sample_lp_ball(n, p, fresh_stream(seed, DOMAIN_CLIMB, k))
 
     X = starts
     best = np.asarray(distortion(X, m, q))
@@ -328,7 +320,7 @@ def adversarial_certify(
             J = pos[active, None] + window
             Y = np.repeat(X[active], CLIMB_WINDOW, axis=0)
             Y[np.arange(Y.shape[0]), coord[J].ravel()] += (sign[J] * steps[active, None]).ravel()
-            norms = np.sum(np.abs(Y) ** p, axis=1)
+            norms = _ball_mass(Y, p)
             over = norms > 1.0
             if np.any(over):
                 Y[over] *= (norms[over] ** (-1.0 / p))[:, None]
@@ -432,7 +424,7 @@ def key_lemma_oracle_max(
     if samples > 0 and t > 0.0:
         # cross-check only: scaled samples stay inside the polytope, so any
         # apparent excess beyond rounding means the vertex scan is wrong
-        rng = StreamFactory(seed, DOMAIN_POLYTOPE).generator(0)
+        rng = fresh_stream(seed, DOMAIN_POLYTOPE, 0)
         U = rng.uniform(0.0, t, size=(samples, n))
         sums = np.sum(U, axis=1)
         over = sums > c

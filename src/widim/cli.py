@@ -7,7 +7,8 @@ evaluates the polytope maximum behind the key scalar inequality, and
 ``group`` drives the lattice harness (ratio table or embedding check).
 
 Reproducibility rules: the seed defaults to 0x5EED so bare invocations are
-deterministic, every echoed parameter lands in the output header, and the
+deterministic, every command refuses a negative seed (exit 2), every echoed
+parameter lands in the output header, and the
 worker count is deliberately not echoed because it cannot affect output
 bytes. ``--q inf`` (and ``--p inf`` where a sup-norm ball makes sense) is
 the spelling for an infinite exponent. The text format itself lives in
@@ -34,7 +35,7 @@ from .certify import (
     report_to_csv_row,
     report_to_json,
 )
-from .core import _check_exponent, make_exponents
+from .core import _check_exponent, _check_int, make_exponents
 from .group_dynamics import (
     LatticeBox,
     embedding_check,
@@ -47,7 +48,7 @@ from .group_dynamics import (
     table_to_csv_rows,
     table_to_json,
 )
-from .threshold_map import distortion, f_equivariant
+from .threshold_map import distortion, f_closed
 
 __all__ = ["main"]
 
@@ -145,7 +146,7 @@ def _run_map(args) -> int:
     x = np.array([float(v) for v in line.split()], dtype=np.float64)
     if x.size == 0:
         raise ValueError("input vector is empty")
-    y = f_equivariant(x, args.m)
+    y = f_closed(x, args.m)
     params = {"m": args.m}
     dist = None
     if args.q is not None:
@@ -331,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_int(args.seed, "seed", 0)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,10 +33,13 @@ BALL_TOLERANCE = 1e-12
 # builds its message only when it raises, so hot paths can call it per call.
 
 
-def _check_int(value, what: str, least: int) -> int:
-    """An ``int`` or numpy integer, never a ``bool``, that is at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+def _check_int(value, what: str, least: int | None) -> int:
+    """An ``int`` or numpy integer, never a ``bool``, that is at least ``least``
+    (any integer when ``least`` is None)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        rule = "an integer" if least is None else f"an integer of at least {least}"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
     return int(value)
 
 
@@ -110,6 +113,12 @@ def lq_distance(x, y, q: float) -> float:
     return float((np.sum(diff**q, keepdims=True) ** (1.0 / q))[0])
 
 
+def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
+    """Per row of A: sum_k |a_k|^p, or max_k |a_k| at p = inf (0 for an empty row)."""
+    A = np.abs(A)
+    return A.max(axis=1, initial=0.0) if math.isinf(p) else np.sum(A**p, axis=1)
+
+
 def lp_norm_power(x, p: float) -> float:
     """Return sum_k |x_k|^p, the quantity a ball-membership test compares to 1.
 
@@ -117,11 +126,7 @@ def lp_norm_power(x, p: float) -> float:
     membership predicate applies.
     """
     xv = as_vector(x)
-    p = _check_exponent(p, "ball exponent p")
-    a = np.abs(xv)
-    if math.isinf(p):
-        return float(np.max(a))
-    return float(np.sum(a**p))
+    return float(_ball_mass(xv[None, :], _check_exponent(p, "ball exponent p"))[0])
 
 
 def in_lp_ball(x, p: float, tol: float = BALL_TOLERANCE) -> bool:

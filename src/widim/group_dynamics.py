@@ -32,7 +32,7 @@ from ._output import csv_row, json_exponent
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import BALL_TOLERANCE, _check_exponent, _check_int, _check_rows, _check_scale
+from .core import BALL_TOLERANCE, _ball_mass, _check_exponent, _check_int, _check_rows, _check_scale
 
 __all__ = [
     "LatticeBox",
@@ -69,8 +69,13 @@ MAX_OUTSIDE_SUPPORT = 6
 MAX_WINDOW_CELLS = 1 << 22
 
 
+def _coords(gamma) -> tuple:
+    seq = gamma if isinstance(gamma, (tuple, list)) else np.atleast_1d(gamma)
+    return tuple(_check_int(v, "lattice coordinate", None) for v in seq)
+
+
 def _as_point(gamma, dim: int) -> tuple:
-    pt = tuple(int(v) for v in np.atleast_1d(gamma))
+    pt = _coords(gamma)
     if len(pt) != dim:
         raise ValueError(f"lattice point {pt} does not match dimension {dim}")
     return pt
@@ -84,7 +89,7 @@ class LatticeBox:
     radius: int
 
     def __post_init__(self):
-        center = tuple(int(v) for v in self.center)
+        center = _coords(self.center)
         if len(center) < 1:
             raise ValueError("box center must have at least one coordinate")
         object.__setattr__(self, "center", center)
@@ -203,7 +208,7 @@ class FinitelySupportedPoint:
 
     def __post_init__(self):
         p = _check_exponent(self.p, "ball exponent p")
-        pts = [tuple(int(c) for c in pt) for pt in self.support]
+        pts = [_coords(pt) for pt in self.support]
         vals = [float(v) for v in self.values]
         if len(pts) != len(vals):
             raise ValueError("support and values must have equal length")
@@ -216,10 +221,7 @@ class FinitelySupportedPoint:
         kept = sorted((pt, v) for pt, v in zip(pts, vals) if v != 0.0)
         pts = tuple(pt for pt, _ in kept)
         vals = tuple(v for _, v in kept)
-        if math.isinf(p):
-            mass = max((abs(v) for v in vals), default=0.0)
-        else:
-            mass = sum(abs(v) ** p for v in vals)
+        mass = float(_ball_mass(np.array([vals], dtype=np.float64), p)[0])
         if mass > 1.0 + BALL_TOLERANCE:
             raise ValueError(f"point lies outside the unit ball: mass {mass}")
         object.__setattr__(self, "support", pts)
@@ -232,7 +234,7 @@ class FinitelySupportedPoint:
         return len(self.support[0]) if self.support else None
 
     def value_at(self, gamma) -> float:
-        return self._index.get(tuple(int(c) for c in np.atleast_1d(gamma)), 0.0)
+        return self._index.get(_coords(gamma), 0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitelySupportedPoint):
@@ -278,7 +280,7 @@ def omega_distance(
     omega,
 ) -> float:
     """max over delta in omega of the weighted distance between translates."""
-    deltas = sorted(tuple(int(c) for c in np.atleast_1d(d)) for d in omega)
+    deltas = sorted(_coords(d) for d in omega)
     if not deltas:
         raise ValueError("omega must be a nonempty set of lattice points")
     best = -math.inf
@@ -409,17 +411,22 @@ class _Window:
     move the last bit.
     """
 
-    def __init__(self, M, deltas, window_pts, prime_pts):
-        self.points = window_pts
-        # One M.weight call per distinct offset gamma - delta. An offset's key
-        # reads its coordinates as digits in [-L, L] of base 2L + 1.
-        offsets = (np.array(window_pts)[None] - np.array(deltas)[:, None]).reshape(-1, M.dim_d)
-        key = offsets @ (2 * np.abs(offsets).max() + 1) ** np.arange(M.dim_d)
+    def __init__(self, M, deltas, tail_radius: int, window_radius: int):
+        # The box [-window_radius, window_radius]^d in lexicographic order,
+        # one point per row, and every offset gamma - delta_k.
+        side = np.arange(-window_radius, window_radius + 1)
+        grid = np.meshgrid(*[side] * M.dim_d, indexing="ij")
+        self.points = np.stack(grid, axis=-1).reshape(-1, M.dim_d)
+        offsets = self.points[None] - np.array(deltas)[:, None]
+        # One M.weight call per distinct offset. An offset's key reads its
+        # coordinates as digits in [-L, L] of base 2L + 1.
+        flat = offsets.reshape(-1, M.dim_d)
+        key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(M.dim_d)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        table = np.array([M.weight(tuple(o)) for o in offsets[first].tolist()], dtype=np.float64)
-        self.weights = table[inverse].reshape(len(deltas), len(window_pts))
-        prime = set(prime_pts)
-        self.inside = np.array([gamma in prime for gamma in window_pts])
+        table = np.array([M.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
+        self.weights = table[inverse].reshape(len(deltas), len(self.points))
+        # The union box: the points within tail_radius of some delta.
+        self.inside = (np.abs(offsets).max(axis=2) <= tail_radius).any(axis=0)
         self.outside_columns = np.flatnonzero(~self.inside)
 
     def draw_block(self, gen, first: int, p: float, eps: float) -> tuple:
@@ -454,15 +461,16 @@ class _Window:
             picks = _subsets(gen, counts, cap, outside.size)
             fresh = sample_lp_ball_rows(tail.size, cap, p, gen, counts)
             if not math.isinf(p):
-                mass_in = np.sum(np.abs(yv[tail, :width]) ** p, axis=1)
+                mass_in = _ball_mass(yv[tail, :width], p)
                 fresh *= (np.maximum(1.0 - mass_in, 0.0) ** (1.0 / p))[:, None]
             yc[tail, width:] = np.where(picks >= 0, outside[picks], -1)
             yv[tail, width:] = fresh
         # Kind 2: a sup-norm perturbation well inside the hypothesis threshold.
         noise = gen.uniform(-eps / 8.0, eps / 8.0, (jitter.size, width))
         v = xv[jitter] + noise * (xv[jitter] != 0.0)
-        A = np.abs(v)
-        norm = A.max(axis=1) if math.isinf(p) else np.sum(A**p, axis=1) ** (1.0 / p)
+        norm = _ball_mass(v, p)
+        if not math.isinf(p):
+            norm **= 1.0 / p
         yc[jitter, :width], yv[jitter, :width] = xc[jitter], v / np.maximum(norm, 1.0)[:, None]
         return xc, xv, yc, yv
 
@@ -470,7 +478,7 @@ class _Window:
         """The witness form of one sparse row, checked as a point."""
         used = cols >= 0
         x = FinitelySupportedPoint(
-            tuple(self.points[c] for c in cols[used]), tuple(vals[used].tolist()), p
+            tuple(map(tuple, self.points[cols[used]].tolist())), tuple(vals[used].tolist()), p
         )
         return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
 
@@ -486,8 +494,7 @@ class _Window:
 
 def _check_in_ball(B: np.ndarray, p) -> None:
     """The membership checks of :class:`FinitelySupportedPoint`, per row of B."""
-    A = np.abs(_check_rows(B))
-    mass = A.max(axis=1) if math.isinf(p) else (A**p).sum(axis=1)
+    mass = _ball_mass(_check_rows(B), p)
     outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
     if outside.size:
         raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")
@@ -545,12 +552,7 @@ def embedding_check(
             f"|omega| * |window| = {cells} exceeds the cap of {MAX_WINDOW_CELLS};"
             " use a smaller probe set, lattice dimension or a larger scale"
         )
-    prime: set = set()
-    for delta in deltas:
-        prime |= set(LatticeBox(delta, tail_radius))
-    prime_pts = tuple(sorted(prime))
-    window_pts = tuple(sorted(LatticeBox((0,) * M.dim_d, window_radius)))
-    window = _Window(M, deltas, window_pts, prime_pts)
+    window = _Window(M, deltas, tail_radius, window_radius)
 
     checked = failures = 0
     worst = None
@@ -585,7 +587,7 @@ def embedding_check(
         p=p,
         eps=eps,
         omega=deltas,
-        omega_prime_size=len(prime_pts),
+        omega_prime_size=int(window.inside.sum()),
         sample_count=samples,
         seed=seed,
         checked_count=checked,

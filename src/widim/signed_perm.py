@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
+from .core import _check_int, as_vector
 
 __all__ = [
     "SignedPermutation",
@@ -131,13 +131,13 @@ def in_cone(x) -> bool:
 
 
 def identity(n: int) -> SignedPermutation:
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = _check_int(n, "degree n", 1)
     return SignedPermutation(np.ones(n), np.arange(n))
 
 
 def random_element(n: int, rng: np.random.Generator) -> SignedPermutation:
     """Uniformly random signed permutation; used by tests and demos."""
+    n = _check_int(n, "degree n", 1)
     signs = rng.integers(0, 2, size=n) * 2.0 - 1.0
     return SignedPermutation(signs, rng.permutation(n))
 

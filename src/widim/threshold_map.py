@@ -9,8 +9,8 @@ everything else:
   :func:`f0`, then undo the group element.
 * :func:`f_closed` evaluates the closed form
   ``sign(x_i) * max(|x_i| - tau, 0)`` directly, selecting the threshold
-  ``tau`` with a linear-time partition; the batch :func:`distortion` shares
-  that kernel.
+  ``tau`` with a linear-time partition; :func:`distortion` shares that
+  kernel, for a single vector and for a batch.
 
 The two routes share no selection or ordering code, which makes each an
 independent oracle for the other; the test suite requires them to agree bit
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector, lq_distance
+from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector
 from .signed_perm import ConePoint, act, canonicalize, inverse
 
 __all__ = [
@@ -134,29 +134,26 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
     """How far the map moves x: lq_distance(x, f(x), q).
 
     Accepts a single vector (returns a float) or a 2-D array of row vectors
-    (returns a vector of row distances computed by the identical reduction).
-
-    A single vector goes through :func:`f_equivariant`. Rows use the closed
-    form ``|x_i - f(x)_i| = a_i - max(a_i - tau, 0)`` with ``a = |x|`` and
-    ``tau`` the (m+1)-th largest ``a``: the same float arithmetic as
-    ``abs(x - f(x))`` without the sign flips, which are exact, so every row
-    agrees with the single-vector route bit for bit.
+    (returns a vector of row distances); a single vector is a one-row batch.
+    Rows use the closed form ``|x_i - f(x)_i| = a_i - max(a_i - tau, 0)``
+    with ``a = |x|`` and ``tau`` the (m+1)-th largest ``a``: the same float
+    arithmetic as ``abs(x - f(x))`` without the sign flips, which are exact,
+    so every row agrees with ``lq_distance(x, f_equivariant(x, m), q)`` bit
+    for bit.
     """
+    m = _check_int(m, "sparsity m", 0)
+    q = _check_exponent(q, "distance exponent q")
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 2:
-        m = _check_int(m, "sparsity m", 0)
-        q = _check_exponent(q, "distance exponent q")
-        if m >= _check_rows(arr).shape[1]:
-            diff = np.zeros_like(arr)
-        else:
-            diff = np.abs(arr)
-            if m > 0:  # m = 0 shrinks every entry to 0
-                diff -= _shrink(diff, m)
-        if math.isinf(q):
-            return np.max(diff, axis=1)
-        return np.sum(diff**q, axis=1) ** (1.0 / q)
-    xv = as_vector(arr)
-    return lq_distance(xv, f_equivariant(xv, m), q)
+    single = arr.ndim == 1
+    arr = as_vector(arr)[None, :] if single else _check_rows(arr)
+    if m >= arr.shape[1]:
+        diff = np.zeros_like(arr)
+    else:
+        diff = np.abs(arr)
+        if m > 0:  # m = 0 shrinks every entry to 0
+            diff -= _shrink(diff, m)
+    out = np.max(diff, axis=1) if math.isinf(q) else np.sum(diff**q, axis=1) ** (1.0 / q)
+    return float(out[0]) if single else out
 
 
 def distortion_bound(m: int, e: Exponents) -> float:

@@ -438,7 +438,7 @@ def test_key_lemma_oracle_zero_samples_skips_the_cross_check(monkeypatch):
     def no_stream(*args):
         raise AssertionError("samples=0 drew from a stream")
 
-    monkeypatch.setattr("widim.certify.StreamFactory", no_stream)
+    monkeypatch.setattr("widim.certify.fresh_stream", no_stream)
     assert key_lemma_oracle_max(2, 1, 0.5, 2, samples=0) == 0.5
 
 

@@ -176,8 +176,9 @@ def test_group_embed_golden_bytes(capsys, config):
 
 # SHA-256 of every other command's output in both formats at the default
 # seed (unless the command sets one), recorded before the text format moved
-# into one module. VEC stands for a file holding the line
-# "-3 1 2 0.1 -0.7 1e-3".
+# into one module; the map runs at q = 3.5 and 1.5 were recorded while a
+# single vector's distortion still went through f_equivariant and
+# lq_distance. VEC stands for a file holding the line "-3 1 2 0.1 -0.7 1e-3".
 CLI_GOLDEN = {
     ("bounds --p 1 --q 2 --eps 0.1,0.3,0.5,1,2.5 --n 1,3,100", "csv"): "926fd09eb928d4ad4b240d93a818f1b9b040bd7460811f170fb5f54e65ef3603",
     ("bounds --p 1 --q 2 --eps 0.1,0.3,0.5,1,2.5 --n 1,3,100", "json"): "fad7e21a9be0e5f44368c06d16739d45ae6f3e05f4bb6cbdf34afc746518c894",
@@ -193,6 +194,10 @@ CLI_GOLDEN = {
     ("map --m 2 --q 2 --in VEC", "json"): "f7807850632f77b809522beb9b792177eceb58e0e51cb42135b2c20a4908a0e1",
     ("map --m 1 --q inf --in VEC", "csv"): "dd0841f908b8b3d1510516074a223cd90460fd0fe929a08cae2951b68c41cdbd",
     ("map --m 1 --q inf --in VEC", "json"): "4f09a75c92d1c6c3cd01447035aeb091c24c07ad8999b14ac3e7d1db729e2a52",
+    ("map --m 2 --q 3.5 --in VEC", "csv"): "681231d6a24f287088c52b03a2e7d59bcdd714f5c11ebec8d06b39981b4210e2",
+    ("map --m 2 --q 3.5 --in VEC", "json"): "79242841ab10a4fd767a8e7215eef1caf99264b5c1276e53742aa808cc30b58a",
+    ("map --m 2 --q 1.5 --in VEC", "csv"): "39b43d576045e323b0917eb578327697a0ba2f837d9cd75894818f504d1be59e",
+    ("map --m 2 --q 1.5 --in VEC", "json"): "b5177d6018c02897660f373ecf5a32bba1af524e73ec5e80557a5f025debbea1",
     ("certify --p 1 --q 2 --n 6 --m 1 --samples 400", "csv"): "e6d4cd27293a7cc4b252b90250ea945b73e3e0d92d317724bf1ff4400e7b6692",
     ("certify --p 1 --q 2 --n 6 --m 1 --samples 400", "json"): "e37cfa9856b9fdbf8044f810692145aabbfd1e7c72c8ef3a1de4bd159e23a27a",
     ("certify --p 2 --q inf --n 5 --m 2 --samples 300 --seed 0xBEEF", "csv"): "f247303e0c5fd0d0a9d726de28e72c24130a808911073dc1be4114b1418009ba",
@@ -297,6 +302,26 @@ def test_negative_seed_exits_2(capsys):
         code, out, err = run_cli(capsys, *argv, "--seed", "-1")
         assert code == 2 and out == ""
         assert err == "error: seed must be an integer of at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--p", "1", "--q", "2", "--eps", "0.5", "--n", "3"],
+    ["map", "--m", "1", "--in", "VEC"],
+    ["certify", "--p", "1", "--q", "2", "--n", "4", "--m", "1", "--samples", "10"],
+    ["oracle", "--s", "2", "--c", "1", "--t", "0.5", "--n", "2"],
+    ["group", "--task", "table", "--n", "1,2"],
+], ids=lambda argv: argv[0])
+def test_every_command_checks_its_seed(capsys, tmp_path, argv):
+    # bounds, map and the ratio table draw nothing, but echo the seed: it
+    # is checked once for every command, before the command runs
+    vec = tmp_path / "vec.txt"
+    vec.write_text("-3 1 2\n")
+    argv = [str(vec) if a == "VEC" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: seed must be an integer of at least 0, got -1\n"
+    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 0 and out
 
 
 def test_nan_budget_or_cap_exits_2(capsys):

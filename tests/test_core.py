@@ -33,8 +33,10 @@ from widim import (
     key_lemma_oracle_max,
     mean_dimension_table,
     monte_carlo_certify,
+    omega_distance,
     sample_lp_ball,
     tail_set,
+    translate,
     widim_constant,
     widim_equal_case,
     widim_exact_q_infinity,
@@ -52,6 +54,7 @@ from widim.core import (
     lq_distance,
     make_exponents,
 )
+from widim.signed_perm import identity, random_element
 
 
 def test_lq_distance_pinned_values():
@@ -231,6 +234,8 @@ _COUNTS = [
      lambda v: ball_inclusion_max_radius(v, _E)),
     ("ball_inclusion_holds m", "coordinate count m", 1,
      lambda v: ball_inclusion_holds(0.5, v, _E)),
+    ("identity n", "degree n", 1, lambda v: identity(v)),
+    ("random_element n", "degree n", 1, lambda v: random_element(v, _rng())),
     ("LatticeBox radius", "box radius", 0, lambda v: LatticeBox((0,), v)),
     ("WeightedGroupMetric dim_d", "lattice dimension d", 1,
      lambda v: WeightedGroupMetric(v, lambda g: 0.5, lambda k: 0.0, 0.5)),
@@ -243,6 +248,21 @@ _COUNTS = [
      lambda v: embedding_check(_M, [(0,)], 1.0, 0.5, 10, seed=v)),
     ("mean_dimension_table radius", "box radius", 0,
      lambda v: mean_dimension_table(_M, 1.0, 0.5, [v, 5])),
+]
+
+# (entry point and argument, the call with v there): lattice coordinates are
+# integers of any sign, never truncated
+_POINT = FinitelySupportedPoint(((0,),), (0.5,), 1.0)
+_COORDINATES = [
+    ("LatticeBox center", lambda v: LatticeBox((0, v), 1)),
+    ("tail_set delta", lambda v: tail_set(_M, (v,), 0.5)),
+    ("FinitelySupportedPoint support",
+     lambda v: FinitelySupportedPoint(((v,), (9,)), (0.5, 0.25), 1.0)),
+    ("FinitelySupportedPoint.value_at gamma", lambda v: _POINT.value_at((v,))),
+    ("translate delta", lambda v: translate(_POINT, (v,))),
+    ("omega_distance omega", lambda v: omega_distance(_POINT, _POINT, _M, [(v,)])),
+    ("embedding_check omega", lambda v: embedding_check(_M, [(v,)], 1.0, 0.5, 10)),
+    ("geometric weight gamma", lambda v: _M.weight((v,))),
 ]
 
 # (entry point and argument, message name, whether inf is refused, the call)
@@ -304,6 +324,8 @@ _NONNEGATIVE = [
 def _input_rule_cases():
     rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf))
             for name, what, least, call in _COUNTS]
+    rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
+             for name, call in _COORDINATES]
     rows += [(name, what, call, (True, 0.5, -math.inf, math.nan) + ((math.inf,) if finite else ()))
              for name, what, finite, call in _EXPONENTS]
     rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf))
@@ -329,6 +351,9 @@ def test_input_rule_table_covers_valid_values():
     for _, _, least, call in _COUNTS:
         call(least)
         call(np.int64(least + 1))
+    for _, call in _COORDINATES:
+        call(-3)
+        call(np.int64(2))
     for _, _, _, call in _EXPONENTS:
         call(2.0)
     for _, call in _SCALES:

@@ -157,6 +157,29 @@ def test_point_validation():
     assert y.values == (1.0, -1.0)
 
 
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=40),
+       p=st.sampled_from((1.0, 1.5, 2.0, 3.0, math.inf)))
+def test_point_membership_matches_the_block_check(values, p):
+    # scaled across the boundary 1 + BALL_TOLERANCE ulp by ulp, a row is
+    # accepted by the point constructor exactly when the block check accepts it
+    row = np.array(values)
+    row /= row.max() if math.isinf(p) else float(np.sum(row**p)) ** (1.0 / p)
+    support = [(j,) for j in range(row.size)]
+    for k in range(-64, 65):
+        scaled = row * (1.0 + 1e-12 / (1.0 if math.isinf(p) else p) + k * 2.0**-52)
+        block = _accepts(group_dynamics._check_in_ball, scaled[None, :], p)
+        assert _accepts(pt, support, scaled, p) == block
+
+
 def test_translate_pinned():
     x = pt([(0,)], [1.0])
     assert translate(x, (0,)) == x
@@ -291,6 +314,25 @@ def test_embedding_check_small_run():
     assert rep.omega_prime_size == len(set().union(
         *(set(tail_set(M, d, 0.5)) for d in LatticeBox((0,), 2))
     ))
+
+
+@st.composite
+def _scattered_probes(draw):
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-3, 3) if d < 3 else st.integers(-1, 1)
+    omega = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
+    M = geometric_weight_metric(dim_d=d, base=draw(st.sampled_from((2.0, 3.0))))
+    return M, omega, draw(st.sampled_from((0.5, 1.0, 2.0, 4.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scattered_probes())
+def test_omega_prime_size_is_the_union_of_tail_boxes(case):
+    # probe sets with negative, scattered points, not only centred boxes
+    M, omega, eps = case
+    rep = embedding_check(M, omega, 1.0, eps, 1)
+    radius = tail_set(M, omega[0], eps).radius
+    assert rep.omega_prime_size == len(set().union(*(set(LatticeBox(d, radius)) for d in omega)))
 
 
 def test_embedding_check_workers_byte_identical():
@@ -544,12 +586,23 @@ def _reference_block(window, prime, p, eps, seed, b):
     return [dense(zip(cols[r], vals[r])) for r in range(PAIR_DRAW)], [dense(y) for y in Y]
 
 
+def _union_box(omega, tail, window):
+    """The window points within sup-distance tail of some probe."""
+    return [g for g in window if any(max(abs(a - b) for a, b in zip(g, delta)) <= tail
+                                     for delta in omega)]
+
+
 @st.composite
 def _draw_windows(draw):
     d = draw(st.sampled_from((1, 2)))
-    window = tuple(sorted(LatticeBox((0,) * d, draw(st.integers(0, 4 if d == 1 else 2)))))
-    prime = sorted(draw(st.lists(st.sampled_from(window), min_size=1, unique=True)))
-    return window, prime, _Window(geometric_weight_metric(dim_d=d), [(0,) * d], window, prime)
+    radius = draw(st.integers(0, 4 if d == 1 else 2))
+    window = tuple(sorted(LatticeBox((0,) * d, radius)))
+    coord = st.integers(-radius, radius)
+    omega = sorted(draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3, unique=True)))
+    tail = draw(st.integers(0, radius))
+    win = _Window(geometric_weight_metric(dim_d=d), omega, tail, radius)
+    assert list(map(tuple, win.points.tolist())) == list(window)
+    return window, _union_box(omega, tail, window), win
 
 
 def _drawn_rows(window, gen, b, p, eps):
@@ -656,8 +709,8 @@ def _pearson(counts, expected):
 
 def test_block_draw_is_uniform_at_a_fixed_seed():
     # bounds are the 0.9999 quantiles of chi-square with k - 1 degrees of freedom
-    window = tuple(sorted(LatticeBox((0,), 4)))  # 9 columns, 5 inside, 4 outside
-    dense = _Window(geometric_weight_metric(), [(0,)], window, window[2:7])
+    # 9 columns, the 5 of [-2, 2] inside, 4 outside
+    dense = _Window(geometric_weight_metric(), [(0,)], 2, 4)
     sizes, columns, norms = Counter(), Counter(), []
     outside_counts, outside_columns = Counter(), Counter()
     for b in range(200):
@@ -696,10 +749,11 @@ def _window_pairs(draw):
     d = draw(st.sampled_from((1, 2)))
     p = draw(st.sampled_from((1.0, 2.0, math.inf)))
     M = geometric_weight_metric(dim_d=d, base=draw(st.sampled_from((1.5, 2.0, 3.0))))
-    window = tuple(sorted(LatticeBox((0,) * d, draw(st.integers(1, 4 if d == 1 else 2)))))
+    radius = draw(st.integers(1, 4 if d == 1 else 2))
+    window = tuple(sorted(LatticeBox((0,) * d, radius)))
     coord = st.integers(-3, 3)
     omega = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
-    prime = draw(st.lists(st.sampled_from(window), min_size=1, max_size=9, unique=True))
+    tail = draw(st.integers(0, 3))
     # sparse rows as draw_block leaves them: slots in any order, unused ones
     # at column -1 and value 0, exact zeros kept, columns shared by x and y
     widths = draw(st.integers(8, 10)), draw(st.integers(8, 14))
@@ -724,21 +778,23 @@ def _window_pairs(draw):
          for cols, vals in row]
         for row in rows
     ]
-    return M, sorted(omega), window, sorted(prime), points, sparse
+    return M, sorted(omega), tail, radius, window, points, sparse
 
 
 @settings(max_examples=300, deadline=None)
 @given(_window_pairs())
 def test_window_kernel_matches_omega_distance_bitwise(case):
     # one block of several pairs, scored by the kernel embedding_check uses
-    M, omega, window, prime, points, sparse = case
-    win = _Window(M, omega, window, prime)
+    M, omega, tail, radius, window, points, sparse = case
+    win = _Window(M, omega, tail, radius)
+    prime = _union_box(omega, tail, window)  # may be empty: no probe near the window
     C, D = _union(*sparse)
     assert (np.diff(C, axis=1) >= 0).all()  # the fold runs in column order
     gaps, dists = win.gaps(C, D), win.omega_distances(C, D)
     assert gaps.shape == dists.shape == (len(points),)
     for (x, y), gap, dist in zip(points, gaps, dists):
-        assert float(gap).hex() == max(abs(x.value_at(g) - y.value_at(g)) for g in prime).hex()
+        proj_gap = max((abs(x.value_at(g) - y.value_at(g)) for g in prime), default=0.0)
+        assert float(gap).hex() == proj_gap.hex()
         assert float(dist).hex() == omega_distance(x, y, M, omega).hex()
 
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from widim.core import make_exponents
-from widim.signed_perm import ConePoint, act, random_element
+from widim.core import lq_distance, make_exponents
+from widim.signed_perm import ConePoint, SignedPermutation, act, in_cone
 from widim.threshold_map import (
     distortion,
     distortion_bound,
@@ -17,23 +20,29 @@ from widim.threshold_map import (
 )
 
 
-def bits(a):
-    return np.asarray(a, dtype=np.float64).view(np.uint64)
+def hexes(a):
+    return [float(v).hex() for v in np.atleast_1d(a)]
 
 
-def stress_vector(rng, n):
-    """A vector with ties, exact zeros, and mixed magnitudes."""
-    kind = rng.integers(0, 4)
-    if kind == 0:
-        x = rng.normal(size=n)
-    elif kind == 1:
-        x = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)
-    elif kind == 2:
-        x = np.round(rng.normal(size=n), 1)  # coarse grid forces ties
-    else:
-        x = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301)
-    x[rng.random(n) < 0.2] = 0.0
-    return x
+_GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+_entries = (
+    st.floats(-4.0, 4.0),
+    st.sampled_from(_GRID),
+    st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),  # a coarse grid forces ties
+)
+
+
+@st.composite
+def stress_vectors(draw, min_size=1, max_size=11):
+    """A vector with ties, exact zeros and signed zeros, and mixed magnitudes."""
+    n = draw(st.integers(min_size, max_size))
+    x = np.array(draw(st.lists(st.one_of(*_entries, st.just(0.0), st.just(-0.0)),
+                               min_size=n, max_size=n)))
+    return x * 10.0 ** draw(st.sampled_from((0, 0, -300, -12, 12, 300)))
+
+
+def sparsity(n):
+    return st.sampled_from(sorted({0, 1, 2, max(n - 1, 0), n, n + 3}))
 
 
 # --- f0 on the cone ---------------------------------------------------------
@@ -75,83 +84,70 @@ def test_map_pinned_values():
         assert np.array_equal(f([1.0, -2.0, 0.5], 0), [0.0, 0.0, 0.0])  # m = 0
 
 
-def test_routes_agree_bitwise():
-    rng = np.random.default_rng(20260817)
-    for _ in range(1500):
-        n = int(rng.integers(1, 12))
-        x = stress_vector(rng, n)
-        for m in (0, 1, 2, n - 1, n, n + 3):
-            if m < 0:
-                continue
-            a = f_equivariant(x, m)
-            b = f_closed(x, m)
-            assert np.array_equal(bits(a), bits(b))
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), x=stress_vectors())
+def test_routes_agree_bitwise(data, x):
+    m = data.draw(sparsity(x.size))
+    assert hexes(f_equivariant(x, m)) == hexes(f_closed(x, m))
 
 
-def test_batch_rows_match_scalar_bitwise():
-    rng = np.random.default_rng(21)
-    X = np.vstack([stress_vector(rng, 9) for _ in range(200)])
-    for m in (0, 2, 8, 9, 11):
-        for f in (f_equivariant, f_closed):
-            batch = f(X, m)
-            rows = np.vstack([f(X[i], m) for i in range(X.shape[0])])
-            assert np.array_equal(bits(batch), bits(rows))
-        # the closed-form batch distortion against the group route, per row
-        for q in (1.0, 2.0, 3.5, math.inf):
-            with np.errstate(over="ignore"):  # 1e300-scale rows overflow to inf
-                d_batch = distortion(X, m, q)
-                d_rows = np.array([distortion(X[i], m, q) for i in range(X.shape[0])])
-            assert np.array_equal(bits(d_batch), bits(d_rows))
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(stress_vectors(9, 9), min_size=1, max_size=12),
+       m=st.sampled_from((0, 2, 8, 9, 11)), q=st.sampled_from((1.0, 2.0, 3.5, math.inf)))
+def test_batch_rows_match_scalar_bitwise(rows, m, q):
+    X = np.vstack(rows)
+    for f in (f_equivariant, f_closed):
+        batch = f(X, m)
+        assert hexes(batch.ravel()) == hexes(np.vstack([f(row, m) for row in X]).ravel())
+    # the closed-form distortion, of the batch and of each row alone, against
+    # the independent oracle: the q-distance to the group route's image
+    with np.errstate(over="ignore"):  # 1e300-scale rows overflow to inf
+        oracle = [lq_distance(row, f_equivariant(row, m), q) for row in X]
+        assert hexes(distortion(X, m, q)) == hexes(oracle)
+        assert [float(distortion(row, m, q)).hex() for row in X] == hexes(oracle)
 
 
-def test_equivariance_bitwise():
-    rng = np.random.default_rng(22)
-    for _ in range(800):
-        n = int(rng.integers(1, 10))
-        x = stress_vector(rng, n)
-        g = random_element(n, rng)
-        m = int(rng.integers(0, n + 2))
-        lhs = f_equivariant(act(g, x), m)
-        rhs = act(g, f_equivariant(x, m))
-        assert np.array_equal(bits(lhs), bits(rhs))
+@st.composite
+def signed_permutations(draw, n):
+    signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+    return SignedPermutation(signs, draw(st.permutations(range(n))))
 
 
-def test_idempotence_bitwise():
-    rng = np.random.default_rng(23)
-    for _ in range(800):
-        n = int(rng.integers(1, 10))
-        x = stress_vector(rng, n)
-        m = int(rng.integers(0, n + 2))
-        y = f_equivariant(x, m)
-        assert np.array_equal(bits(f_equivariant(y, m)), bits(y))
-        z = f_closed(x, m)
-        assert np.array_equal(bits(f_closed(z, m)), bits(z))
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), x=stress_vectors(max_size=9))
+def test_equivariance_bitwise(data, x):
+    g = data.draw(signed_permutations(x.size))
+    m = data.draw(st.integers(0, x.size + 1))
+    assert hexes(f_equivariant(act(g, x), m)) == hexes(act(g, f_equivariant(x, m)))
+    assert hexes(f_closed(act(g, x), m)) == hexes(act(g, f_closed(x, m)))
 
 
-def test_cone_restricted_equivariance():
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), x=stress_vectors(max_size=9))
+def test_idempotence_bitwise(data, x):
+    m = data.draw(st.integers(0, x.size + 1))
+    for f in (f_equivariant, f_closed):
+        y = f(x, m)
+        assert hexes(f(y, m)) == hexes(y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), entries=st.lists(st.sampled_from((0.0, 0.25, 0.25, 0.5, 1.0)),
+                                        min_size=2, max_size=7))
+def test_cone_restricted_equivariance(data, entries):
     # for cone input whose image under g stays in the cone, f0 commutes with g
-    rng = np.random.default_rng(24)
-    for _ in range(500):
-        n = int(rng.integers(2, 8))
-        y = np.sort(rng.choice([0.0, 0.25, 0.25, 0.5, 1.0], size=n))[::-1].copy()
-        # permute only inside tie blocks so act(g, y) remains sorted
-        perm = np.arange(n)
-        lo = 0
-        while lo < n:
-            hi = lo
-            while hi < n and y[hi] == y[lo]:
-                hi += 1
-            perm[lo:hi] = lo + rng.permutation(hi - lo)
-            lo = hi
-        from widim.signed_perm import SignedPermutation, in_cone
-
-        g = SignedPermutation(np.ones(n), perm)
-        gy = act(g, y)
-        assert in_cone(gy)
-        m = int(rng.integers(0, n + 1))
-        lhs = f0(gy, m).coords
-        rhs = act(g, f0(y, m).coords)
-        assert np.array_equal(bits(lhs), bits(rhs))
+    y = np.array(sorted(entries, reverse=True))
+    n = y.size
+    # permute only inside tie blocks so act(g, y) remains sorted
+    perm = []
+    for value in sorted(set(entries), reverse=True):
+        block = [k for k in range(n) if y[k] == value]
+        perm += data.draw(st.permutations(block))
+    g = SignedPermutation(np.ones(n), perm)
+    gy = act(g, y)
+    assert in_cone(gy)
+    m = data.draw(st.integers(0, n))
+    assert hexes(f0(gy, m).coords) == hexes(act(g, f0(y, m).coords))
 
 
 # --- distortion and the extremal configuration ------------------------------
@@ -190,50 +186,47 @@ def test_extremal_attains_bound():
             assert abs(distortion(x, m, q) - distortion_bound(m, e)) <= 1e-12
 
 
-def test_distortion_bound_on_ball_samples():
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), pq=st.sampled_from(((1, 2), (2, math.inf))), n=st.integers(1, 11),
+       seed=st.integers(0, 2**64 - 1))
+def test_distortion_bound_on_ball_samples(data, pq, n, seed):
+    from widim._streams import DOMAIN_BALL, fresh_stream
     from widim.certify import sample_lp_ball
     from widim.core import in_lp_ball
 
-    rng = np.random.default_rng(25)
-    for p, q in ((1, 2), (2, math.inf)):
-        e = make_exponents(p, q)
-        for _ in range(400):
-            n = int(rng.integers(1, 12))
-            x = sample_lp_ball(n, p, rng)
-            assert in_lp_ball(x, p)
-            m = int(rng.integers(0, n + 1))
-            assert distortion(x, m, q) <= distortion_bound(m, e) + 1e-9
+    p, q = pq
+    x = sample_lp_ball(n, p, fresh_stream(seed, DOMAIN_BALL, 0))
+    assert in_lp_ball(x, p)
+    m = data.draw(st.integers(0, n))
+    assert distortion(x, m, q) <= distortion_bound(m, make_exponents(p, q)) + 1e-9
 
 
-def test_empirical_sup_lipschitz_two():
-    # randomized search for violations of |f(x)-f(y)|_inf <= 2 |x-y|_inf
-    rng = np.random.default_rng(26)
-    worst = 0.0
-    for _ in range(3000):
-        n = int(rng.integers(1, 9))
-        x = stress_vector(rng, n)
-        scale = 10.0 ** rng.integers(-3, 1)
-        y = x + rng.normal(size=n) * scale
-        m = int(rng.integers(0, n + 1))
-        gap_in = float(np.max(np.abs(x - y)))
-        gap_out = float(np.max(np.abs(f_closed(x, m) - f_closed(y, m))))
-        assert gap_out <= 2.0 * gap_in + 1e-9
-        if gap_in > 0:
-            worst = max(worst, gap_out / gap_in)
-    assert worst <= 2.0 + 1e-9
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data(), x=stress_vectors(max_size=8))
+def test_empirical_sup_lipschitz_two(data, x):
+    # |f(x) - f(y)|_inf <= 2 |x - y|_inf. Each output coordinate is one
+    # rounded subtraction, so the computed gap may exceed the bound by a few
+    # ulps of the largest coordinate, and by no more.
+    scale = 10.0 ** data.draw(st.integers(-3, 0))
+    noise = data.draw(arrays(np.float64, x.size, elements=st.floats(-3.0, 3.0)))
+    y = x + noise * scale
+    m = data.draw(st.integers(0, x.size))
+    gap_in = float(np.max(np.abs(x - y)))
+    gap_out = float(np.max(np.abs(f_closed(x, m) - f_closed(y, m))))
+    ulps = 4.0 * float(np.spacing(max(np.max(np.abs(x)), np.max(np.abs(y)))))
+    assert gap_out <= 2.0 * gap_in + ulps
 
 
-def test_continuity_at_tie_points():
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), delta=st.sampled_from((1e-3, 1e-6, 1e-9)),
+       x=st.lists(st.sampled_from((-0.5, -0.25, 0.0, 0.25, 0.5)), min_size=2, max_size=7))
+def test_continuity_at_tie_points(data, delta, x):
     # perturbing a tied input by delta moves the output by at most 2 delta
-    rng = np.random.default_rng(27)
-    for delta in (1e-3, 1e-6, 1e-9):
-        for _ in range(300):
-            n = int(rng.integers(2, 8))
-            x = rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], size=n)  # ties everywhere
-            y = x + rng.uniform(-delta, delta, size=n)
-            m = int(rng.integers(0, n + 1))
-            gap = float(np.max(np.abs(f_closed(x, m) - f_closed(y, m))))
-            assert gap <= 2.0 * delta + 1e-9
+    x = np.array(x)  # ties everywhere
+    y = x + data.draw(arrays(np.float64, x.size, elements=st.floats(-delta, delta)))
+    m = data.draw(st.integers(0, x.size))
+    gap = float(np.max(np.abs(f_closed(x, m) - f_closed(y, m))))
+    assert gap <= 2.0 * delta + 1e-9
 
 
 def test_validation_errors():
