@@ -16,157 +16,16 @@ Everything randomized is seeded (default 0x5EED), and every report is
 byte-identical across reruns and worker counts.
 """
 
-from ._streams import DEFAULT_SEED, StreamFactory, fresh_stream
-from .bounds import (
-    EqualCase,
-    WidimBoundReport,
-    asymptotic_exponent_fit,
-    ball_inclusion_holds,
-    ball_inclusion_max_radius,
-    bracket,
-    equal_case_report,
-    guarded_count,
-    widim_equal_case,
-    widim_exact_q_infinity,
-    widim_lower,
-    widim_lower_plateau,
-    widim_upper,
-    widim_upper_plateau,
-)
-from .certify import (
-    CertificationReport,
-    adversarial_certify,
-    check_key_lemma,
-    check_lemma_swap,
-    key_lemma_oracle_max,
-    monte_carlo_certify,
-    report_csv_header,
-    report_from_json,
-    report_to_csv_row,
-    report_to_json,
-    sample_lp_ball,
-)
-from .core import (
-    Exponents,
-    as_vector,
-    in_lp_ball,
-    lp_norm_power,
-    lq_distance,
-    make_exponents,
-)
-from .group_dynamics import (
-    EmbeddingReport,
-    FinitelySupportedPoint,
-    LatticeBox,
-    MeanDimensionTable,
-    WeightedGroupMetric,
-    embedding_check,
-    embedding_csv_header,
-    embedding_report_from_json,
-    embedding_report_to_json,
-    embedding_to_csv_row,
-    geometric_weight_metric,
-    mean_dimension_table,
-    omega_distance,
-    table_csv_header,
-    table_to_csv_rows,
-    table_to_json,
-    tail_set,
-    translate,
-    weighted_distance,
-    widim_constant,
-)
-from .signed_perm import (
-    ConePoint,
-    SignedPermutation,
-    act,
-    canonicalize,
-    compose,
-    identity,
-    in_cone,
-    inverse,
-    random_element,
-)
-from .threshold_map import (
-    distortion,
-    distortion_bound,
-    extremal_vector,
-    f0,
-    f_closed,
-    f_equivariant,
-)
+from ._streams import *
+from .core import *
+from .signed_perm import *
+from .threshold_map import *
+from .bounds import *
+from .certify import *
+from .group_dynamics import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SEED",
-    "StreamFactory",
-    "fresh_stream",
-    "as_vector",
-    "lq_distance",
-    "lp_norm_power",
-    "in_lp_ball",
-    "Exponents",
-    "make_exponents",
-    "SignedPermutation",
-    "ConePoint",
-    "identity",
-    "random_element",
-    "act",
-    "compose",
-    "inverse",
-    "canonicalize",
-    "in_cone",
-    "f0",
-    "f_equivariant",
-    "f_closed",
-    "distortion",
-    "distortion_bound",
-    "extremal_vector",
-    "guarded_count",
-    "widim_upper",
-    "widim_lower",
-    "widim_upper_plateau",
-    "widim_lower_plateau",
-    "widim_exact_q_infinity",
-    "widim_equal_case",
-    "EqualCase",
-    "WidimBoundReport",
-    "bracket",
-    "equal_case_report",
-    "asymptotic_exponent_fit",
-    "ball_inclusion_max_radius",
-    "ball_inclusion_holds",
-    "sample_lp_ball",
-    "CertificationReport",
-    "monte_carlo_certify",
-    "adversarial_certify",
-    "check_lemma_swap",
-    "check_key_lemma",
-    "key_lemma_oracle_max",
-    "report_to_json",
-    "report_from_json",
-    "report_csv_header",
-    "report_to_csv_row",
-    "LatticeBox",
-    "WeightedGroupMetric",
-    "geometric_weight_metric",
-    "FinitelySupportedPoint",
-    "translate",
-    "weighted_distance",
-    "omega_distance",
-    "tail_set",
-    "widim_constant",
-    "EmbeddingReport",
-    "embedding_check",
-    "MeanDimensionTable",
-    "mean_dimension_table",
-    "embedding_report_to_json",
-    "embedding_report_from_json",
-    "embedding_csv_header",
-    "embedding_to_csv_row",
-    "table_to_json",
-    "table_csv_header",
-    "table_to_csv_rows",
-    "__version__",
-]
+# Each module's __all__ lists the names it defines; the package exports them all.
+__all__ = (_streams.__all__ + core.__all__ + signed_perm.__all__ + threshold_map.__all__
+           + bounds.__all__ + certify.__all__ + group_dynamics.__all__ + ["__version__"])

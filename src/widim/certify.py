@@ -27,7 +27,8 @@ import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
 from ._output import csv_row, json_exponent
-from .core import Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative
+from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
+                   _check_seed)
 from .threshold_map import distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "report_from_json",
     "report_csv_header",
     "report_to_csv_row",
-    "DEFAULT_SEED",
 ]
 
 #: Success threshold on the margin, absolute.
@@ -61,6 +61,12 @@ CLIMB_MIN_STEP = 1e-12
 
 #: Moves per chain scored in one ``distortion`` call by the hill climb.
 CLIMB_WINDOW = 8
+
+#: Cap on the cells of a run's largest array (2^22 doubles, 32 MiB): BLOCK x n
+#: for Monte Carlo, CLIMB_WINDOW x (restarts + 1) x n for the climb, samples x
+#: n for the key-lemma oracle. Larger runs are refused before allocating: n <=
+#: 1024 for Monte Carlo, n <= 15887 for the climb at 32 restarts.
+MAX_CERTIFY_CELLS = 1 << 22
 
 
 def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -195,13 +201,26 @@ def report_to_csv_row(report: CertificationReport) -> str:
     ])
 
 
-def _validate_run(n, m, e, count, count_name, workers):
+def _validate_run(n, m, e, count, count_name, workers, seed):
+    """The checked (n, m, count, seed) of a run, refused above MAX_CERTIFY_CELLS."""
     if not isinstance(e, Exponents):
         raise ValueError(f"expected an Exponents triple, got {e!r}")
     n, m = _check_int(n, "dimension n", 1), _check_int(m, "sparsity m", 0)
     count = _check_int(count, count_name, 1)
     _check_int(workers, "workers", 1)
-    return n, m, count
+    seed = _check_seed(seed)
+    rows = BLOCK if count_name == "samples" else CLIMB_WINDOW * (count + 1)
+    if rows * n > MAX_CERTIFY_CELLS:
+        raise ValueError(f"{rows} rows of dimension n = {n} exceed the cap of"
+                         f" {MAX_CERTIFY_CELLS} cells")
+    return n, m, count, seed
+
+
+def _report(n, m, e, count, seed, value, x) -> CertificationReport:
+    """The report of a run whose largest distortion ``value`` was found at ``x``."""
+    bound = distortion_bound(m, e)
+    return CertificationReport(n, m, e, count, seed, value, bound, bound - value,
+                               tuple(float(v) for v in x))
 
 
 def _sample_block(seed, b, n, p) -> np.ndarray:
@@ -223,9 +242,7 @@ def monte_carlo_certify(
     it wins ties and the reported maximum can never undershoot the known
     equality case. Deterministic for a fixed seed, independent of workers.
     """
-    n, m, samples = _validate_run(n, m, e, samples, "samples", workers)
-    seed = _check_int(seed, "seed", 0)
-    bound = distortion_bound(m, e)
+    n, m, samples, seed = _validate_run(n, m, e, samples, "samples", workers, seed)
 
     def eval_block(b):
         lo = b * BLOCK
@@ -247,22 +264,8 @@ def monte_carlo_certify(
         candidates.append((float(distortion(ext, m, e.q)), -1, ext))
     candidates.extend(results)
 
-    best = candidates[0]
-    for cand in candidates[1:]:  # index-ordered scan: ties keep the earlier index
-        if cand[0] > best[0]:
-            best = cand
-    value = best[0]
-    return CertificationReport(
-        n=n,
-        m=m,
-        exponents=e,
-        sample_count=samples,
-        seed=seed,
-        max_observed_distortion=value,
-        bound=bound,
-        margin=bound - value,
-        argmax_vector=tuple(float(v) for v in best[2]),
-    )
+    value, _, x = max(candidates, key=lambda cand: cand[0])  # ties keep the earlier index
+    return _report(n, m, e, samples, seed, value, x)
 
 
 def adversarial_certify(
@@ -291,9 +294,7 @@ def adversarial_certify(
     the chain's next window starts right after it. The schedule, and so the
     report, is bit for bit the same as scoring one move at a time.
     """
-    n, m, restarts = _validate_run(n, m, e, restarts, "restarts", workers)
-    seed = _check_int(seed, "seed", 0)
-    bound = distortion_bound(m, e)
+    n, m, restarts, seed = _validate_run(n, m, e, restarts, "restarts", workers, seed)
     p, q = e.p, e.q
 
     starts = np.empty((restarts + 1, n), dtype=np.float64)
@@ -340,18 +341,17 @@ def adversarial_certify(
             break
 
     at = int(np.argmax(best))  # first occurrence: extremal chain wins ties
-    value = float(best[at])
-    return CertificationReport(
-        n=n,
-        m=m,
-        exponents=e,
-        sample_count=restarts,
-        seed=seed,
-        max_observed_distortion=value,
-        bound=bound,
-        margin=bound - value,
-        argmax_vector=tuple(float(v) for v in X[at]),
-    )
+    return _report(n, m, e, restarts, seed, float(best[at]), X[at])
+
+
+def _within(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to the lemma checks' relative slack of 1e-12."""
+    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+
+
+def _key_lemma_bound(s: float, c: float, t: float) -> float:
+    """The key lemma's ceiling c * t^(s-1) on sum(x_i^s)."""
+    return c * t ** (s - 1.0)
 
 
 def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
@@ -365,9 +365,7 @@ def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
         raise ValueError("arguments must be nonnegative")
     if x < y:
         raise ValueError(f"need x >= y, got x={x}, y={y}")
-    lhs = x**s + (y + z) ** s
-    rhs = (x + z) ** s + y**s
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    return _within(x**s + (y + z) ** s, (x + z) ** s + y**s)
 
 
 def check_key_lemma(s: float, c: float, t: float, xs) -> bool:
@@ -386,9 +384,7 @@ def check_key_lemma(s: float, c: float, t: float, xs) -> bool:
         raise ValueError(f"coordinates must lie in [0, {t}]")
     if float(np.sum(arr)) > c + slack:
         raise ValueError(f"coordinate sum exceeds the budget {c}")
-    lhs = float(np.sum(np.clip(arr, 0.0, None) ** s))
-    rhs = c * t ** (s - 1.0)
-    return lhs <= rhs + 1e-12 * max(1.0, abs(rhs))
+    return _within(float(np.sum(np.clip(arr, 0.0, None) ** s)), _key_lemma_bound(s, c, t))
 
 
 def key_lemma_oracle_max(
@@ -410,10 +406,12 @@ def key_lemma_oracle_max(
     c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
     n = _check_int(n, "coordinate count n", 1)
     samples = _check_int(samples, "samples", 0)
-    seed = _check_int(seed, "seed", 0)
+    seed = _check_seed(seed)
+    if samples * n > MAX_CERTIFY_CELLS:
+        raise ValueError(f"{samples} samples of n = {n} exceed the cap of {MAX_CERTIFY_CELLS} cells")
 
     best = 0.0
-    for k in range(n + 1):
+    for k in range(n + 1 if t > 0.0 else 1):  # t = 0 leaves the zero vertex alone
         if k * t > c:
             break
         value = k * t**s

@@ -7,11 +7,11 @@ evaluates the polytope maximum behind the key scalar inequality, and
 ``group`` drives the lattice harness (ratio table or embedding check).
 
 Reproducibility rules: the seed defaults to 0x5EED so bare invocations are
-deterministic, every command refuses a negative seed (exit 2), every echoed
-parameter lands in the output header, and the
-worker count is deliberately not echoed because it cannot affect output
-bytes. ``--q inf`` (and ``--p inf`` where a sup-norm ball makes sense) is
-the spelling for an infinite exponent. The text format itself lives in
+deterministic, every command refuses a seed outside [0, 2^64) (exit 2),
+every echoed parameter lands in the output header, and the worker count
+is deliberately not echoed because it cannot affect output bytes. ``--q
+inf`` (and ``--p inf`` where a sup-norm ball makes sense) is the spelling
+for an infinite exponent. The text format itself lives in
 :mod:`widim._output`.
 """
 
@@ -28,6 +28,8 @@ from ._output import csv_document, csv_row, json_exponent
 from ._streams import DEFAULT_SEED
 from .bounds import bracket, widim_equal_case
 from .certify import (
+    _key_lemma_bound,
+    _within,
     adversarial_certify,
     key_lemma_oracle_max,
     monte_carlo_certify,
@@ -35,7 +37,7 @@ from .certify import (
     report_to_csv_row,
     report_to_json,
 )
-from .core import _check_exponent, _check_int, make_exponents
+from .core import _check_exponent, _check_seed, make_exponents
 from .group_dynamics import (
     LatticeBox,
     embedding_check,
@@ -201,10 +203,9 @@ def _run_oracle(args) -> int:
                     observed = key_lemma_oracle_max(
                         s, c, t, n, samples=args.samples, seed=args.seed
                     )
-                    bound = c * t ** (s - 1.0)
-                    passed = observed <= bound + 1e-12 * max(1.0, abs(bound))
+                    bound = _key_lemma_bound(s, c, t)
                     rows.append({"s": s, "c": c, "t": t, "n": n, "observed_max": observed,
-                                 "bound": bound, "passed": passed})
+                                 "bound": bound, "passed": _within(observed, bound)})
     doc = {"command": "oracle", "samples": args.samples, "seed": args.seed, "rows": rows}
     params = {"s": args.s, "c": args.c, "t": args.t, "n": args.n,
               "samples": args.samples, "seed": args.seed}
@@ -332,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_int(args.seed, "seed", 0)
+        _check_seed(args.seed)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

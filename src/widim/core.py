@@ -43,6 +43,14 @@ def _check_int(value, what: str, least: int | None) -> int:
     return int(value)
 
 
+def _check_seed(seed) -> int:
+    """An integer of at least 0 and below 2^64, the width of a stream key."""
+    seed = _check_int(seed, "seed", 0)
+    if seed >> 64:
+        raise ValueError(f"seed must be an integer of at least 0 and below 2^64, got {seed}")
+    return seed
+
+
 def _check_exponent(value, what: str, finite: bool = False) -> float:
     """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
     x = float(value)

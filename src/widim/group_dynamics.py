@@ -32,7 +32,8 @@ from ._output import csv_row, json_exponent
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import BALL_TOLERANCE, _ball_mass, _check_exponent, _check_int, _check_rows, _check_scale
+from .core import (BALL_TOLERANCE, _ball_mass, _check_exponent, _check_int, _check_rows,
+                   _check_scale, _check_seed)
 
 __all__ = [
     "LatticeBox",
@@ -535,7 +536,7 @@ def embedding_check(
     p, eps = _check_exponent(p, "ball exponent p"), _check_scale(eps)
     samples = _check_int(samples, "samples", 1)
     _check_int(workers, "workers", 1)  # serial scan; see docstring
-    seed = _check_int(seed, "seed", 0)
+    seed = _check_seed(seed)
 
     if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
         raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")

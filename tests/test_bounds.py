@@ -62,14 +62,12 @@ def test_widim_exact_q_infinity_pinned():
     assert widim_exact_q_infinity(5, 0.01, 1) == 5
 
 
-def test_exact_matches_upper_at_q_infinity():
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        n = int(rng.integers(1, 1000))
-        eps = float(rng.uniform(0.01, 4.0))
-        p = float(rng.uniform(1.0, 4.0))
-        e = make_exponents(p, math.inf)
-        assert widim_exact_q_infinity(n, eps, p) == widim_upper(n, eps, e)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 999), st.floats(0.01, 4.0), st.floats(1.0, 4.0))
+def test_exact_matches_upper_at_q_infinity(n, eps, p):
+    e = make_exponents(p, math.inf)
+    assert widim_exact_q_infinity(n, eps, p) == widim_upper(n, eps, e)
+    assert bracket(n, eps, e).lower == bracket(n, eps, e).upper == widim_upper(n, eps, e)
 
 
 def test_widim_equal_case_pinned():
@@ -109,16 +107,22 @@ def test_report_invariants_enforced():
         WidimBoundReport(10, 0.5, e, 2, 3, True)  # exact needs lower == upper
 
 
-def test_bracketing_on_dense_grid():
-    rng = np.random.default_rng(32)
-    pq = [(1.0, 2.0), (1.0, math.inf), (2.0, 4.0), (1.5, 2.5), (2.0, math.inf)]
-    for _ in range(2500):
-        n = int(rng.integers(1, 1_000_001))
-        eps = float(rng.uniform(0.01, 4.0))
-        p, q = pq[int(rng.integers(0, len(pq)))]
-        e = make_exponents(p, q)
-        lo, hi = widim_lower(n, eps, e), widim_upper(n, eps, e)
-        assert 0 <= lo <= hi <= n
+@settings(max_examples=1000, deadline=None)
+@given(
+    st.sampled_from([(1.0, 2.0), (1.0, math.inf), (2.0, 4.0), (1.5, 2.5), (2.0, math.inf)]),
+    st.lists(st.integers(1, 1_000_000), min_size=2, max_size=2).map(sorted),
+    st.lists(st.floats(0.01, 4.0), min_size=2, max_size=2).map(sorted),
+)
+def test_bracketing_on_dense_grid(pq, ns, scales):
+    e = make_exponents(*pq)
+    for bound in (widim_lower, widim_upper):
+        fine, coarse = ([bound(n, eps, e) for n in ns] for eps in scales)
+        assert fine == sorted(fine) and coarse == sorted(coarse)  # non-decreasing in n
+        assert all(f >= c for f, c in zip(fine, coarse))  # non-increasing in eps
+    for n in ns:
+        for eps in scales:
+            lo, hi = widim_lower(n, eps, e), widim_upper(n, eps, e)
+            assert 0 <= lo <= hi <= n
 
 
 def test_stabilization_in_n():
@@ -252,18 +256,23 @@ def test_ball_inclusion_corner_vector():
             assert abs(lp_norm_power(corner, p) - 1.0) <= 1e-12
 
 
-def test_ball_inclusion_soundness_on_samples():
-    from widim.certify import sample_lp_ball
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from([(1.0, 2.0), (2.0, 4.0), (1.0, math.inf), (1.5, 3.0)]),
+    st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=16),
+    st.floats(0.0, 1.0),
+)
+def test_ball_inclusion_soundness_on_samples(pq, magnitudes, radius):
+    # a point of the q-ball of radius rho, scaled from a q-sphere point,
+    # lies in the unit p-ball; the sphere and its corner are the worst case
     from widim.core import lp_norm_power
 
-    rng = np.random.default_rng(33)
-    for p, q in ((1.0, 2.0), (2.0, 4.0)):
-        e = make_exponents(p, q)
-        for m in (1, 3, 8):
-            rho = ball_inclusion_max_radius(m, e)
-            for _ in range(200):
-                x = rho * sample_lp_ball(m, q, rng)  # uniform in the q-ball
-                assert lp_norm_power(x, p) <= 1.0 + 1e-12
+    e = make_exponents(*pq)
+    v = np.array(magnitudes)
+    x = radius * v / (v.max() if math.isinf(e.q) else lp_norm_power(v, e.q) ** (1.0 / e.q))
+    rho = ball_inclusion_max_radius(v.size, e)
+    assert lp_norm_power(rho * x, e.p) <= 1.0 + 1e-12
+    assert ball_inclusion_holds(rho, v.size, e)
 
 
 def test_validation_errors():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,8 @@ from widim.certify import (
     CLIMB_INITIAL_STEP,
     CLIMB_MIN_STEP,
     CLIMB_SWEEPS,
+    CLIMB_WINDOW,
+    MAX_CERTIFY_CELLS,
     CertificationReport,
     adversarial_certify,
     check_key_lemma,
@@ -151,9 +154,11 @@ def test_monte_carlo_pinned_extremal_equality():
 
 
 def test_monte_carlo_identity_regime():
-    rep = monte_carlo_certify(8, 8, make_exponents(1, 2), 1000)
+    rep = monte_carlo_certify(8, 8, make_exponents(1, 2), BLOCK + 1000)
     assert rep.max_observed_distortion == 0.0
     assert rep.passed
+    # every sample ties at 0 across two blocks: the lowest sample index wins
+    assert rep.argmax_vector == tuple(certify._sample_block(rep.seed, 0, 8, 1.0)[0])
 
 
 def test_monte_carlo_m0_sup_bound():
@@ -353,6 +358,50 @@ def test_run_validation():
         adversarial_certify(4, 1, e, True)
     with pytest.raises(ValueError):
         adversarial_certify(4, 1, "not exponents", 8)
+
+
+@pytest.mark.parametrize("run", [
+    lambda e: monte_carlo_certify(300_000, 2, e, 1),
+    lambda e: monte_carlo_certify(MAX_CERTIFY_CELLS // BLOCK + 1, 2, e, 1),
+    lambda e: adversarial_certify(20_000, 2, e, 32),
+    lambda e: adversarial_certify(4, 2, e, MAX_CERTIFY_CELLS // (4 * CLIMB_WINDOW)),
+    lambda e: key_lemma_oracle_max(2, 1, 0.5, 10**9),
+    lambda e: key_lemma_oracle_max(2, 1, 0.5, MAX_CERTIFY_CELLS, samples=2),
+], ids=["mc", "mc-edge", "climb", "climb-edge", "oracle", "oracle-edge"])
+def test_oversized_runs_are_refused_before_allocating(run, monkeypatch):
+    # MC always draws a whole BLOCK x n block and the climb scores
+    # CLIMB_WINDOW x (restarts + 1) x n moves at once: a run above the cap
+    # used to die in numpy with a MemoryError (exit 1) or hold gigabytes.
+    # Nothing may be drawn, so a missing guard fails here without allocating.
+    def no_draw(*args):
+        raise AssertionError("an oversized run drew its samples")
+
+    monkeypatch.setattr(certify, "_sample_block", no_draw)
+    monkeypatch.setattr(certify, "fresh_stream", no_draw)
+    e = make_exponents(1, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"exceed the cap of {MAX_CERTIFY_CELLS} cells"):
+            run(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_runs_at_the_cell_cap_are_admitted(monkeypatch):
+    e = make_exponents(1, 2)
+    monkeypatch.setattr(certify, "MAX_CERTIFY_CELLS", BLOCK * 4)
+    assert monte_carlo_certify(4, 1, e, 10).passed
+    with pytest.raises(ValueError, match="4096 rows of dimension n = 5"):
+        monte_carlo_certify(5, 1, e, 10)
+    monkeypatch.setattr(certify, "MAX_CERTIFY_CELLS", CLIMB_WINDOW * 3 * 4)
+    assert adversarial_certify(4, 1, e, 2).passed
+    with pytest.raises(ValueError, match="24 rows of dimension n = 5"):
+        adversarial_certify(5, 1, e, 2)
+    assert key_lemma_oracle_max(2, 1, 0.5, 4, samples=24) == 0.5
+    with pytest.raises(ValueError, match="25 samples of n = 4"):
+        key_lemma_oracle_max(2, 1, 0.5, 4, samples=25)
 
 
 # --- report serialization ------------------------------------------------------

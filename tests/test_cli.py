@@ -1,16 +1,24 @@
 """Command line interface: pinned rows, round trips, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from widim import certify
 from widim.certify import monte_carlo_certify, report_from_json, report_to_json
 from widim.cli import main
+from widim.group_dynamics import embedding_report_from_json
 from widim.core import make_exponents
 
 
@@ -320,8 +328,13 @@ def test_every_command_checks_its_seed(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, "--seed", "-1")
     assert code == 2 and out == ""
     assert err == "error: seed must be an integer of at least 0, got -1\n"
-    code, out, _ = run_cli(capsys, *argv, "--seed", "0")
-    assert code == 0 and out
+    # 2^64 used to be masked to the stream key of seed 0
+    code, out, err = run_cli(capsys, *argv, "--seed", str(2**64))
+    assert code == 2 and out == ""
+    assert err == f"error: seed must be an integer of at least 0 and below 2^64, got {2**64}\n"
+    for seed in ("0", str(2**64 - 1)):
+        code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 0 and out
 
 
 def test_nan_budget_or_cap_exits_2(capsys):
@@ -396,3 +409,129 @@ def test_installed_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "100,0.5,3,15,false"
+
+
+def test_oversized_certify_exits_2_before_allocating(capsys, monkeypatch):
+    # a 4096 x 300000 Monte Carlo block (9.2 GiB) used to end in a MemoryError
+    # traceback with exit 1, the status of a failed bound
+    def no_draw(*args):
+        raise AssertionError("an oversized run drew its samples")
+
+    monkeypatch.setattr(certify, "_sample_block", no_draw)
+    monkeypatch.setattr(certify, "fresh_stream", no_draw)
+    for argv in (
+        ["certify", "--method", "mc", "--n", "300000", "--m", "2", "--p", "1", "--q", "2",
+         "--samples", "1"],
+        ["certify", "--method", "adversarial", "--n", "20000", "--m", "2", "--p", "1", "--q", "2"],
+        ["oracle", "--s", "2", "--c", "1", "--t", "0.5", "--n", "1000000000"],
+    ):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and peak < 1 << 20
+        assert err.startswith("error: ") and err.count("\n") == 1 and "exceed the cap" in err
+
+
+# --- every command line ends in a documented status ---------------------------------
+
+
+def _pick(valid, bad):
+    """A valid token seven times in eight, else an invalid or oversized one."""
+    return st.integers(0, 7).flatmap(lambda k: st.sampled_from(bad if k == 0 else valid))
+
+
+def _tokens(valid, bad, most=3):
+    """A comma-separated list of 1..most tokens."""
+    return st.lists(_pick(valid, bad), min_size=1, max_size=most).map(",".join)
+
+
+def _options(required, **choices):
+    """The options with drawn values in a fixed order; those not ``required``
+    may be left out."""
+    pairs = []
+    for flag, values in choices.items():
+        pair = values.map(lambda v, f=flag: ("--" + f.replace("_", "-"), v))
+        pairs.append(pair if flag in required.split() else st.one_of(st.just(()), pair))
+    return st.tuples(*pairs).map(lambda ps: [token for pair in ps for token in pair])
+
+
+_P = _pick(["1", "1.5", "2"], ["0.5", "inf", "nan", "-inf", "x"])
+_Q = _pick(["2", "4", "inf"], ["1", "0.5", "nan", "x"])
+_WORKERS = _pick(["1", "2"], ["0", "-1", "x"])
+
+# Valid sizes stay small so that each run takes milliseconds. The oversized
+# ones (n = 300000 or 10^12 in certify, n = 10^9 in oracle and group) must be
+# refused before anything is allocated.
+_COMMANDS = {
+    "bounds": _options(
+        "p q eps n", p=_P, q=_pick(["1", "2", "4", "inf"], ["0.5", "nan", "x"]),
+        eps=_tokens(["0.5", "1e-3", "4", "1e-300"], ["0", "-1", "nan", "inf", "x"]),
+        n=_tokens(["1", "100", str(10**21)], ["0", "-3", "x"])),
+    "map": _options("m", m=_pick(["0", "1", "3", str(10**12)], ["-1", "x"]), q=_Q),
+    "certify": _options(
+        "p q n m", method=_pick(["mc", "adversarial"], ["x"]), p=_P, q=_Q,
+        n=_pick(["1", "4", "8"], ["0", "-2", "300000", str(10**12), "x"]),
+        m=_pick(["0", "1", "3", "9"], ["-1", "1.5"]),
+        samples=_pick(["1", "100", "5000"], ["0", "-1", "x"]),
+        restarts=_pick(["1", "3"], ["0", "-1", str(10**9), "x"]), workers=_WORKERS),
+    "oracle": _options(
+        "s c t n", s=_tokens(["1", "2", "2.5", "400"], ["0.5", "nan"]),
+        c=_tokens(["1", "0.7", "0"], ["-1", "nan", "inf"]),
+        t=_tokens(["0.5", "10", "0"], ["-1", "nan"]),
+        n=_tokens(["1", "4"], ["0", "-1", str(10**9)], most=2),
+        samples=_pick(["0", "64"], ["-5", "x"])),
+    "group": _options(
+        "", task=_pick(["table", "embed"], ["x"]),
+        dim=_pick(["1", "2"], ["0", "-1", "1000"]), p=_P,
+        eps=_pick(["0.5", "0.25", "1e-9"], ["0", "-1", "nan", "inf"]),
+        n=_tokens(["1", "2"], ["0", "-1", str(10**9)], most=2),
+        samples=_pick(["1", "50"], ["0", "-1"]),
+        weight_base=_pick(["2", "1e308"], ["1", "0.5", "nan"]),
+        weight_total=_pick(["0.75", "1"], ["0", "2", "nan"]), workers=_WORKERS),
+}
+_SEED = _pick(["0", "0x5EED", str(2**64 - 1)], ["-1", str(2**64), "1.5", "x"])
+_VECTOR = _pick(["-3 1 2", "0.5 -0.25"], ["", "1 nan", "1e400 2", "abc"])
+
+
+def _failed_bound(command, out) -> bool:
+    if command == "certify":
+        return not report_from_json(out).passed
+    if command == "oracle":
+        return not all(row["passed"] for row in json.loads(out)["rows"])
+    return command == "group" and not embedding_report_from_json(out).passed
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda c: st.tuples(st.just(c), _COMMANDS[c], _SEED, _VECTOR)))
+@example(("certify", ["--method", "mc", "--n", "300000", "--m", "2", "--p", "1", "--q", "2",
+                      "--samples", "1"], "0", ""))
+@example(("certify", ["--p", "1", "--q", "2", "--n", "8", "--m", "1", "--samples", "100"],
+          str(2**64), ""))
+def test_every_command_line_ends_in_a_documented_status(case):
+    command, options, seed, vector = case
+    argv = [command, *options, "--seed", seed, "--format", "json"]
+    draw = certify._sample_block
+
+    def capped_draw(seed, b, n, p):  # an oversized block fails here, unallocated
+        assert certify.BLOCK * n <= certify.MAX_CERTIFY_CELLS, argv
+        return draw(seed, b, n, p)
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(vector + "\n")), \
+            mock.patch.object(certify, "_sample_block", capped_draw):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code == 1:
+        assert _failed_bound(command, out), argv
+    if code == 2:
+        assert sum("error:" in line for line in err.splitlines()) == 1 and out == "", argv

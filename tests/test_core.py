@@ -322,7 +322,9 @@ _NONNEGATIVE = [
 
 
 def _input_rule_cases():
-    rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf))
+    # a seed is also below 2^64, the width of a stream key
+    rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf)
+             + ((2**64,) if what == "seed" else ()))
             for name, what, least, call in _COUNTS]
     rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
              for name, call in _COORDINATES]
@@ -348,9 +350,12 @@ def test_input_rules(call, bad, what):
 def test_input_rule_table_covers_valid_values():
     # the calls of the table run on valid values, so each case above fails
     # on its bad argument alone
-    for _, _, least, call in _COUNTS:
+    for _, what, least, call in _COUNTS:
         call(least)
         call(np.int64(least + 1))
+        if what == "seed":
+            call(2**64 - 1)
+            call(np.uint64(2**64 - 1))
     for _, call in _COORDINATES:
         call(-3)
         call(np.int64(2))
