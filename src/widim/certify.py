@@ -29,7 +29,7 @@ from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, 
 from ._output import csv_row, json_exponent
 from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
                    _check_seed)
-from .threshold_map import distortion, distortion_bound, extremal_vector
+from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
     "sample_lp_ball",
@@ -59,7 +59,7 @@ CLIMB_SWEEPS = 200
 CLIMB_INITIAL_STEP = 0.25
 CLIMB_MIN_STEP = 1e-12
 
-#: Moves per chain scored in one ``distortion`` call by the hill climb.
+#: Moves per chain scored in one batch by the hill climb.
 CLIMB_WINDOW = 8
 
 #: Cap on the cells of a run's largest array (2^22 doubles, 32 MiB): BLOCK x n
@@ -287,12 +287,13 @@ def adversarial_certify(
     ``workers`` argument (accepted for interface uniformity) cannot affect
     it.
 
-    Moves are scored in windows: each chain's next ``CLIMB_WINDOW`` moves,
-    all built from its current point, go into one ``distortion`` call. The
-    first winner of a window is the move the one-move-at-a-time schedule
-    accepts, since every earlier move lost against the same point and best;
-    the chain's next window starts right after it. The schedule, and so the
-    report, is bit for bit the same as scoring one move at a time.
+    Moves are scored in windows: every chain's next ``CLIMB_WINDOW`` moves,
+    all built from its current point, go into one fixed-shape batch scored
+    by the unchecked kernel of ``distortion``. The first winner of a window
+    is the move the one-move-at-a-time schedule accepts, since every earlier
+    move lost against the same point and best; the chain's next window
+    starts right after it. The schedule, and so the report, is bit for bit
+    the same as scoring one move at a time.
     """
     n, m, restarts, seed = _validate_run(n, m, e, restarts, "restarts", workers, seed)
     p, q = e.p, e.q
@@ -312,30 +313,35 @@ def adversarial_certify(
     j = np.arange(moves + CLIMB_WINDOW)
     coord = np.minimum(j, moves - 1) // 2
     sign = np.where(j % 2 == 0, 1.0, -1.0)
+    chains = np.arange(restarts + 1)
     window = np.arange(CLIMB_WINDOW)
+    # Chain c's move w of a window is row c * CLIMB_WINDOW + w of Y, whose
+    # first entry sits at flat offset cell[c, w].
+    row0 = chains * CLIMB_WINDOW
+    cell = (row0[:, None] + window) * n
     for _ in range(CLIMB_SWEEPS):
         improved = np.zeros(restarts + 1, dtype=bool)
         pos = np.zeros(restarts + 1, dtype=np.intp)  # each chain's next move
-        active = np.arange(restarts + 1)
-        while active.size:
-            J = pos[active, None] + window
-            Y = np.repeat(X[active], CLIMB_WINDOW, axis=0)
-            Y[np.arange(Y.shape[0]), coord[J].ravel()] += (sign[J] * steps[active, None]).ravel()
-            norms = _ball_mass(Y, p)
-            over = norms > 1.0
-            if np.any(over):
-                Y[over] *= (norms[over] ** (-1.0 / p))[:, None]
-            d = np.asarray(distortion(Y, m, q))
-            win = (d.reshape(-1, CLIMB_WINDOW) > best[active, None]) & (J < moves)
-            first = np.argmax(win, axis=1)
-            hit = np.flatnonzero(win.any(axis=1))
-            row = hit * CLIMB_WINDOW + first[hit]
-            won = active[hit]
-            X[won], best[won] = Y[row], d[row]
-            improved[won] = True
-            pos[active] += CLIMB_WINDOW
-            pos[won] = J[hit, first[hit]] + 1
-            active = active[pos[active] < moves]
+        # Every window scores all chains; a chain past its last move has no
+        # legal move (J >= moves) left, so it can never win.
+        while pos.min() < moves:
+            J = np.minimum(pos, moves)[:, None] + window
+            Y = X.repeat(CLIMB_WINDOW, axis=0)
+            Y.ravel()[(cell + coord.take(J)).ravel()] += (steps[:, None] * sign.take(J)).ravel()
+            A = np.abs(Y)
+            # Rows inside the ball get f = 1.0, which is exact. |f y| = f |y|
+            # for f > 0, so A is scaled here and Y only in the rows kept.
+            f = (np.maximum(_ball_mass(A, p), 1.0) ** (-1.0 / p))[:, None]
+            A *= f
+            d = _distortion_rows(A, m, q)
+            win = (d.reshape(-1, CLIMB_WINDOW) > best[:, None]) & (J < moves)
+            first = win.argmax(axis=1)  # 0 when nothing wins
+            row = row0 + first
+            hit = win.ravel().take(row)
+            np.copyto(X, Y.take(row, axis=0) * f.take(row, axis=0), where=hit[:, None])
+            best = np.where(hit, d.take(row), best)
+            improved |= hit
+            pos += np.where(hit, first + 1, CLIMB_WINDOW)
         steps = np.where(improved, steps, steps * 0.5)
         if float(np.max(steps)) < CLIMB_MIN_STEP:
             break
@@ -399,8 +405,9 @@ def key_lemma_oracle_max(
 
     A convex objective on a polytope peaks at a vertex; the vertex family is
     k coordinates at t, one at min(t, c - k*t), the rest zero, for feasible
-    k. Dense random interior sampling cross-checks the enumeration (it can
-    confirm but never exceed the vertex maximum).
+    k, and the greedy vertex k = min(n, floor(c/t)) or the one before it
+    holds the maximum. Dense random interior sampling cross-checks it (it
+    can confirm but never exceed the vertex maximum).
     """
     s = _check_exponent(s, "power s")
     c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
@@ -410,10 +417,15 @@ def key_lemma_oracle_max(
     if samples * n > MAX_CERTIFY_CELLS:
         raise ValueError(f"{samples} samples of n = {n} exceed the cap of {MAX_CERTIFY_CELLS} cells")
 
+    # Vertex k scores k t^s + min(t, c - k t)^s, which rises with k up to the
+    # last k with k * t <= c (that float test, bisected); rounding may favour
+    # the vertex before it, so both are evaluated.
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if mid * t <= c else (lo, mid - 1)
     best = 0.0
-    for k in range(n + 1 if t > 0.0 else 1):  # t = 0 leaves the zero vertex alone
-        if k * t > c:
-            break
+    for k in range(max(lo - 1, 0), lo + 1):
         value = k * t**s
         if k < n:
             value += min(t, c - k * t) ** s

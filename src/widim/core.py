@@ -124,7 +124,7 @@ def lq_distance(x, y, q: float) -> float:
 def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
     """Per row of A: sum_k |a_k|^p, or max_k |a_k| at p = inf (0 for an empty row)."""
     A = np.abs(A)
-    return A.max(axis=1, initial=0.0) if math.isinf(p) else np.sum(A**p, axis=1)
+    return A.max(axis=1, initial=0.0) if math.isinf(p) else (A**p).sum(axis=1)
 
 
 def lp_norm_power(x, p: float) -> float:

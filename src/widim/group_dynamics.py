@@ -152,7 +152,11 @@ def geometric_weight_metric(
     if not base > 1.0:
         raise ValueError(f"decay base must exceed 1, got {base}")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
-    scale = total / axis_total**dim_d
+    try:
+        scale = total / axis_total**dim_d
+    except OverflowError:
+        raise ValueError(f"lattice dimension d = {dim_d} is too large for decay base {base:g}:"
+                         f" the weight normalizer ((base + 1)/(base - 1))^d overflows") from None
 
     def weight(gamma) -> float:
         pt = _as_point(gamma, dim_d)

@@ -151,6 +151,11 @@ def act(g: SignedPermutation, x) -> np.ndarray:
     xv = as_vector(x)
     if xv.shape[0] != g.n:
         raise ValueError(f"dimension mismatch: group degree {g.n}, vector {xv.shape[0]}")
+    return _act(g, xv)
+
+
+def _act(g: SignedPermutation, xv: np.ndarray) -> np.ndarray:
+    """Unchecked body of :func:`act` for a valid vector of g's degree."""
     out = np.empty_like(xv)
     out[g.perm] = xv
     out *= g.signs
@@ -181,7 +186,11 @@ def canonicalize(x) -> tuple[SignedPermutation, ConePoint]:
     of g is deterministic. The returned cone point equals act(g, x) bit for
     bit.
     """
-    xv = as_vector(x)
+    return _canonicalize(as_vector(x))
+
+
+def _canonicalize(xv: np.ndarray) -> tuple[SignedPermutation, ConePoint]:
+    """Unchecked body of :func:`canonicalize` for a valid vector."""
     n = xv.shape[0]
     order = np.argsort(-np.abs(xv), kind="stable")
     perm = np.empty(n, dtype=np.intp)

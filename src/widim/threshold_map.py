@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector
-from .signed_perm import ConePoint, act, canonicalize, inverse
+from .signed_perm import ConePoint, _act, _canonicalize, inverse
 
 __all__ = [
     "f0",
@@ -90,9 +90,9 @@ def f_equivariant(x, m: int) -> np.ndarray:
     xv = as_vector(arr)
     if m >= xv.shape[0]:
         return xv + 0.0
-    g, y = canonicalize(xv)
+    g, y = _canonicalize(xv)  # xv is checked once, above
     z = f0(y, m)
-    return act(inverse(g), z.coords)
+    return _act(inverse(g), z.coords)
 
 
 def _equivariant_rows(X: np.ndarray, m: int) -> np.ndarray:
@@ -146,14 +146,18 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     arr = as_vector(arr)[None, :] if single else _check_rows(arr)
-    if m >= arr.shape[1]:
-        diff = np.zeros_like(arr)
-    else:
-        diff = np.abs(arr)
-        if m > 0:  # m = 0 shrinks every entry to 0
-            diff -= _shrink(diff, m)
-    out = np.max(diff, axis=1) if math.isinf(q) else np.sum(diff**q, axis=1) ** (1.0 / q)
+    out = _distortion_rows(np.abs(arr), m, q)
     return float(out[0]) if single else out
+
+
+def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
+    """Unchecked core of :func:`distortion`: the row distortions of a batch
+    from its magnitudes ``A = |X|``, which it may overwrite."""
+    if m >= A.shape[1]:
+        return np.zeros(A.shape[0])
+    if m > 0:  # m = 0 shrinks every entry to 0
+        A -= _shrink(A, m)
+    return A.max(axis=1) if math.isinf(q) else (A**q).sum(axis=1) ** (1.0 / q)
 
 
 def distortion_bound(m: int, e: Exponents) -> float:

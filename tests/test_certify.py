@@ -284,19 +284,21 @@ def test_climb_matches_reference(nm, p, q_kind, restarts, seed):
 
 def test_climb_batches_its_moves(monkeypatch):
     # one n = 16 job must stay well under the 2n calls per sweep of the
-    # one-move-at-a-time loop
+    # one-move-at-a-time loop; the climb scores its windows with the unchecked
+    # kernel, so the spy sits on that name as certify imports it
     calls = []
-    real = threshold_map.distortion
+    real = certify._distortion_rows
 
-    def spy(x, m, q):
-        calls.append(np.shape(x))
-        return real(x, m, q)
+    def spy(A, m, q):
+        calls.append(A.shape)
+        return real(A, m, q)
 
-    n, e = 16, make_exponents(1, 2)
-    monkeypatch.setattr(certify, "distortion", spy)
-    adversarial_certify(n, 3, e, 8, seed=1)
+    n, e, restarts = 16, make_exponents(1, 2), 8
+    monkeypatch.setattr(certify, "_distortion_rows", spy)
+    adversarial_certify(n, 3, e, restarts, seed=1)
     assert 0 < len(calls) < 2 * n * CLIMB_SWEEPS / 3
-    assert all(len(shape) == 2 for shape in calls)
+    # every window is one fixed batch: all chains, CLIMB_WINDOW moves each
+    assert set(calls) == {(CLIMB_WINDOW * (restarts + 1), n)}
 
 
 def test_margin_and_bound_fields():
@@ -489,6 +491,35 @@ def test_key_lemma_oracle_zero_samples_skips_the_cross_check(monkeypatch):
 
     monkeypatch.setattr("widim.certify.fresh_stream", no_stream)
     assert key_lemma_oracle_max(2, 1, 0.5, 2, samples=0) == 0.5
+
+
+def vertex_scan(s, c, t, n):
+    """The key-lemma oracle's maximum by scanning every feasible vertex k."""
+    best = 0.0
+    for k in range(n + 1 if t > 0.0 else 1):  # t = 0 leaves the zero vertex alone
+        if k * t > c:
+            break
+        value = k * t**s
+        if k < n:
+            value += min(t, c - k * t) ** s
+        best = max(best, value)
+    return best
+
+
+_CAPS = (0.0, 0.1, 0.25, 0.3, 1 / 3, 0.5, 1.0, 1.5, 1e-3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(s=st.one_of(st.sampled_from((1.0, 1.5, 2.0, 3.0)), st.floats(1.0, 40.0)),
+       t=st.one_of(st.sampled_from(_CAPS), st.floats(0.0, 2.0)),
+       k=st.integers(0, 40),
+       c_kind=st.sampled_from(("k t", "k t + half", "free", "zero")),
+       c_free=st.floats(0.0, 3.0), n=st.integers(1, 50))
+def test_key_lemma_oracle_matches_the_vertex_scan(s, t, k, c_kind, c_free, n):
+    # the two vertices around k = floor(c/t) give the full scan's maximum bit
+    # for bit, also when c is a multiple of t up to rounding
+    c = {"k t": k * t, "k t + half": (k + 0.5) * t, "free": c_free, "zero": 0.0}[c_kind]
+    assert key_lemma_oracle_max(s, c, t, n, samples=0).hex() == vertex_scan(s, c, t, n).hex()
 
 
 def test_key_lemma_oracle_never_exceeds_bound():

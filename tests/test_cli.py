@@ -366,6 +366,36 @@ def test_io_and_overflow_errors_exit_2(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_lattice_dimension_overflow_names_the_argument(capsys):
+    # ((base + 1)/(base - 1))^d overflows a float at d = 1000, base 2; the
+    # message used to be the bare "(34, 'Numerical result out of range')"
+    for task in (["--task", "table", "--n", "1,2"], ["--task", "embed"]):
+        code, out, err = run_cli(capsys, "group", *task, "--dim", "1000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "lattice dimension d" in err and "decay base" in err
+
+
+@pytest.mark.parametrize("argv, closed_form", [
+    # the greedy vertex k = n: 10^9 coordinates at t, whose squares underflow
+    (["--s", "2", "--c", "1", "--t", "1e-300", "--n", "1000000000"], 10**9 * 1e-300**2),
+    # k = floor(c/t) of 10^13 coordinates; the vertex attains c t^(s-1)
+    (["--s", "1.5", "--c", "1", "--t", "1e-12", "--n", "10000000000000"], 1e-6),
+])
+def test_oracle_returns_the_closed_form_at_huge_n(argv, closed_form):
+    # the vertex scan used to loop min(n, c/t) + 1 times with no cap once
+    # --samples 0 skipped the cross-check, and ran past a 5 s timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "widim.cli", "oracle", *argv, "--samples", "0",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert math.isclose(row["observed_max"], closed_form, rel_tol=1e-9, abs_tol=0.0)
+    assert row["passed"]
+
+
 def test_failed_cross_check_exits_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ArithmeticError("sampled objective exceeds the vertex maximum")

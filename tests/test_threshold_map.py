@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from widim.core import lq_distance, make_exponents
 from widim.signed_perm import ConePoint, SignedPermutation, act, in_cone
 from widim.threshold_map import (
+    _distortion_rows,
     distortion,
     distortion_bound,
     extremal_vector,
@@ -105,6 +106,30 @@ def test_batch_rows_match_scalar_bitwise(rows, m, q):
         oracle = [lq_distance(row, f_equivariant(row, m), q) for row in X]
         assert hexes(distortion(X, m, q)) == hexes(oracle)
         assert [float(distortion(row, m, q)).hex() for row in X] == hexes(oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), kinds=st.lists(
+    st.sampled_from(("stress", "zero", "tied")), min_size=1, max_size=8),
+    q=st.sampled_from((1.0, 2.0, 3.5, math.inf)))
+def test_distortion_kernel_matches_distortion_bitwise(data, n, kinds, q):
+    # the unchecked row kernel the hill climb scores with, on magnitudes,
+    # against the checked entry point; rows mix stress vectors, all-zero rows
+    # (signed zeros too) and rows whose magnitudes all tie
+    rows = []
+    for kind in kinds:
+        if kind == "stress":
+            rows.append(data.draw(stress_vectors(n, n)))
+        else:
+            value = 0.0 if kind == "zero" else data.draw(st.sampled_from((0.5, 1e-300, 3.0)))
+            signs = data.draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+            rows.append(value * np.array(signs))
+    X = np.vstack(rows)
+    m = data.draw(sparsity(n))
+    with np.errstate(over="ignore"):  # 1e300-scale rows overflow to inf
+        want = distortion(X, m, q)
+        got = _distortion_rows(np.abs(X), m, q)
+    assert hexes(got) == hexes(want)
 
 
 @st.composite
