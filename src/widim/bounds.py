@@ -92,13 +92,13 @@ def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
 def widim_upper(n: int, eps: float, e: Exponents) -> int:
     """Upper width bound min(n, ceil((2/eps)^r) - 1)."""
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return _capped(n, _upper_plateau(eps, e))
+    return min(n, _cap(_upper_plateau(eps, e)))
 
 
 def widim_lower(n: int, eps: float, e: Exponents) -> int:
     """Lower width bound min(n, ceil(eps^-r) - 1)."""
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return _capped(n, _lower_plateau(eps, e))
+    return min(n, _cap(_lower_plateau(eps, e)))
 
 
 # Unchecked cores of the bounds above, for callers that checked n and eps.
@@ -110,8 +110,19 @@ def _lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     return guarded_count(_power(eps, -e.r))
 
 
-def _capped(n: int, plateau: Optional[int]) -> int:
-    return n if plateau is None else min(n, plateau)
+def _cap(plateau: Optional[int]) -> Union[int, float]:
+    """A plateau as a cap on n: the saturation marker None caps nothing."""
+    return math.inf if plateau is None else plateau
+
+
+def _caps(eps: float, e: Union[Exponents, EqualCase]) -> Optional[tuple]:
+    """(lower, upper) caps on n at scale eps; at q = inf both are the exact width's.
+    The equal case has no cap (width n) below eps = 1 and no closed form (None)
+    from there on."""
+    if isinstance(e, EqualCase):
+        return (math.inf, math.inf) if eps < 1.0 else None
+    upper = _cap(_upper_plateau(eps, e))
+    return (upper if math.isinf(e.q) else _cap(_lower_plateau(eps, e))), upper
 
 
 def widim_exact_q_infinity(n: int, eps: float, p: float) -> int:
@@ -130,8 +141,8 @@ def widim_equal_case(n: int, eps: float, p: float, q: float) -> Optional[int]:
     there instead.
     """
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    _check_equal_case(p, q)
-    return n if eps < 1.0 else None
+    caps = _caps(eps, EqualCase(p, q))
+    return None if caps is None else min(n, caps[0])
 
 
 def _check_equal_case(p, q) -> tuple:
@@ -182,9 +193,7 @@ def bracket(n: int, eps: float, e: Exponents) -> WidimBoundReport:
     is flagged exact; otherwise exact means the two bounds coincide.
     """
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    upper = _capped(n, _upper_plateau(eps, e))
-    # at q = inf both sides are widim_exact_q_infinity(n, eps, e.p)
-    lower = upper if math.isinf(e.q) else _capped(n, _lower_plateau(eps, e))
+    lower, upper = (min(n, cap) for cap in _caps(eps, e))
     return WidimBoundReport(n, eps, e, lower, upper, lower == upper)
 
 

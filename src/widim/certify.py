@@ -416,6 +416,11 @@ def key_lemma_oracle_max(
     seed = _check_seed(seed)
     if samples * n > MAX_CERTIFY_CELLS:
         raise ValueError(f"{samples} samples of n = {n} exceed the cap of {MAX_CERTIFY_CELLS} cells")
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"coordinate count n must be below about 1.8e308 for the vertex test "
+                         f"k * t <= c with the cap t = {t}; got {n.bit_length()} bits") from None
 
     # Vertex k scores k t^s + min(t, c - k t)^s, which rises with k up to the
     # last k with k * t <= c (that float test, bisected); rounding may favour

@@ -18,6 +18,7 @@ for an infinite exponent. The text format itself lives in
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -26,7 +27,7 @@ import numpy as np
 
 from ._output import csv_document, csv_row, json_exponent
 from ._streams import DEFAULT_SEED
-from .bounds import bracket, widim_equal_case
+from .bounds import EqualCase, _caps, bracket, widim_equal_case  # noqa: F401 (traced by perfbench)
 from .certify import (
     _key_lemma_bound,
     _within,
@@ -37,7 +38,7 @@ from .certify import (
     report_to_csv_row,
     report_to_json,
 )
-from .core import _check_exponent, _check_seed, make_exponents
+from .core import _check_exponent, _check_int, _check_scale, _check_seed, make_exponents
 from .group_dynamics import (
     LatticeBox,
     embedding_check,
@@ -73,12 +74,15 @@ def _parse_exponent(text: str) -> float:
     return math.inf if text.strip().lower() == "inf" else float(text)
 
 
-def _parse_floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_floats(text: str, kind=float) -> list:
+    values = [kind(v) for v in text.split(",") if v.strip()]
+    if not values:  # an empty list would leave the values of the other lists unchecked
+        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+    return values
 
 
 def _parse_ints(text: str) -> list:
-    return [int(v) for v in text.split(",") if v.strip()]
+    return _parse_floats(text, int)
 
 
 def _write(args, command, params, doc, header, rows) -> None:
@@ -105,20 +109,22 @@ def _write(args, command, params, doc, header, rows) -> None:
 def _run_bounds(args) -> int:
     p = _check_exponent(args.p, "ball exponent p")
     q = _check_exponent(args.q, "distance exponent q")
-    e = make_exponents(p, q) if q > p else None
+    e = make_exponents(p, q) if q > p else EqualCase(p, q)
+    ns = [_check_int(n, "dimension n", 1) for n in args.n]
+    grid = [_check_scale(eps) for eps in args.eps]
+    # each scale's (lower, upper) caps on n, taken once; None where out of range
+    columns = [(eps, _caps(eps, e)) for eps in grid]
+    if any(caps and not 0 <= caps[0] <= caps[1] for _, caps in columns):
+        raise ArithmeticError("a lower width plateau exceeds its upper plateau")
+    r = e.r if q > p else None
     reports = []
-    for n in args.n:
-        for eps in args.eps:
-            if e is not None:
-                rep = bracket(n, eps, e)
-                r, lower, upper, exact = rep.exponents.r, rep.lower, rep.upper, rep.exact
-            else:
-                r, lower = None, widim_equal_case(n, eps, p, q)
-                upper, exact = lower, lower is not None
+    for n in ns:
+        for eps, caps in columns:
+            lower, upper = (min(n, caps[0]), min(n, caps[1])) if caps else (None, None)
             reports.append({
                 "n": n, "epsilon": eps, "p": p, "q": q, "r": r,
-                "lower": lower, "upper": upper, "exact": exact,
-                "status": "ok" if lower is not None else "out_of_range",
+                "lower": lower, "upper": upper, "exact": caps is not None and lower == upper,
+                "status": "out_of_range" if caps is None else "ok",
             })
     doc = {"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
            "seed": args.seed, "reports": reports}
@@ -196,16 +202,11 @@ def _run_certify(args) -> int:
 
 def _run_oracle(args) -> int:
     rows = []
-    for s in args.s:
-        for c in args.c:
-            for t in args.t:
-                for n in args.n:
-                    observed = key_lemma_oracle_max(
-                        s, c, t, n, samples=args.samples, seed=args.seed
-                    )
-                    bound = _key_lemma_bound(s, c, t)
-                    rows.append({"s": s, "c": c, "t": t, "n": n, "observed_max": observed,
-                                 "bound": bound, "passed": _within(observed, bound)})
+    for s, c, t, n in itertools.product(args.s, args.c, args.t, args.n):
+        observed = key_lemma_oracle_max(s, c, t, n, samples=args.samples, seed=args.seed)
+        bound = _key_lemma_bound(s, c, t)
+        rows.append({"s": s, "c": c, "t": t, "n": n, "observed_max": observed,
+                     "bound": bound, "passed": _within(observed, bound)})
     doc = {"command": "oracle", "samples": args.samples, "seed": args.seed, "rows": rows}
     params = {"s": args.s, "c": args.c, "t": args.t, "n": args.n,
               "samples": args.samples, "seed": args.seed}

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widim import certify
+from widim import bounds, certify
+from widim.bounds import bracket, widim_equal_case
 from widim.certify import monte_carlo_certify, report_from_json, report_to_json
 from widim.cli import main
 from widim.group_dynamics import embedding_report_from_json
@@ -353,6 +354,99 @@ def test_saturated_bounds_are_printed(capsys):
     assert out.splitlines()[-1] == "10,1.0000000000000001e-05,10,10,true"
 
 
+def _oracle_row(n, eps, p, q):
+    """(lower, upper, exact, status) of one row from the per-row library calls."""
+    if q > p:
+        rep = bracket(n, eps, make_exponents(p, q))
+        return rep.lower, rep.upper, rep.exact, "ok"
+    value = widim_equal_case(n, eps, p, q)
+    return value, value, value is not None, "ok" if value is not None else "out_of_range"
+
+
+_GRID_EPS = st.one_of(
+    st.sampled_from([1e-10, 1e-5, 0.5, 1.0, 1.5, 4.0]),  # saturating, and eps >= 1
+    st.integers(1, 64).map(lambda k: 2.0 / math.sqrt(k)),  # snap points (2/eps)^2 = k
+    st.floats(1e-12, 10.0),
+)
+_GRID_N = st.one_of(st.sampled_from([1, 2, 7, 100, 10**21]), st.integers(1, 10**21))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pq=st.sampled_from([(1, 2), (1.5, 4), (2, 4), (1, math.inf), (2, math.inf),
+                           (2, 1), (2, 2), (math.inf, math.inf)]),
+       ns=st.lists(_GRID_N, min_size=1, max_size=6),
+       grid=st.lists(_GRID_EPS, min_size=1, max_size=6))
+def test_bounds_grid_rows_equal_the_per_row_oracle(pq, ns, grid):
+    # the grid evaluates each eps once and caps by n; bracket and
+    # widim_equal_case evaluate every row from scratch
+    p, q = pq
+    argv = ["bounds", "--p", str(p), "--q", str(q), "--n", ",".join(map(str, ns)),
+            "--eps", ",".join(map(repr, grid))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv + ["--format", "json"]) == 0, err.getvalue()
+        assert main(argv) == 0, err.getvalue()
+    doc, csv_text = out.getvalue().split("\n", 1)
+    reports = json.loads(doc)["reports"]
+    lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")][1:]
+    expected = [(n, eps, *_oracle_row(n, eps, p, q)) for n in ns for eps in grid]
+    assert len(reports) == len(lines) == len(expected)
+    for row, line, (n, eps, lower, upper, exact, status) in zip(reports, lines, expected):
+        assert (row["n"], row["epsilon"], row["lower"], row["upper"], row["exact"],
+                row["status"]) == (n, eps, lower, upper, exact, status)
+        assert row["r"] == (make_exponents(p, q).r if q > p else None)
+        shown = ["out_of_range"] * 2 if lower is None else [str(lower), str(upper)]
+        fields = line.split(",")
+        assert [int(fields[0]), float(fields[1]), *fields[2:]] == \
+            [n, eps, *shown, "true" if exact else "false"]
+
+
+@pytest.mark.parametrize("q, per_eps", [("2", 2), ("4", 2), ("inf", 1), ("1", 0)])
+def test_bounds_plateau_work_does_not_grow_with_n(capsys, q, per_eps):
+    # each listed eps costs two guarded counts (one at q = inf, none in the
+    # equal case) however many n are listed
+    grid = "1e-10,0.1,0.5,0.7071067811865475,2"
+    for ns in ("5", "1,10,100", ",".join(str(10**k) for k in range(22))):
+        with mock.patch.object(bounds, "guarded_count", wraps=bounds.guarded_count) as count:
+            code, _, _ = run_cli(capsys, "bounds", "--p", "1.5", "--q", q, "--n", ns,
+                                 "--eps", grid)
+        assert code == 0 and count.call_count == per_eps * 5
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--p", "1", "--q", "2", "--eps=-1", "--n", ""], "--n"),
+    (["bounds", "--p", "1", "--q", "2", "--eps", "", "--n", "0"], "--eps"),
+    (["bounds", "--p", "1", "--q", "2", "--eps", " , ", "--n", "3"], "--eps"),
+    (["oracle", "--s", "", "--c=-1", "--t", "1", "--n", "0"], "--s"),
+    (["oracle", "--s", "2", "--c", "", "--t", "1", "--n", "0"], "--c"),
+    (["oracle", "--s", "2", "--c", "1", "--t", "", "--n", "2"], "--t"),
+    (["oracle", "--s", "2", "--c", "1", "--t", "nan", "--n", ""], "--n"),
+    (["group", "--task", "table", "--n", ""], "--n"),
+])
+def test_empty_lists_exit_2_naming_the_argument(capsys, argv, flag):
+    # an empty list used to yield no rows, so the other lists went unchecked
+    # and the command exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+
+
+@pytest.mark.parametrize("n, eps, what", [
+    ("5,0,-2", "-1", "dimension n must be an integer of at least 1, got 0"),
+    ("5,7", "0.5,-1,0", "scale eps must be a positive finite real, got -1.0"),
+    ("1", "0.5,inf", "got inf"),
+])
+def test_bounds_checks_n_in_order_then_eps(capsys, n, eps, what):
+    for q in ("2", "1"):
+        code, out, err = run_cli(capsys, "bounds", "--p", "1.5", "--q", q, "--n", n,
+                                 "--eps", eps)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and what in err
+
+
 def test_io_and_overflow_errors_exit_2(capsys, tmp_path):
     missing = tmp_path / "missing"
     for argv in (
@@ -394,6 +488,21 @@ def test_oracle_returns_the_closed_form_at_huge_n(argv, closed_form):
     (row,) = json.loads(proc.stdout)["rows"]
     assert math.isclose(row["observed_max"], closed_form, rel_tol=1e-9, abs_tol=0.0)
     assert row["passed"]
+
+
+def test_oracle_beyond_the_float_range_names_n_and_t(capsys):
+    # k * t overflowed converting k to a float and printed the bare
+    # "int too large to convert to float"
+    code, out, err = run_cli(capsys, "oracle", "--s", "1", "--c", "1", "--t", "5e-324",
+                             "--n", str(10**400), "--samples", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: coordinate count n must be below about 1.8e308 for the vertex test "
+                   "k * t <= c with the cap t = 5e-324; got 1329 bits\n")
+    # the largest n that still converts keeps its result, the vertex k = n
+    code, out, _ = run_cli(capsys, "oracle", "--s", "1", "--c", "1", "--t", "5e-324",
+                           "--n", str(2**1024 - 2**970 - 1), "--samples", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["observed_max"] == sys.float_info.max * 5e-324
 
 
 def test_failed_cross_check_exits_3(capsys, monkeypatch):
