@@ -70,36 +70,28 @@ MAX_CERTIFY_CELLS = 1 << 22
 
 
 def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """One point uniform in the unit p-ball of dimension n.
-
-    Finite p uses the standard construction: coordinates with density
-    proportional to exp(-|t|^p) (a signed Gamma(1/p) power), one auxiliary
-    exponential variate, and a joint normalization. This is exactly uniform
-    for every finite p >= 1 with no rejection step. ``p = inf`` draws
-    coordinates independently uniform on [-1, 1].
-
-    Draw order per sample is fixed: magnitudes, then signs, then the
-    auxiliary exponential.
-    """
-    _check_int(n, "dimension n", 1)
-    p = _check_exponent(p, "ball exponent p")
-    if math.isinf(p):
-        return rng.uniform(-1.0, 1.0, n)
-    w = rng.gamma(1.0 / p, 1.0, n)  # |g_i|^p
-    signs = rng.integers(0, 2, n) * 2.0 - 1.0
-    y = rng.standard_exponential()
-    return (signs * w ** (1.0 / p)) / ((np.sum(w) + y) ** (1.0 / p))
+    """One point uniform in the unit p-ball of dimension n: the one-row batch."""
+    return sample_lp_ball_rows(1, n, p, rng)[0]
 
 
 def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
                         sizes=None) -> np.ndarray:
     """``rows`` points uniform in the unit p-ball of dimension n, one per row.
 
-    The construction of :func:`sample_lp_ball`, vectorized over rows. Draw
-    order for the whole batch is fixed: every magnitude (row by row), then
-    every sign, then one auxiliary exponential per row. With ``sizes``, row
-    r is uniform in the ball of its first sizes[r] coordinates and zero
-    beyond: unused magnitudes are drawn but masked before the normalizing sum.
+    Finite p uses the construction of Barthe, Guedon, Mendelson and Naor:
+    coordinates with density proportional to exp(-|t|^p) (a signed
+    Gamma(1/p) power), one auxiliary exponential variate per row, and a
+    joint normalization, exact for every finite p >= 1 with no rejection
+    step. Draw order for the whole batch is fixed: every magnitude (row by
+    row), then every sign, then one exponential per row. At p = 2 the
+    coordinates are standard normals Z (Z / sqrt 2 has that density, and
+    sign(Z) is a fair sign), so a row is Z / sqrt(|Z|^2 + 2E), drawn as
+    every normal, then one exponential per row. ``p = inf`` draws
+    coordinates independently uniform on [-1, 1].
+
+    With ``sizes``, row r is uniform in the ball of its first sizes[r]
+    coordinates and zero beyond: unused coordinates are drawn but masked
+    before the normalizing sum.
     """
     _check_int(rows, "rows", 1)
     _check_int(n, "dimension n", 1)
@@ -107,6 +99,12 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     unused = None if sizes is None else np.arange(n) >= np.asarray(sizes)[:, None]
     if math.isinf(p):
         X = rng.uniform(-1.0, 1.0, (rows, n))
+    elif p == 2.0:
+        X = rng.standard_normal((rows, n))
+        y = rng.standard_exponential(rows)
+        if unused is not None:
+            X[unused] = 0.0
+        X /= np.sqrt(np.sum(X * X, axis=1) + 2.0 * y)[:, None]
     else:
         w = rng.gamma(1.0 / p, 1.0, (rows, n))  # |g_ij|^p
         signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
@@ -357,7 +355,11 @@ def _within(lhs: float, rhs: float) -> bool:
 
 def _key_lemma_bound(s: float, c: float, t: float) -> float:
     """The key lemma's ceiling c * t^(s-1) on sum(x_i^s)."""
-    return c * t ** (s - 1.0)
+    try:
+        return c * t ** (s - 1.0)
+    except OverflowError:
+        raise ValueError(f"the key lemma's bound c * t^(s-1) overflows a float at s = {s}, "
+                         f"t = {t}") from None
 
 
 def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
@@ -430,11 +432,15 @@ def key_lemma_oracle_max(
         mid = (lo + hi + 1) // 2
         lo, hi = (mid, hi) if mid * t <= c else (lo, mid - 1)
     best = 0.0
-    for k in range(max(lo - 1, 0), lo + 1):
-        value = k * t**s
-        if k < n:
-            value += min(t, c - k * t) ** s
-        best = max(best, value)
+    try:
+        for k in range(max(lo - 1, 0), lo + 1):
+            value = k * t**s if k else 0.0  # vertex 0 has no coordinate at t
+            if k < n:
+                value += min(t, c - k * t) ** s
+            best = max(best, value)
+    except OverflowError:
+        raise ValueError(f"the key lemma's vertex value k * t^s + min(t, c - k * t)^s overflows "
+                         f"a float at s = {s}, t = {t}") from None
 
     if samples > 0 and t > 0.0:
         # cross-check only: scaled samples stay inside the polytope, so any

@@ -18,6 +18,7 @@ for an infinite exponent. The text format itself lives in
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -265,6 +266,7 @@ def _add_common(sub, *, workers=False):
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
+@functools.cache  # built on the first main call, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="widim",

@@ -88,6 +88,22 @@ def test_sample_is_uniform_disk_area_ratio():
         assert abs(frac - 0.25) <= 4.0 * sigma
 
 
+def test_p2_radius_law_with_and_without_sizes():
+    # uniform in B_2^k: |x|^k is uniform on [0, 1]; P(|x|^k <= 1/4) = 1/4
+    N = 20_000
+    rng = np.random.default_rng(47)
+    for n in (1, 3, 64):
+        for sizes in (None, rng.integers(1, n, size=N, endpoint=True)):
+            X = sample_lp_ball_rows(N, n, 2.0, rng, sizes)
+            k = np.full(N, n) if sizes is None else sizes
+            U = np.sqrt(np.sum(X * X, axis=1)) ** k
+            assert abs(float(U.mean()) - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / N)
+            frac = float(np.mean(U <= 0.25))
+            assert abs(frac - 0.25) <= 4.0 * math.sqrt(0.25 * 0.75 / N)
+            masked = X[np.arange(n) >= k[:, None]]
+            assert np.all(masked == 0.0) and not np.any(np.signbit(masked))
+
+
 def test_sample_validation():
     rng = np.random.default_rng(44)
     for draw in SAMPLERS:
@@ -104,12 +120,17 @@ def test_sample_validation():
 
 def test_block_matches_fresh_stream_reference():
     # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn as all
-    # magnitudes, then all signs, then one exponential per row
+    # magnitudes, then all signs, then one exponential per row; at p = 2 as
+    # all normals, then one exponential per row
     for p in (1.0, 2.0, 3.5, math.inf):
         for n, b in ((1, 0), (8, 3), (64, 2**40)):
             g = fresh_stream(9, DOMAIN_BALL, b)
             if math.isinf(p):
                 ref = g.uniform(-1.0, 1.0, (BLOCK, n))
+            elif p == 2.0:
+                Z = g.standard_normal((BLOCK, n))
+                y = g.standard_exponential(BLOCK)
+                ref = Z / np.sqrt(np.sum(Z * Z, axis=1) + 2.0 * y)[:, None]
             else:
                 w = g.gamma(1.0 / p, 1.0, (BLOCK, n))
                 signs = g.integers(0, 2, (BLOCK, n)) * 2.0 - 1.0
@@ -469,6 +490,10 @@ def test_key_lemma_pinned():
         check_key_lemma(2, 1, 0.5, (0.5, 0.5, 0.5))  # sum above the budget
     with pytest.raises(ValueError):
         check_key_lemma(2, 1, 0.5, ())
+    # 10.0 ** 399 overflows a float: refused by name, not a bare OverflowError
+    with pytest.raises(ValueError, match=r"bound c \* t\^\(s-1\) overflows a float at "
+                                         r"s = 400.0, t = 10.0$"):
+        check_key_lemma(400, 1, 10, (1.0,))
 
 
 def test_key_lemma_oracle_pinned():
@@ -476,6 +501,8 @@ def test_key_lemma_oracle_pinned():
     assert key_lemma_oracle_max(2, 1, 0.5, 4) == 0.5  # extra coordinates idle
     assert key_lemma_oracle_max(1, 1, 0.25, 10) == 1.0  # dyadic t sums exactly
     assert abs(key_lemma_oracle_max(1, 1, 0.3, 10) - 1.0) <= 1e-12
+    # vertex k = 0 never forms t^s, which overflows here (10^308.5)
+    assert key_lemma_oracle_max(308.5, 1, 10, 1, samples=0) == 1.0
 
 
 def test_key_lemma_oracle_validation():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from widim import bounds, certify
 from widim.bounds import bracket, widim_equal_case
 from widim.certify import monte_carlo_certify, report_from_json, report_to_json
-from widim.cli import main
+from widim.cli import build_parser, main
 from widim.group_dynamics import embedding_report_from_json
 from widim.core import make_exponents
 
@@ -158,7 +158,9 @@ def test_group_embed(capsys):
 # default seed: the (dim, n) configurations of the benchmark at p = 1, plus
 # p = 2 and p = inf. Re-recorded when pairs moved to one stream per block of
 # PAIR_DRAW pairs, a declared change of the stream layout, after checking that
-# every run still reports no failure and criterion 7 passes.
+# every run still reports no failure and criterion 7 passes. The p = 2 pair
+# was re-recorded, on the same checks, when p = 2 ball values moved to
+# normal draws, a second declared layout change.
 EMBED_GOLDEN = {
     ("1", "2", "1", "json"): "35068ccb21e9c4ca5b21b597eafc0ede555a362bccf9ac01a028bbb2551343fa",
     ("1", "2", "1", "csv"): "2361f411c7408a882d7476d8ea871f3cfaea9d068d0cc2af1d237c4133c51f7f",
@@ -166,8 +168,8 @@ EMBED_GOLDEN = {
     ("1", "4", "1", "csv"): "2c1e4c4a93c7d2e5947c8bb3891de21c58f902e8f7d7fdca2450368e2c9cc274",
     ("2", "1", "1", "json"): "5e3867522a762d70fc0dbab4d7ce5f4707d2032a4a0ee8f40b17e44faa1b80fe",
     ("2", "1", "1", "csv"): "942074216b5a0294b2b081c1e33d4cba79c1635eb01535d885404b0c6806d6e4",
-    ("1", "2", "2", "json"): "993ae6efec52df23c097c49ea0ec54c6ad8034a35c9ef0d463b557d319b0eca7",
-    ("1", "2", "2", "csv"): "dcebac10ecd8e0c787bfc3fad831d42925676e9ff49c17dd9187b9d87e0774de",
+    ("1", "2", "2", "json"): "fa6de59ba5093b5cc89bc901d6afaa9937db134741b81895ac70f221e668e243",
+    ("1", "2", "2", "csv"): "9640edb2b5d7fd95936a13f2ce029c066537290765c206c187b49c8ef5d7f8d0",
     ("1", "2", "inf", "json"): "0543928f3d17a185e9a2ca2034fb6d0571d5ecc4fe4d767671becb6ab1c93ad5",
     ("1", "2", "inf", "csv"): "adb3cd747675a56f5c4926f171a845215e3fb5b14a8be40d7c489f145dbecd05",
 }
@@ -213,6 +215,10 @@ CLI_GOLDEN = {
     ("certify --p 2 --q inf --n 5 --m 2 --samples 300 --seed 0xBEEF", "json"): "86cb0d5ba0c1f70d906ca615b29ede6fa75514381b359f76df339890bdace7ff",
     ("certify --p 1.5 --q 3 --n 3 --m 4 --samples 200", "csv"): "c9442e9cb0ff039cc616e099468703fb781a0fed6b25bf68e9981ceef85886aa",
     ("certify --p 1.5 --q 3 --n 3 --m 4 --samples 200", "json"): "2cbf068dfdd9413f345cf9a5c9407b2f8015cf2616f126e62987afdc7e9abbfd",
+    # m >= n: every distortion is 0, so sample 0 itself is reported and the
+    # digest sees the p = 2 sampler; recorded with the normal-draw route
+    ("certify --p 2 --q 4 --n 3 --m 3 --samples 5000", "csv"): "a43afdb893e556d7e85452dca7024d5f060cdea27f31778405956a295ff7a2aa",
+    ("certify --p 2 --q 4 --n 3 --m 3 --samples 5000", "json"): "858b2c499ac2c8bc1ec7290c04a75eae2c05cc940fe392543538e84f1511486f",
     ("certify --method adversarial --p 1 --q 2 --n 4 --m 1 --restarts 4", "csv"): "c0eb0c5733a2f771e96538e66843885b8c23204c934d47f6e7da56aa4b5fe29b",
     ("certify --method adversarial --p 1 --q 2 --n 4 --m 1 --restarts 4", "json"): "6ab9a9b337f894372b0e64669196e553226497a93326981934d914113bd127fa",
     ("certify --method adversarial --p 2 --q inf --n 5 --m 2 --restarts 3", "csv"): "909d4644749e7de734b6e75ee6ac3df59ab4b28c88b8e549fc3f12fdf3e711b1",
@@ -239,6 +245,28 @@ def test_cli_golden_bytes(capsys, tmp_path, config):
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[config]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_gives_the_bytes_of_fresh_runs(capsys):
+    # one process runs a command, an argv argparse rejects, then another
+    # command; each output must match a fresh interpreter's
+    first = ["certify", "--p", "2", "--q", "4", "--n", "3", "--m", "3", "--samples", "300"]
+    second = ["group", "--task", "embed", "--eps", "0.5", "--n", "2", "--samples", "60",
+              "--format", "json"]
+    outputs = [run_cli(capsys, *first)]
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--p", "2", "--q", "4", "--n", "three", "--m", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    outputs.append(run_cli(capsys, *second))
+    for argv, (code, out, _) in zip((first, second), outputs):
+        proc = subprocess.run([sys.executable, "-m", "widim.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert (code, out) == (proc.returncode, proc.stdout) and code == 0
 
 
 def test_group_table_p_inf_below_eps_4_exits_2(capsys):
@@ -458,6 +486,20 @@ def test_io_and_overflow_errors_exit_2(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c, rule", [
+    ("1", "bound c * t^(s-1)"),
+    ("100", "vertex value k * t^s + min(t, c - k * t)^s"),
+])
+def test_oracle_power_overflow_names_s_t_and_the_rule(capsys, c, rule):
+    # 10.0 ** 400 overflows a float; the message used to be the bare
+    # "(34, 'Numerical result out of range')"
+    for samples in ([], ["--samples", "0"]):
+        code, out, err = run_cli(capsys, "oracle", "--s", "400", "--c", c, "--t", "10",
+                                 "--n", "1", *samples)
+        assert code == 2 and out == ""
+        assert err == f"error: the key lemma's {rule} overflows a float at s = 400.0, t = 10.0\n"
 
 
 def test_lattice_dimension_overflow_names_the_argument(capsys):
