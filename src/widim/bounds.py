@@ -60,9 +60,9 @@ def guarded_count(value: float) -> Optional[int]:
     zero. ``None`` is the saturation marker: the count is astronomically
     large but a min against any real dimension is still exact.
     """
-    if value < 0.0:
+    if not value >= 0.0:  # NaN too
         raise ValueError(f"count argument must be nonnegative, got {value}")
-    if not math.isfinite(value) or value > SATURATION_LIMIT:
+    if value > SATURATION_LIMIT:  # inf too
         return None
     nearest = round(value)
     off = abs(value - nearest)

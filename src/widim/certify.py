@@ -28,7 +28,7 @@ import numpy as np
 from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
 from ._output import csv_row, json_exponent
 from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
-                   _check_seed)
+                   _check_seed, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -366,11 +366,12 @@ def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
     """Verify x^s + (y+z)^s <= (x+z)^s + y^s for s >= 1, x >= y >= 0, z >= 0.
 
     Shifting mass z onto the larger of two values can only increase the sum
-    of s-th powers. Checked with relative slack 1e-12.
+    of s-th powers. Checked with relative slack 1e-12; x, y and z must be
+    finite.
     """
-    s, x, y, z = _check_exponent(s, "power s"), float(x), float(y), float(z)
-    if min(x, y, z) < 0.0:
-        raise ValueError("arguments must be nonnegative")
+    s = _check_exponent(s, "power s")
+    x, y, z = (_check_nonnegative(x, "value x"), _check_nonnegative(y, "value y"),
+               _check_nonnegative(z, "shift z"))
     if x < y:
         raise ValueError(f"need x >= y, got x={x}, y={y}")
     return _within(x**s + (y + z) ** s, (x + z) ** s + y**s)
@@ -384,9 +385,7 @@ def check_key_lemma(s: float, c: float, t: float, xs) -> bool:
     """
     s = _check_exponent(s, "power s")
     c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("xs must be a nonempty 1-D list of reals")
+    arr = as_vector(xs)
     slack = 1e-12 * max(1.0, t, c)
     if np.any(arr < -slack) or np.any(arr > t + slack):
         raise ValueError(f"coordinates must lie in [0, {t}]")

@@ -221,14 +221,11 @@ class FinitelySupportedPoint:
             raise ValueError("support points must share one dimension")
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be distinct")
-        if any(not math.isfinite(v) for v in vals):
-            raise ValueError("values must be finite")
         kept = sorted((pt, v) for pt, v in zip(pts, vals) if v != 0.0)
         pts = tuple(pt for pt, _ in kept)
         vals = tuple(v for _, v in kept)
-        mass = float(_ball_mass(np.array([vals], dtype=np.float64), p)[0])
-        if mass > 1.0 + BALL_TOLERANCE:
-            raise ValueError(f"point lies outside the unit ball: mass {mass}")
+        if vals:
+            _check_in_ball(np.array([vals]), p)
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "p", p)
@@ -498,7 +495,7 @@ class _Window:
 
 
 def _check_in_ball(B: np.ndarray, p) -> None:
-    """The membership checks of :class:`FinitelySupportedPoint`, per row of B."""
+    """Ball membership per row of B: finite values and mass at most 1 + tolerance."""
     mass = _ball_mass(_check_rows(B), p)
     outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
     if outside.size:

@@ -58,21 +58,6 @@ class SignedPermutation:
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "perm", perm)
 
-    @classmethod
-    def _trusted(cls, signs: np.ndarray, perm: np.ndarray) -> "SignedPermutation":
-        """Wrap arrays already known to form a valid element, unchecked.
-
-        For results derived from validated elements. ``signs`` must be a fresh
-        float64 sign vector and ``perm`` a fresh intp permutation; both are
-        marked read-only and taken over.
-        """
-        g = object.__new__(cls)
-        signs.setflags(write=False)
-        perm.setflags(write=False)
-        object.__setattr__(g, "signs", signs)
-        object.__setattr__(g, "perm", perm)
-        return g
-
     @property
     def n(self) -> int:
         return self.signs.shape[0]
@@ -101,14 +86,6 @@ class ConePoint:
             raise ValueError("cone point coordinates must be nonnegative")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def _trusted(cls, coords: np.ndarray) -> "ConePoint":
-        """Wrap a fresh float64 vector already known to lie in the cone, unchecked."""
-        y = object.__new__(cls)
-        coords.setflags(write=False)
-        object.__setattr__(y, "coords", coords)
-        return y
 
     @property
     def n(self) -> int:
@@ -151,11 +128,6 @@ def act(g: SignedPermutation, x) -> np.ndarray:
     xv = as_vector(x)
     if xv.shape[0] != g.n:
         raise ValueError(f"dimension mismatch: group degree {g.n}, vector {xv.shape[0]}")
-    return _act(g, xv)
-
-
-def _act(g: SignedPermutation, xv: np.ndarray) -> np.ndarray:
-    """Unchecked body of :func:`act` for a valid vector of g's degree."""
     out = np.empty_like(xv)
     out[g.perm] = xv
     out *= g.signs
@@ -169,13 +141,13 @@ def compose(g: SignedPermutation, h: SignedPermutation) -> SignedPermutation:
     perm = g.perm[h.perm]
     carried = np.empty_like(h.signs)
     carried[g.perm] = h.signs  # h's sign for the coordinate g routes to position i
-    return SignedPermutation._trusted(g.signs * carried, perm)
+    return SignedPermutation(g.signs * carried, perm)
 
 
 def inverse(g: SignedPermutation) -> SignedPermutation:
     inv_perm = np.empty_like(g.perm)
     inv_perm[g.perm] = np.arange(g.n)
-    return SignedPermutation._trusted(g.signs[g.perm], inv_perm)
+    return SignedPermutation(g.signs[g.perm], inv_perm)
 
 
 def canonicalize(x) -> tuple[SignedPermutation, ConePoint]:
@@ -186,15 +158,11 @@ def canonicalize(x) -> tuple[SignedPermutation, ConePoint]:
     of g is deterministic. The returned cone point equals act(g, x) bit for
     bit.
     """
-    return _canonicalize(as_vector(x))
-
-
-def _canonicalize(xv: np.ndarray) -> tuple[SignedPermutation, ConePoint]:
-    """Unchecked body of :func:`canonicalize` for a valid vector."""
+    xv = as_vector(x)
     n = xv.shape[0]
     order = np.argsort(-np.abs(xv), kind="stable")
     perm = np.empty(n, dtype=np.intp)
     perm[order] = np.arange(n)
     signs = np.where(xv >= 0.0, 1.0, -1.0)
-    g = SignedPermutation._trusted(signs[order], perm)
-    return g, ConePoint._trusted(np.abs(xv)[order])
+    g = SignedPermutation(signs[order], perm)
+    return g, ConePoint(np.abs(xv)[order])

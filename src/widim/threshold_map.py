@@ -4,9 +4,13 @@ Both implementations keep the m largest coordinates by absolute value and
 shrink them toward zero by the (m+1)-th largest absolute value, zeroing
 everything else:
 
-* :func:`f_equivariant` routes through the signed-permutation machinery:
-  canonicalize to the sorted-nonnegative cone, apply the cone map
-  :func:`f0`, then undo the group element.
+* :func:`f_equivariant` follows the paper's group route in array form: a
+  stable sort by magnitude and the signs of the sorted values move each row
+  into the sorted-nonnegative cone, the cone block is shrunk as the cone map
+  :func:`f0` does, and the same permutation and signs move it back. The
+  test suite pins it bit for bit to the object route of
+  :mod:`widim.signed_perm` (``canonicalize``, :func:`f0`, ``act`` by the
+  inverse), which no run path calls.
 * :func:`f_closed` evaluates the closed form
   ``sign(x_i) * max(|x_i| - tau, 0)`` directly, selecting the threshold
   ``tau`` with a linear-time partition; :func:`distortion` shares that
@@ -28,7 +32,7 @@ import math
 import numpy as np
 
 from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector
-from .signed_perm import ConePoint, _act, _canonicalize, inverse
+from .signed_perm import ConePoint
 
 __all__ = [
     "f0",
@@ -50,64 +54,51 @@ def _shrink(a: np.ndarray, m: int) -> np.ndarray:
 def f0(y, m: int, tol: float = 1e-12) -> ConePoint:
     """Cone form of the map: subtract the (m+1)-th coordinate, zero the rest.
 
-    ``y`` must lie in the sorted-nonnegative cone; violations larger than
-    ``tol`` raise. For m >= n the map is the identity. The kept block is
-    clamped at zero, which changes nothing for exact cone input and guards
-    the invariant against sub-tolerance dirt.
+    ``y`` is a :class:`~widim.signed_perm.ConePoint` or a vector that must
+    lie in the sorted-nonnegative cone; every input is checked, and
+    violations larger than ``tol`` raise. For m >= n the map is the
+    identity. The kept block is clamped at zero, which changes nothing for
+    exact cone input and guards the invariant against sub-tolerance dirt.
     """
     m = _check_int(m, "sparsity m", 0)
-    trusted = isinstance(y, ConePoint)
-    if trusted:
-        yv = y.coords
-    else:
-        yv = as_vector(y)
-        n = yv.shape[0]
-        if n > 1 and np.any(np.diff(yv) > tol):
-            raise ValueError("input is not sorted non-increasingly (beyond tolerance)")
-        if yv[-1] < -tol:
-            raise ValueError("input has a negative coordinate (beyond tolerance)")
+    yv = as_vector(y.coords if isinstance(y, ConePoint) else y)
     n = yv.shape[0]
+    if n > 1 and np.any(np.diff(yv) > tol):
+        raise ValueError("input is not sorted non-increasingly (beyond tolerance)")
+    if yv[-1] < -tol:
+        raise ValueError("input has a negative coordinate (beyond tolerance)")
     keep = min(m, n)
     tau = yv[m] if m < n else 0.0
     z = np.zeros(n, dtype=np.float64)
     z[:keep] = np.maximum(yv[:keep] - tau, 0.0)
-    z += 0.0
-    # exact cone input maps into the cone; tolerated input is checked again
-    return ConePoint._trusted(z) if trusted else ConePoint(z)
+    return ConePoint(z + 0.0)
 
 
 def f_equivariant(x, m: int) -> np.ndarray:
-    """Group-theoretic route: canonicalize, apply f0, undo the group element.
+    """Group route: move x into the cone, shrink there as :func:`f0`, move back.
 
-    Accepts a single vector or a 2-D array of row vectors. The row-wise path
-    runs the same ordering arithmetic vectorized; a unit test pins it to the
-    single-vector route bit for bit.
+    Accepts a single vector or a 2-D array of row vectors; a single vector is
+    a one-row batch of the same array code. The permutation is the stable sort
+    of ``-|x|`` and the sign flips are the signs of the sorted values (zero
+    counts as positive), the element that ``canonicalize`` picks. The test
+    suite pins the result bit for bit to ``act(inverse(g), f0(y, m).coords)``
+    with ``g, y = canonicalize(x)``.
     """
     m = _check_int(m, "sparsity m", 0)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 2:
-        return _equivariant_rows(arr, m)
-    xv = as_vector(arr)
-    if m >= xv.shape[0]:
-        return xv + 0.0
-    g, y = _canonicalize(xv)  # xv is checked once, above
-    z = f0(y, m)
-    return _act(inverse(g), z.coords)
-
-
-def _equivariant_rows(X: np.ndarray, m: int) -> np.ndarray:
-    if m >= _check_rows(X).shape[1]:
+    X = np.asarray(x, dtype=np.float64)
+    X = as_vector(X) if X.ndim == 1 else _check_rows(X)
+    if m >= X.shape[-1]:
         return X + 0.0
-    order = np.argsort(-np.abs(X), axis=1, kind="stable")
-    gx = np.take_along_axis(X, order, axis=1)
-    signs = np.where(gx >= 0.0, 1.0, -1.0)
-    y = signs * gx
-    z = np.zeros_like(y)
-    if m > 0:
-        z[:, :m] = np.maximum(y[:, :m] - y[:, m][:, None], 0.0)
-    out = np.empty_like(X)
-    np.put_along_axis(out, order, signs * z, axis=1)
-    return out + 0.0
+    # the shrink reads the first m + 1 sorted coordinates and writes the first
+    # m; every other output coordinate is +0.0
+    order = np.argsort(-np.abs(X), axis=-1, kind="stable")[..., :m + 1]
+    gx = np.take_along_axis(X, order, axis=-1)
+    signs = np.where(gx[..., :m] >= 0.0, 1.0, -1.0)
+    y = np.abs(gx)
+    z = signs * np.maximum(y[..., :m] - y[..., m:], 0.0)
+    out = np.zeros_like(X)
+    np.put_along_axis(out, order[..., :m], z + 0.0, axis=-1)
+    return out
 
 
 def f_closed(x, m: int) -> np.ndarray:

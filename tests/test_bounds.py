@@ -39,6 +39,8 @@ def test_guarded_count():
     assert guarded_count(SATURATION_LIMIT) == 2**62 - 1
     with pytest.raises(ValueError):
         guarded_count(-1.0)
+    with pytest.raises(ValueError):
+        guarded_count(math.nan)  # not the saturation marker
 
 
 def test_widim_upper_pinned():

@@ -490,6 +490,8 @@ def test_key_lemma_pinned():
         check_key_lemma(2, 1, 0.5, (0.5, 0.5, 0.5))  # sum above the budget
     with pytest.raises(ValueError):
         check_key_lemma(2, 1, 0.5, ())
+    with pytest.raises(ValueError, match="finite"):
+        check_key_lemma(2, 1, 1, (math.nan,))  # bad input, not a violated lemma
     # 10.0 ** 399 overflows a float: refused by name, not a bare OverflowError
     with pytest.raises(ValueError, match=r"bound c \* t\^\(s-1\) overflows a float at "
                                          r"s = 400.0, t = 10.0$"):

@@ -318,6 +318,9 @@ _NONNEGATIVE = [
     ("check_key_lemma t", "cap t", lambda v: check_key_lemma(2, 1, v, (0.0,))),
     ("key_lemma_oracle_max c", "budget c", lambda v: key_lemma_oracle_max(2, v, 0.5, 2)),
     ("key_lemma_oracle_max t", "cap t", lambda v: key_lemma_oracle_max(2, 1, v, 2)),
+    ("check_lemma_swap x", "value x", lambda v: check_lemma_swap(2, v, 0.0, 0.1)),
+    ("check_lemma_swap y", "value y", lambda v: check_lemma_swap(2, 1.0, v, 0.1)),
+    ("check_lemma_swap z", "shift z", lambda v: check_lemma_swap(2, 1.0, 0.5, v)),
 ]
 
 

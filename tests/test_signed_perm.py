@@ -186,8 +186,8 @@ def test_cone_point_validation():
 
 
 def test_derived_elements_are_valid_and_frozen():
-    # canonicalize, inverse and compose skip re-validation of what they build;
-    # their outputs must still pass the checks and stay read-only
+    # canonicalize, inverse and compose build through the checked
+    # constructors; their outputs pass the checks and stay read-only
     rng = np.random.default_rng(16)
     for _ in range(300):
         n = int(rng.integers(1, 10))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from widim.core import lq_distance, make_exponents
-from widim.signed_perm import ConePoint, SignedPermutation, act, in_cone
+from widim.signed_perm import ConePoint, SignedPermutation, act, canonicalize, in_cone, inverse
 from widim.threshold_map import (
     _distortion_rows,
     distortion,
@@ -90,6 +90,16 @@ def test_map_pinned_values():
 def test_routes_agree_bitwise(data, x):
     m = data.draw(sparsity(x.size))
     assert hexes(f_equivariant(x, m)) == hexes(f_closed(x, m))
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=stress_vectors())
+def test_object_route_matches_bitwise(x):
+    # the group route spelled out with the signed_perm objects, step by step:
+    # the reference for the array code of f_equivariant
+    g, y = canonicalize(x)
+    for m in range(x.size + 2):
+        assert hexes(act(inverse(g), f0(y, m).coords)) == hexes(f_equivariant(x, m))
 
 
 @settings(max_examples=150, deadline=None)
