@@ -2,7 +2,7 @@
 
 CSV cells use '.' decimals and 17 significant digits, so doubles
 round-trip losslessly, and an infinite value prints as ``inf``. JSON
-documents spell an infinite exponent as the string ``"inf"``. A CSV
+heads spell an infinite exponent ``"inf"`` (``bounds`` rows: ``Infinity``). A CSV
 document opens with ``# widim <command>`` and one ``# key=value`` line per
 echoed parameter, then the column header and the rows.
 """

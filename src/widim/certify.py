@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -251,7 +252,8 @@ def monte_carlo_certify(
 
     blocks = range(-(-samples // BLOCK))
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        threads = min(int(workers), os.cpu_count() or 1, len(blocks))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(eval_block, blocks))
     else:
         results = [eval_block(b) for b in blocks]
@@ -374,7 +376,11 @@ def check_lemma_swap(s: float, x: float, y: float, z: float) -> bool:
                _check_nonnegative(z, "shift z"))
     if x < y:
         raise ValueError(f"need x >= y, got x={x}, y={y}")
-    return _within(x**s + (y + z) ** s, (x + z) ** s + y**s)
+    try:
+        return _within(x**s + (y + z) ** s, (x + z) ** s + y**s)
+    except OverflowError:
+        raise ValueError(f"the swap's powers x^s, (y+z)^s, (x+z)^s and y^s overflow a float at "
+                         f"s = {s}, x = {x}, y = {y}, z = {z}") from None
 
 
 def check_key_lemma(s: float, c: float, t: float, xs) -> bool:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._output import csv_document, csv_row, json_exponent
+from ._output import cell, csv_document, csv_row, json_exponent
 from ._streams import DEFAULT_SEED
 from .bounds import EqualCase, _caps, bracket, widim_equal_case  # noqa: F401 (traced by perfbench)
 from .certify import (
@@ -117,28 +117,34 @@ def _run_bounds(args) -> int:
     columns = [(eps, _caps(eps, e)) for eps in grid]
     if any(caps and not 0 <= caps[0] <= caps[1] for _, caps in columns):
         raise ArithmeticError("a lower width plateau exceeds its upper plateau")
+    # each scale's floats are encoded once, as the JSON fields "epsilon" to "r"
+    # and the CSV epsilon cell that all of its rows share
     r = e.r if q > p else None
-    reports = []
+    exps = f'"p": {json.dumps(p)}, "q": {json.dumps(q)}, "r": {json.dumps(r)}'
+    scales = [(f'"epsilon": {json.dumps(eps)}, {exps}', cell(eps), caps) for eps, caps in columns]
+    rows = []  # (n, JSON fields, CSV cell, lower, upper, exact); lower None out of range
     for n in ns:
-        for eps, caps in columns:
+        for fields, eps_cell, caps in scales:
             lower, upper = (min(n, caps[0]), min(n, caps[1])) if caps else (None, None)
-            reports.append({
-                "n": n, "epsilon": eps, "p": p, "q": q, "r": r,
-                "lower": lower, "upper": upper, "exact": caps is not None and lower == upper,
-                "status": "out_of_range" if caps is None else "ok",
-            })
-    doc = {"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
-           "seed": args.seed, "reports": reports}
+            rows.append((n, fields, eps_cell, lower, upper, caps is not None and lower == upper))
     params = {"p": p, "q": q, "eps": args.eps, "n": args.n, "seed": args.seed}
 
-    def csv_rows():
-        for row in reports:
-            ok = row["status"] == "ok"
-            lower, upper = (row["lower"], row["upper"]) if ok else ("out_of_range",) * 2
-            yield csv_row([row["n"], row["epsilon"], lower, upper, row["exact"]])
+    def json_doc():  # the bytes json.dumps gives the document of row dicts
+        head = json.dumps({"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
+                           "seed": args.seed, "reports": []})
+        return head[:-2] + ", ".join(  # the rows go between the reports list's brackets
+            f'{{"n": {n}, {fields}, "lower": null, "upper": null, "exact": false, '
+            f'"status": "out_of_range"}}' if lower is None
+            else f'{{"n": {n}, {fields}, "lower": {lower}, "upper": {upper}, '
+                 f'"exact": {"true" if exact else "false"}, "status": "ok"}}'
+            for n, fields, _, lower, upper, exact in rows) + "]}"
 
-    _write(args, "bounds", params, lambda: json.dumps(doc), "n,epsilon,lower,upper,exact",
-           csv_rows)
+    def csv_rows():
+        for n, _, eps_cell, lower, upper, exact in rows:
+            shown = ("out_of_range",) * 2 if lower is None else (lower, upper)
+            yield csv_row([n, eps_cell, *shown, exact])
+
+    _write(args, "bounds", params, json_doc, "n,epsilon,lower,upper,exact", csv_rows)
     return 0
 
 

@@ -343,6 +343,35 @@ def test_determinism_across_workers_and_reruns():
     )
 
 
+@pytest.mark.parametrize("cores, threads", [(64, 3), (2, 2), (None, 1)])
+def test_monte_carlo_pool_is_capped_by_cores_and_blocks(cores, threads):
+    # a recorder in place of the pool runs the blocks serially, so a huge
+    # workers value starts no thread at all
+    made = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    e = make_exponents(1, 2)
+    base = monte_carlo_certify(4, 1, e, 3 * certify.BLOCK - 1, seed=5)  # 3 blocks
+    with mock.patch.object(certify, "ThreadPoolExecutor", SerialPool), \
+            mock.patch.object(certify.os, "cpu_count", return_value=cores):
+        report = monte_carlo_certify(4, 1, e, 3 * certify.BLOCK - 1, seed=5, workers=10**6)
+    assert made == [threads]
+    assert report_to_json(report) == report_to_json(base)
+    assert report_to_csv_row(report) == report_to_csv_row(base)
+
+
 def test_seed_changes_the_run():
     # the extremal pseudo-sample pins argmax, so seed sensitivity is
     # observable at the sampling layer, not in the report maximum
@@ -467,6 +496,11 @@ def test_lemma_swap_pinned():
         check_lemma_swap(2, 1, 3, 2)  # x < y
     with pytest.raises(ValueError):
         check_lemma_swap(2, 3, 1, -1)
+    # (1e200)^2 overflows a float: refused by name, not a bare OverflowError
+    with pytest.raises(ValueError, match=r"swap's powers x\^s, \(y\+z\)\^s, \(x\+z\)\^s and y\^s "
+                                         r"overflow a float at s = 2.0, x = 1e\+200, y = 0.0, "
+                                         r"z = 0.0$"):
+        check_lemma_swap(2, 1e200, 0.0, 0.0)
 
 
 def test_lemma_swap_exhaustive_grid():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widim import bounds, certify
+from widim._output import csv_document, csv_row, json_exponent
 from widim.bounds import bracket, widim_equal_case
 from widim.certify import monte_carlo_certify, report_from_json, report_to_json
 from widim.cli import build_parser, main
@@ -404,10 +405,15 @@ _GRID_N = st.one_of(st.sampled_from([1, 2, 7, 100, 10**21]), st.integers(1, 10**
                            (2, 1), (2, 2), (math.inf, math.inf)]),
        ns=st.lists(_GRID_N, min_size=1, max_size=6),
        grid=st.lists(_GRID_EPS, min_size=1, max_size=6))
+@example(pq=(1, math.inf), ns=[10**21, 3], grid=[0.5, 1e-10, 0.5])  # q = inf as Infinity
+@example(pq=(2, 1), ns=[7, 10**21], grid=[0.5, 1.5, 1.5])  # "r": null, out_of_range rows
+@example(pq=(math.inf, math.inf), ns=[5], grid=[2.0, 0.5, 2.0])
 def test_bounds_grid_rows_equal_the_per_row_oracle(pq, ns, grid):
-    # the grid evaluates each eps once and caps by n; bracket and
-    # widim_equal_case evaluate every row from scratch
-    p, q = pq
+    # the grid evaluates each eps once, caps by n and joins pre-encoded
+    # fragments; the oracle evaluates every row with bracket or
+    # widim_equal_case and encodes a document of row dicts with json.dumps
+    # and csv_row, so a slip in a value or a byte fails
+    p, q = float(pq[0]), float(pq[1])
     argv = ["bounds", "--p", str(p), "--q", str(q), "--n", ",".join(map(str, ns)),
             "--eps", ",".join(map(repr, grid))]
     out, err = io.StringIO(), io.StringIO()
@@ -415,18 +421,19 @@ def test_bounds_grid_rows_equal_the_per_row_oracle(pq, ns, grid):
         assert main(argv + ["--format", "json"]) == 0, err.getvalue()
         assert main(argv) == 0, err.getvalue()
     doc, csv_text = out.getvalue().split("\n", 1)
-    reports = json.loads(doc)["reports"]
-    lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")][1:]
-    expected = [(n, eps, *_oracle_row(n, eps, p, q)) for n in ns for eps in grid]
-    assert len(reports) == len(lines) == len(expected)
-    for row, line, (n, eps, lower, upper, exact, status) in zip(reports, lines, expected):
-        assert (row["n"], row["epsilon"], row["lower"], row["upper"], row["exact"],
-                row["status"]) == (n, eps, lower, upper, exact, status)
-        assert row["r"] == (make_exponents(p, q).r if q > p else None)
-        shown = ["out_of_range"] * 2 if lower is None else [str(lower), str(upper)]
-        fields = line.split(",")
-        assert [int(fields[0]), float(fields[1]), *fields[2:]] == \
-            [n, eps, *shown, "true" if exact else "false"]
+    r = make_exponents(p, q).r if q > p else None
+    reports, lines = [], []
+    for n in ns:
+        for eps in grid:
+            lower, upper, exact, status = _oracle_row(n, eps, p, q)
+            reports.append({"n": n, "epsilon": eps, "p": p, "q": q, "r": r, "lower": lower,
+                            "upper": upper, "exact": exact, "status": status})
+            shown = [lower, upper] if status == "ok" else ["out_of_range"] * 2
+            lines.append(csv_row([n, eps, *shown, exact]))
+    assert doc == json.dumps({"command": "bounds", "p": json_exponent(p),
+                              "q": json_exponent(q), "seed": 0x5EED, "reports": reports})
+    params = {"p": p, "q": q, "eps": grid, "n": ns, "seed": 0x5EED}
+    assert csv_text == csv_document("bounds", params, "n,epsilon,lower,upper,exact", lines)
 
 
 @pytest.mark.parametrize("q, per_eps", [("2", 2), ("4", 2), ("inf", 1), ("1", 0)])
