@@ -8,9 +8,11 @@ exhaustive grid oracles for the two scalar inequalities the bound rests on.
 
 Determinism contract: a report is a pure function of its parameters and
 seed. Monte Carlo samples come in blocks of a fixed size independent of the
-worker count; block b draws all of its rows from the isolated stream
-(seed, domain, b), and always draws the full block, so sample i is the same
-whatever the requested sample count. The maximum is reduced in block order
+worker count; block b draws its rows from the isolated stream
+(seed, domain, b) as consecutive chunks of a fixed row count that depends
+only on n, each drawn whole and scored before the next is drawn. A run stops
+after the chunk that holds its last sample, so sample i is the same whatever
+the requested sample count. The maximum is reduced in chunk and block order
 with ties broken toward the smallest sample index, so the same seed yields
 bit-identical reports for any ``workers`` value. Hill-climbing start k
 draws from the isolated stream (seed, domain, k).
@@ -52,8 +54,13 @@ BOUND_TOLERANCE = 1e-9
 
 #: Samples per evaluation block and per random stream. Fixed, so the block
 #: layout (and therefore the reduced maximum) never depends on the worker
-#: count or on the sample count.
+#: count or on the sample count. A block is drawn and scored in chunks of
+#: max(1, _CHUNK_CELLS // n) rows, so no array of a run holds a whole block.
 BLOCK = 4096
+
+# Cells of one Monte Carlo chunk: 2^14 doubles, 128 KiB, small enough that
+# its temporaries are reused from the heap instead of mapped afresh.
+_CHUNK_CELLS = 1 << 14
 
 #: Hill-climbing schedule.
 CLIMB_SWEEPS = 200
@@ -63,10 +70,11 @@ CLIMB_MIN_STEP = 1e-12
 #: Moves per chain scored in one batch by the hill climb.
 CLIMB_WINDOW = 8
 
-#: Cap on the cells of a run's largest array (2^22 doubles, 32 MiB): BLOCK x n
-#: for Monte Carlo, CLIMB_WINDOW x (restarts + 1) x n for the climb, samples x
-#: n for the key-lemma oracle. Larger runs are refused before allocating: n <=
-#: 1024 for Monte Carlo, n <= 15887 for the climb at 32 restarts.
+#: Cap on the cells of a run (2^22 doubles, 32 MiB): a Monte Carlo block of
+#: BLOCK x n (drawn in chunks, but counted whole), CLIMB_WINDOW x (restarts + 1)
+#: x n for the climb, samples x n for the key-lemma oracle. Larger runs are
+#: refused before allocating: n <= 1024 for Monte Carlo, n <= 15887 for the
+#: climb at 32 restarts.
 MAX_CERTIFY_CELLS = 1 << 22
 
 
@@ -84,10 +92,11 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     Gamma(1/p) power), one auxiliary exponential variate per row, and a
     joint normalization, exact for every finite p >= 1 with no rejection
     step. Draw order for the whole batch is fixed: every magnitude (row by
-    row), then every sign, then one exponential per row. At p = 2 the
-    coordinates are standard normals Z (Z / sqrt 2 has that density, and
-    sign(Z) is a fair sign), so a row is Z / sqrt(|Z|^2 + 2E), drawn as
-    every normal, then one exponential per row. ``p = inf`` draws
+    row), then every sign, then one exponential per row; at p = 1 the
+    magnitudes are standard exponentials, Gamma(1)'s values draw for draw.
+    At p = 2 the coordinates are standard normals Z (Z / sqrt 2 has that
+    density, and sign(Z) is a fair sign), so a row is Z / sqrt(|Z|^2 + 2E),
+    drawn as every normal, then one exponential per row. ``p = inf`` draws
     coordinates independently uniform on [-1, 1].
 
     With ``sizes``, row r is uniform in the ball of its first sizes[r]
@@ -107,13 +116,16 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
             X[unused] = 0.0
         X /= np.sqrt(np.sum(X * X, axis=1) + 2.0 * y)[:, None]
     else:
-        w = rng.gamma(1.0 / p, 1.0, (rows, n))  # |g_ij|^p
+        if p == 1.0:  # |g_ij|^p: Gamma(1) is the standard exponential, draw for draw
+            w = rng.standard_exponential((rows, n))
+        else:
+            w = rng.gamma(1.0 / p, 1.0, (rows, n))
         signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
         y = rng.standard_exponential(rows)
         if unused is not None:
             w[unused] = 0.0
         scale = (np.sum(w, axis=1) + y) ** (1.0 / p)
-        X = w ** (1.0 / p)
+        X = w if p == 1.0 else w ** (1.0 / p)
         X *= signs
         X /= scale[:, None]
     if unused is not None:
@@ -222,9 +234,13 @@ def _report(n, m, e, count, seed, value, x) -> CertificationReport:
                                tuple(float(v) for v in x))
 
 
-def _sample_block(seed, b, n, p) -> np.ndarray:
-    """Block b of the Monte Carlo sample set: BLOCK rows from stream b."""
-    return sample_lp_ball_rows(BLOCK, n, p, fresh_stream(seed, DOMAIN_BALL, b))
+def _sample_block(seed, b, n, p):
+    """Block b of the Monte Carlo sample set: BLOCK rows from stream b, yielded
+    as consecutive chunks of max(1, _CHUNK_CELLS // n) rows, each drawn whole."""
+    rng = fresh_stream(seed, DOMAIN_BALL, b)
+    rows = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, BLOCK, rows):
+        yield sample_lp_ball_rows(min(rows, BLOCK - lo), n, p, rng)
 
 
 def monte_carlo_certify(
@@ -244,11 +260,17 @@ def monte_carlo_certify(
     n, m, samples, seed = _validate_run(n, m, e, samples, "samples", workers, seed)
 
     def eval_block(b):
-        lo = b * BLOCK
-        X = _sample_block(seed, b, n, e.p)[: samples - lo]
-        d = distortion(X, m, e.q)
-        off = int(np.argmax(d))  # first occurrence: smallest index wins ties
-        return float(d[off]), lo + off, X[off].copy()
+        lo, best = b * BLOCK, None
+        for X in _sample_block(seed, b, n, e.p):
+            X = X[: samples - lo]
+            d = distortion(X, m, e.q)
+            off = int(np.argmax(d))  # first occurrence: smallest index wins ties
+            if best is None or d[off] > best[0]:  # an earlier chunk wins ties
+                best = float(d[off]), lo + off, X[off].copy()
+            lo += len(X)
+            if lo >= samples:
+                break
+        return best
 
     blocks = range(-(-samples // BLOCK))
     if workers > 1:

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widim import certify, threshold_map
@@ -59,12 +59,13 @@ def test_samples_lie_in_the_ball():
                 X = draw(3, n, p, rng)
                 assert X.shape == (3, n)
                 assert all(in_lp_ball(x, p) for x in X)
-    # the Monte Carlo blocks themselves, including the boundary-heavy p = 1
+    # the Monte Carlo blocks themselves, including the boundary-heavy p = 1:
+    # BLOCK rows in chunks of max(1, _CHUNK_CELLS // n) rows, the last one short
     for p in (1.0, 2.0, math.inf):
-        for n in (1, 8, 64):
-            X = certify._sample_block(41, 2, n, p)
-            assert X.shape == (BLOCK, n)
-            assert all(in_lp_ball(x, p) for x in X)
+        for n, sizes in ((1, [BLOCK]), (5, [3276, 820]), (64, [256] * 16)):
+            chunks = list(certify._sample_block(41, 2, n, p))
+            assert [X.shape for X in chunks] == [(k, n) for k in sizes]
+            assert all(in_lp_ball(x, p) for X in chunks for x in X)
 
 
 def test_sample_coordinate_means_vanish():
@@ -118,31 +119,74 @@ def test_sample_validation():
                 draw(2, n, 2.0, rng)
 
 
+def reference_chunk(g, rows, n, p):
+    """``rows`` ball points drawn from g as all magnitudes, then all signs,
+    then one exponential per row; at p = 2 as all normals, then one
+    exponential per row."""
+    if math.isinf(p):
+        return g.uniform(-1.0, 1.0, (rows, n))
+    if p == 2.0:
+        Z = g.standard_normal((rows, n))
+        y = g.standard_exponential(rows)
+        return Z / np.sqrt(np.sum(Z * Z, axis=1) + 2.0 * y)[:, None]
+    w = g.gamma(1.0 / p, 1.0, (rows, n))
+    signs = g.integers(0, 2, (rows, n)) * 2.0 - 1.0
+    y = g.standard_exponential(rows)
+    return signs * w ** (1.0 / p) / ((np.sum(w, axis=1) + y) ** (1.0 / p))[:, None]
+
+
 def test_block_matches_fresh_stream_reference():
-    # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn as all
-    # magnitudes, then all signs, then one exponential per row; at p = 2 as
-    # all normals, then one exponential per row
+    # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn in order
+    # as chunks of max(1, _CHUNK_CELLS // n) rows, each chunk drawn whole
     for p in (1.0, 2.0, 3.5, math.inf):
-        for n, b in ((1, 0), (8, 3), (64, 2**40)):
+        for n, b in ((1, 0), (5, 7), (8, 3), (64, 2**40)):
             g = fresh_stream(9, DOMAIN_BALL, b)
-            if math.isinf(p):
-                ref = g.uniform(-1.0, 1.0, (BLOCK, n))
-            elif p == 2.0:
-                Z = g.standard_normal((BLOCK, n))
-                y = g.standard_exponential(BLOCK)
-                ref = Z / np.sqrt(np.sum(Z * Z, axis=1) + 2.0 * y)[:, None]
-            else:
-                w = g.gamma(1.0 / p, 1.0, (BLOCK, n))
-                signs = g.integers(0, 2, (BLOCK, n)) * 2.0 - 1.0
-                y = g.standard_exponential(BLOCK)
-                ref = signs * w ** (1.0 / p) / ((np.sum(w, axis=1) + y) ** (1.0 / p))[:, None]
-            got = certify._sample_block(9, b, n, p)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            rows = max(1, certify._CHUNK_CELLS // n)
+            ref = [reference_chunk(g, min(rows, BLOCK - lo), n, p)
+                   for lo in range(0, BLOCK, rows)]
+            got = list(certify._sample_block(9, b, n, p))
+            assert len(got) == len(ref)
+            for X, R in zip(got, ref):
+                assert np.array_equal(X.view(np.uint64), R.view(np.uint64))
+
+
+def test_gamma_one_is_the_standard_exponential():
+    # the p = 1 magnitudes are drawn with standard_exponential, which gives
+    # gamma(1.0, 1.0)'s values draw for draw on the same stream
+    for shape in (7, (300, 7), (2, 4096)):
+        a = fresh_stream(3, DOMAIN_BALL, 5).gamma(1.0, 1.0, shape)
+        b = fresh_stream(3, DOMAIN_BALL, 5).standard_exponential(shape)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# sha256 prefixes of sample_lp_ball_rows(37, 9, p, fresh_stream(7, DOMAIN_BALL, 3),
+# sizes) with sizes None or 1 + (7 r) % 9 for row r, recorded before the p = 1
+# magnitudes were drawn as exponentials
+SAMPLER_GOLDEN = {
+    (1.0, False): "5e670f206283f2de",
+    (1.0, True): "c2f14d3de00763b3",
+    (1.5, False): "ea5b5461c549e5ff",
+    (1.5, True): "809897e88d850062",
+    (2.0, False): "3d73e807d6defdb1",
+    (2.0, True): "07c600a8e096e4e4",
+    (3.0, False): "4d215297ed284247",
+    (3.0, True): "8fc4e23748d834d3",
+    (math.inf, False): "ba81e5c832ea151e",
+    (math.inf, True): "4434ffb07aac61a6",
+}
+
+
+@pytest.mark.parametrize("p, with_sizes", list(SAMPLER_GOLDEN))
+def test_sampler_golden_bytes(p, with_sizes):
+    sizes = [1 + (7 * r) % 9 for r in range(37)] if with_sizes else None
+    X = sample_lp_ball_rows(37, 9, p, fresh_stream(7, DOMAIN_BALL, 3), sizes)
+    assert hashlib.sha256(X.tobytes()).hexdigest()[:16] == SAMPLER_GOLDEN[p, with_sizes]
 
 
 def test_monte_carlo_samples_are_prefix_stable(monkeypatch):
     # sample i is the same whatever the sample count: a run of k samples
-    # evaluates exactly the first k rows of the full blocks
+    # scores exactly the first k rows of the full blocks, one distortion call
+    # per chunk, and draws no chunk past the one that holds sample k - 1
     seen = []
     real = certify.distortion
 
@@ -153,14 +197,16 @@ def test_monte_carlo_samples_are_prefix_stable(monkeypatch):
 
     monkeypatch.setattr(certify, "distortion", spy)
     e = make_exponents(1.5, 3)
-    full = [certify._sample_block(21, b, 5, e.p) for b in (0, 1)]
-    for k in (1, 17, BLOCK - 1, BLOCK, BLOCK + 3):
+    rows = certify._CHUNK_CELLS // 5  # 3276: chunks of 3276 and 820 rows
+    full = [list(certify._sample_block(21, b, 5, e.p)) for b in (0, 1)]
+    assert [len(X) for X in full[0]] == [rows, BLOCK - rows]
+    whole = np.vstack(full[0] + full[1])
+    for k, chunks in ((1, 1), (17, 1), (rows, 1), (rows + 1, 2), (BLOCK - 1, 2), (BLOCK, 2),
+                      (BLOCK + 3, 3), (BLOCK + rows + 1, 4)):
         seen.clear()
         monte_carlo_certify(5, 2, e, k, seed=21)
-        assert len(seen) == -(-k // BLOCK)
-        assert np.array_equal(seen[0], full[0][:k])
-        if k > BLOCK:
-            assert np.array_equal(seen[1], full[1][: k - BLOCK])
+        assert len(seen) == chunks
+        assert np.array_equal(np.vstack(seen), whole[:k])
 
 
 # --- Monte Carlo certification -------------------------------------------------
@@ -179,7 +225,68 @@ def test_monte_carlo_identity_regime():
     assert rep.max_observed_distortion == 0.0
     assert rep.passed
     # every sample ties at 0 across two blocks: the lowest sample index wins
-    assert rep.argmax_vector == tuple(certify._sample_block(rep.seed, 0, 8, 1.0)[0])
+    assert rep.argmax_vector == tuple(next(certify._sample_block(rep.seed, 0, 8, 1.0))[0])
+
+
+def monte_carlo_oracle(n, m, e, samples, seed):
+    """The largest distortion and its point, from one ``distortion`` call on
+    the concatenated chunks of every block: the first argmax, unless the
+    extremal point (m < n) reaches it."""
+    blocks = range(-(-samples // BLOCK))
+    X = np.vstack([C for b in blocks for C in certify._sample_block(seed, b, n, e.p)])[:samples]
+    d = threshold_map.distortion(X, m, e.q)
+    at = int(np.argmax(d))
+    value, x = float(d[at]), X[at]
+    if m < n:
+        ext = extremal_vector(m, e.p, n)
+        d_ext = float(threshold_map.distortion(ext, m, e.q))
+        if d_ext >= value:
+            value, x = d_ext, ext
+    return value, x
+
+
+_PQ = [(1.0, 2.0), (1.0, math.inf), (1.5, 4.0), (2.0, 3.0), (2.0, math.inf), (3.0, 5.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nm=st.integers(1, 80).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1))),
+    pq=st.sampled_from(_PQ),
+    samples=st.integers(1, 2 * BLOCK + 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(nm=(64, 64), pq=(1.0, 2.0), samples=2 * BLOCK + 5, seed=3)  # all ties
+@example(nm=(5, 6), pq=(2.0, math.inf), samples=BLOCK + 1, seed=0)
+@example(nm=(80, 3), pq=(1.5, 4.0), samples=BLOCK - 1, seed=1)
+@example(nm=(5, 2), pq=(1.0, 2.0), samples=3277, seed=4)  # one row past the first chunk
+def test_monte_carlo_matches_the_whole_block_oracle(nm, pq, samples, seed):
+    # scoring chunk by chunk and reducing in chunk order gives the maximum
+    # and the first argmax of one distortion call on the whole sample set
+    n, m = nm
+    e = make_exponents(*pq)
+    rep = monte_carlo_certify(n, m, e, samples, seed=seed)
+    value, x = monte_carlo_oracle(n, m, e, samples, seed)
+    assert rep.max_observed_distortion == value
+    assert np.array_equal(np.asarray(rep.argmax_vector).view(np.uint64),
+                          np.asarray(x).view(np.uint64))
+    if m >= n:  # every sample ties at 0: sample 0 wins
+        assert value == 0.0
+        assert rep.argmax_vector == tuple(next(certify._sample_block(seed, 0, n, e.p))[0])
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 2.0), (1.5, 4.0), (2.0, math.inf)])
+def test_monte_carlo_holds_no_block_sized_array(p, q):
+    # one 4096 x 64 block of doubles is 2 MiB; a run draws and scores it in
+    # chunks of 256 rows, so its traced peak stays below 1 MiB
+    e = make_exponents(p, q)
+    monte_carlo_certify(64, 3, e, BLOCK)
+    tracemalloc.start()
+    try:
+        monte_carlo_certify(64, 3, e, BLOCK, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_monte_carlo_m0_sup_bound():
