@@ -12,9 +12,11 @@ coordinate count that does not grow with Omega. The ratio of that constant
 to the size of growing boxes is the vanishing quantity the
 :func:`mean_dimension_table` tabulates.
 
-The embedding check draws pair i as part of fixed block i // PAIR_DRAW,
-one derived stream per block, and scans the pairs in index order, so a
-report is a pure function of its parameters and seed.
+The embedding check draws pair i as part of fixed block i // PAIR_DRAW
+(512 pairs), one derived stream per block, scores a block's close pairs in
+slices of SCORE_ROWS (64) and merges them in index order, so a report is a
+pure function of its parameters and seed. The built-in geometric weight's
+table is built from |gamma|_1, one weight call per norm.
 """
 
 from __future__ import annotations
@@ -64,9 +66,10 @@ MAX_OUTSIDE_SUPPORT = 6
 
 #: Cap on |Omega| * |window|, the entry count of embedding_check's weight
 #: table (2^22 doubles, 32 MiB). Larger runs are refused before allocating.
-#: Pairs are scored on their sparse rows, so a block's d_Omega arrays hold
-#: |Omega| * PAIR_DRAW * 22 doubles whatever the window: at most 23 MiB, as
-#: the window contains Omega and so |Omega| <= 2^11.
+#: Pairs are scored on their sparse rows, in slices of at most SCORE_ROWS
+#: close pairs, so a d_Omega temporary holds |Omega| * SCORE_ROWS * 22
+#: doubles whatever the window and the block size: at most 23 MiB, as the
+#: window contains Omega and so |Omega| <= 2^11.
 MAX_WINDOW_CELLS = 1 << 22
 
 
@@ -361,8 +364,12 @@ class EmbeddingReport:
         return self.failure_count == 0
 
 
-#: Pairs drawn from one stream in one pass and scored together.
-PAIR_DRAW = 64
+#: Pairs drawn from one stream in one pass.
+PAIR_DRAW = 512
+
+#: Close pairs of a block scored together, so that a block's d_Omega
+#: temporaries stay those of a 64-pair block.
+SCORE_ROWS = 64
 
 
 def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
@@ -420,13 +427,23 @@ class _Window:
         grid = np.meshgrid(*[side] * M.dim_d, indexing="ij")
         self.points = np.stack(grid, axis=-1).reshape(-1, M.dim_d)
         offsets = self.points[None] - np.array(deltas)[:, None]
-        # One M.weight call per distinct offset. An offset's key reads its
-        # coordinates as digits in [-L, L] of base 2L + 1.
-        flat = offsets.reshape(-1, M.dim_d)
-        key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(M.dim_d)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        table = np.array([M.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
-        self.weights = table[inverse].reshape(len(deltas), len(self.points))
+        if isinstance(M, _GeometricWeight):
+            # A geometric weight depends only on |gamma|_1: one M.weight call
+            # per norm k, at the axis point (k, 0, ..., 0), so every entry is
+            # the closure's own Python float (numpy's vector power can differ
+            # from it in the last bit).
+            norms = np.abs(offsets).sum(axis=2)
+            rest = (0,) * (M.dim_d - 1)
+            table = np.array([M.weight((k,) + rest) for k in range(int(norms.max()) + 1)])
+            self.weights = table[norms]
+        else:
+            # One M.weight call per distinct offset. An offset's key reads its
+            # coordinates as digits in [-L, L] of base 2L + 1.
+            flat = offsets.reshape(-1, M.dim_d)
+            key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(M.dim_d)
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            table = np.array([M.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
+            self.weights = table[inverse].reshape(len(deltas), len(self.points))
         # The union box: the points within tail_radius of some delta.
         self.inside = (np.abs(offsets).max(axis=2) <= tail_radius).any(axis=0)
         self.outside_columns = np.flatnonzero(~self.inside)
@@ -523,13 +540,15 @@ def embedding_check(
     Runs whose weight table, |Omega| times the window size, would exceed
     :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
 
-    Pair i belongs to block b = i // :data:`PAIR_DRAW`, drawn in full from
-    stream (seed, b) in one pass, so pair i never depends on ``samples``.
-    Each block is scored on its sparse rows: their values are checked for
-    finiteness and ball membership as the point constructor checks them,
-    and one vectorised pass computes their gaps and d_Omega over the union
-    of each pair's columns, so a block's memory does not grow with the
-    window. Results merge in index order, and a
+    Pair i belongs to block b = i // :data:`PAIR_DRAW` (512 pairs), drawn in
+    full from stream (seed, b) in one pass, so pair i never depends on
+    ``samples``. Each block is scored on its sparse rows: their values are
+    checked for finiteness and ball membership as the point constructor
+    checks them, one vectorised pass computes their gaps over the union of
+    each pair's columns, and the close pairs' d_Omega is computed in slices
+    of :data:`SCORE_ROWS` (64) rows, so a block's memory grows neither with
+    the window nor with the block size. Rows are independent and results
+    merge in index order, so the slice size cannot change the report, and a
     :class:`FinitelySupportedPoint` is built only for the first failure's
     witness. ``workers`` is accepted for interface uniformity and cannot
     affect the report.
@@ -568,7 +587,8 @@ def embedding_check(
         close = np.flatnonzero(window.gaps(C, D) <= eps / 2.0)
         if not close.size:
             continue
-        margins = window.omega_distances(C[close], D[close]) - eps
+        slices = (close[lo: lo + SCORE_ROWS] for lo in range(0, close.size, SCORE_ROWS))
+        margins = np.concatenate([window.omega_distances(C[s], D[s]) for s in slices]) - eps
         checked += close.size
         top = float(margins.max())
         if worst is None or top > worst:

@@ -157,22 +157,20 @@ def test_group_embed(capsys):
 
 # SHA-256 of `group --task embed --eps 0.5 --samples 500` output at the
 # default seed: the (dim, n) configurations of the benchmark at p = 1, plus
-# p = 2 and p = inf. Re-recorded when pairs moved to one stream per block of
-# PAIR_DRAW pairs, a declared change of the stream layout, after checking that
-# every run still reports no failure and criterion 7 passes. The p = 2 pair
-# was re-recorded, on the same checks, when p = 2 ball values moved to
-# normal draws, a second declared layout change.
+# p = 2 and p = inf. Re-recorded when blocks grew from 64 to PAIR_DRAW = 512
+# pairs, a declared change of the stream layout, after checking that every
+# run still reports no failure and criterion 7 passes.
 EMBED_GOLDEN = {
-    ("1", "2", "1", "json"): "35068ccb21e9c4ca5b21b597eafc0ede555a362bccf9ac01a028bbb2551343fa",
-    ("1", "2", "1", "csv"): "2361f411c7408a882d7476d8ea871f3cfaea9d068d0cc2af1d237c4133c51f7f",
-    ("1", "4", "1", "json"): "e36f8538d6f2702c7e876d617d3880cc0d1fd12e1ca9b7d6c029734214589b19",
-    ("1", "4", "1", "csv"): "2c1e4c4a93c7d2e5947c8bb3891de21c58f902e8f7d7fdca2450368e2c9cc274",
-    ("2", "1", "1", "json"): "5e3867522a762d70fc0dbab4d7ce5f4707d2032a4a0ee8f40b17e44faa1b80fe",
-    ("2", "1", "1", "csv"): "942074216b5a0294b2b081c1e33d4cba79c1635eb01535d885404b0c6806d6e4",
-    ("1", "2", "2", "json"): "fa6de59ba5093b5cc89bc901d6afaa9937db134741b81895ac70f221e668e243",
-    ("1", "2", "2", "csv"): "9640edb2b5d7fd95936a13f2ce029c066537290765c206c187b49c8ef5d7f8d0",
-    ("1", "2", "inf", "json"): "0543928f3d17a185e9a2ca2034fb6d0571d5ecc4fe4d767671becb6ab1c93ad5",
-    ("1", "2", "inf", "csv"): "adb3cd747675a56f5c4926f171a845215e3fb5b14a8be40d7c489f145dbecd05",
+    ("1", "2", "1", "json"): "3084893488be77044369bf986a5b3f4eb81fd2ccb3b29fb0e6617530aa247ee8",
+    ("1", "2", "1", "csv"): "7c2e873d82b2b4fa3475b140ca076d88ca1aef77ae6568f3c519650d62a4dce1",
+    ("1", "4", "1", "json"): "1d871a1e5504fff03ace6043a05cc6fd6aba328f5afdc83cd7e2b468317b63e1",
+    ("1", "4", "1", "csv"): "bfcfd4065388073283a36e6beb19356db67ebb70a4db11cbbe7e3edc95b7d92f",
+    ("2", "1", "1", "json"): "357b3164fc6d1ab791d08208ca8ab64929a1d7b465037d4d1f3fed9bb468b431",
+    ("2", "1", "1", "csv"): "390a9d8480ecc2617c55811536de62bad9e5fcdf34206285556bd2bb7744de52",
+    ("1", "2", "2", "json"): "d167e73e821c76498d7612f7f9d5dabddbf32a030e1efb32d314097282b9c091",
+    ("1", "2", "2", "csv"): "06b97d90440cfb3e9794d7305c081ad5afad85f475f484411da1f1eb74a8c1c6",
+    ("1", "2", "inf", "json"): "eb2f992f83d0c1aaef4204d26ac7c32e43a748c4e5ccd1e89b3d3c5807dbb26b",
+    ("1", "2", "inf", "csv"): "03f34b27b0b74b52a4d8be23e8a355f0b1735443c411f5e1b21fe98670fd97dc",
 }
 
 

@@ -3,12 +3,13 @@
 import hashlib
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import widim.group_dynamics as group_dynamics
@@ -18,6 +19,7 @@ from widim.group_dynamics import (
     MAX_SUPPORT,
     MAX_WINDOW_CELLS,
     PAIR_DRAW,
+    SCORE_ROWS,
     EmbeddingReport,
     FinitelySupportedPoint,
     LatticeBox,
@@ -393,15 +395,15 @@ def test_embedding_check_window_guard():
     assert time.perf_counter() - t0 < 5.0
 
 
-# SHA-256 of embedding_report_to_json. Re-recorded when pairs moved to one
-# stream per block of PAIR_DRAW pairs, a declared change of the stream
-# layout, after checking that every geometric-weight run still passes, both
-# lying-tail runs still fail with a witness, and criterion 7 passes. Unlike
+# SHA-256 of embedding_report_to_json. Re-recorded when blocks grew from 64
+# to PAIR_DRAW = 512 pairs, a declared change of the stream layout, after
+# checking that every geometric-weight run still passes, every lying-tail run
+# still fails with a witness (p = 1: 10 failures, witness at pair 6; p = 2:
+# 50 at pair 1; 6561 columns: 46 at pair 6), and criterion 7 passes. Unlike
 # EMBED_GOLDEN in test_cli.py these runs reach p = 1.5 and 3, an exact zero
-# drawn at p = 50 (in pair 89 of seed 2697, a perturbed pair), and a weight
-# whose tail bound lies, so failures and their witness payload are pinned too.
-# The three p = 2 runs were re-recorded, on the same checks, when p = 2 ball
-# values moved to normal draws, a second declared layout change.
+# drawn at p = 50 (in pair 17 of seed 1538, a perturbed pair; see
+# test_p50_golden_run_draws_an_exact_zero), and a weight whose tail bound
+# lies, so failures and their witness payload are pinned too.
 def _lying_metric():
     # claims no mass outside radius 1 although the weight decays slowly
     return WeightedGroupMetric(
@@ -427,27 +429,27 @@ def _lying_wide_metric():
 EMBED_WITNESS_GOLDEN = {
     # name: (metric, probe radius, p, eps, samples, seed, digest)
     "d=2 p=1.5": (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7,
-                  "1fbea0f3609c5c3d963fc67833c4d0ab90dd91f0414aebb93c53189f9add9eb8"),
+                  "e931dc186fef5ca1571f94e084973588127b9c969f4adda6282816f2740aa478"),
     "d=2 p=3": (lambda: geometric_weight_metric(dim_d=2), 1, 3.0, 0.6, 300, 11,
-                "5393b7033caf3dd3fb8a926413d8c65c6638e51e7416de31da96d4c5a971e6ef"),
+                "235f4de4a1df6157b2b18db673db763727e9913b17abb98ca33c0f6112703357"),
     "d=2 p=inf": (lambda: geometric_weight_metric(dim_d=2), 1, math.inf, 0.5, 300, 5,
-                  "1b5ab6ae9dd363747045f16981864b665195c134b257025b34dc846bd5dad660"),
-    "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 2697,
-                 "f7adbefc5b2ca51f1ba28ed81837523e146b73d273d8887b23fc42b77a5912d5"),
+                  "80ff0138243545a7f89de04760df4e79c26f9b37019f034c55493de4c9ebb60f"),
+    "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 1538,
+                 "dd34afbdbb6180b60327eb8676cb0a5685af55029357b9e7739ebe2bbc8b0e06"),
     "lying p=1": (_lying_metric, 0, 1.0, 0.5, 300, 1,
-                  "250b4cf3fab91c3f206a6c4c235792729b3be90b9f84456f82ee12d03d8d9f17"),
+                  "e5bfdd1a420463c1424d52005c7c41f8d83b7ff725f2829d7986c636b83401a2"),
     "lying p=2": (_lying_metric, 1, 2.0, 0.3, 300, 2,
-                  "2751fdd5f05845a176833fc71d6dd382d9f72f4c2c82810989d46cbd5f94bc3f"),
-    # Windows of 4225 to 9261 columns, recorded while pairs were still scored
-    # on dense window rows, in chunks of fewer than 64 pairs on such windows.
+                  "81f484cf7717fb7b4c373234faab8002e090213459d5fe3ae736fa4e53b81b94"),
+    # Windows of 4225 to 9261 columns; each run's close pairs (76 to 139)
+    # are scored in more than one slice of SCORE_ROWS.
     "d=3 4913 columns": (lambda: geometric_weight_metric(dim_d=3), 0, 1.0, 0.5, 100, 3,
-                         "d531d13b878f458270df8db1cd317722d5036cdc8966a436cf15371eb5d8a189"),
+                         "22336aabe488c5180e551e018ea1d8ccdf022a8eb596d9c79f1ebe86e52fbce6"),
     "d=3 9261 columns": (lambda: geometric_weight_metric(dim_d=3), 1, 2.0, 0.5, 100, 8,
-                         "7cf18912cc66e5d89de3ade4d7dd578803954e137b21597e2673631dd53c828c"),
+                         "35ddeddc1e12351248633caba879e518dcb084e5134f93ea839997f5042cdef1"),
     "d=2 eps=1e-4": (lambda: geometric_weight_metric(dim_d=2), 0, 1.5, 1e-4, 200, 5,
-                     "ea89e0da6ed0e7c9a4bf0f6cf86b610f9cf6164b685b6a620215de800f1c8685"),
+                     "391994df5659723c5f030630c0157209ee83852ef0ec8cb63a83acacbc86eb20"),
     "lying d=2 6561 columns": (_lying_wide_metric, 0, 2.0, 0.5, 200, 4,
-                               "ffceb88cd21eeb38726eeda747f058faa29eda8a67ec2550e6ecde7d4e20ec27"),
+                               "a4ef7450e1eb84cf79be9524da65465109fa9513caed50e1ec650dd007426f95"),
 }
 
 
@@ -458,6 +460,23 @@ def test_embedding_witness_golden_bytes(name):
     rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
     assert (rep.witness is not None) == name.startswith("lying")
     assert hashlib.sha256(embedding_report_to_json(rep).encode()).hexdigest() == digest
+
+
+def test_p50_golden_run_draws_an_exact_zero(monkeypatch):
+    # the "d=1 p=50" run draws x_17 = y_17 = 0 in one slot of pair 17, a
+    # perturbed pair: a Gamma(1/50) magnitude that underflows to 0
+    zeros = set()
+    draw = _Window.draw_block
+
+    def spy(self, gen, first, p, eps):
+        xc, xv, yc, yv = block = draw(self, gen, first, p, eps)
+        for name, cols, vals in (("x", xc, xv), ("y", yc, yv)):
+            zeros.update((name, first + int(r)) for r in np.nonzero((cols >= 0) & (vals == 0.0))[0])
+        return block
+
+    monkeypatch.setattr(_Window, "draw_block", spy)
+    embedding_check(geometric_weight_metric(), LatticeBox((0,), 2), 50.0, 0.5, 600, seed=1538)
+    assert {z for z in zeros if z[1] < 600} == {("x", 17), ("y", 17)}  # 17 % 3 == 2
 
 
 def test_embedding_check_rejects_points_outside_the_ball(monkeypatch):
@@ -504,6 +523,95 @@ def test_weight_table_calls_weight_once_per_offset():
     # 9 probes x 289 window cells share the 19^2 offsets in [-9, 9]^2
     assert len(calls) == 19**2
     assert set(calls.values()) == {1}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 3),
+       base=st.one_of(st.sampled_from((1.5, 2.0, 3.0, 10.0, 1e6)), st.floats(1.001, 1e3)),
+       total=st.one_of(st.sampled_from((0.75, 1.0)), st.floats(1e-3, 1.0)),
+       data=st.data())
+@example(d=1, base=10.0, total=0.75, data=None)  # norms up to 800: 10^-800 underflows to 0
+@example(d=3, base=1e12, total=1.0, data=None)  # norms up to 36: subnormals and zeros
+def test_geometric_weight_table_matches_per_offset_weights(d, base, total, data):
+    # the |gamma|_1 table against the one-call-per-offset path of a custom
+    # metric with the same weight function, bit for bit
+    M = geometric_weight_metric(dim_d=d, base=base, total=total)
+    top = {1: 400, 2: 24, 3: 6}[d]
+    if data is None:
+        radius, tail, omega = top, 1, [(-top // 2,) * d, (0,) * d, (top,) * d]
+    else:
+        radius = data.draw(st.integers(0, top))
+        tail = data.draw(st.integers(0, radius))
+        coord = st.integers(-radius, radius)
+        omega = sorted(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4,
+                                          unique=True)))
+    custom = WeightedGroupMetric(d, M.weight, M.tail_bound, M.total_bound)
+    fast, slow = _Window(M, omega, tail, radius), _Window(custom, omega, tail, radius)
+    assert fast.weights.shape == slow.weights.shape == (len(omega), (2 * radius + 1) ** d)
+    assert np.array_equal(_bits(fast.weights), _bits(slow.weights))
+    assert np.array_equal(fast.inside, slow.inside)
+    if data is None:
+        assert (fast.weights == 0.0).any()
+
+
+SLICED_RUNS = [
+    (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7),
+    (geometric_weight_metric, 2, 50.0, 0.5, 600, 1538),
+    (_lying_metric, 1, 2.0, 0.3, 300, 2),
+    (_lying_wide_metric, 0, 2.0, 0.5, 200, 4),
+]
+
+
+def test_sliced_scoring_keeps_the_report_bytes(monkeypatch):
+    # rows are independent and merge in index order, so the slice size
+    # cannot reach the report
+    rows = []
+    distances = _Window.omega_distances
+
+    def spy(self, C, D):
+        rows.append(len(C))
+        return distances(self, C, D)
+
+    monkeypatch.setattr(_Window, "omega_distances", spy)
+
+    def reports():
+        out = []
+        for metric, radius, p, eps, samples, seed in SLICED_RUNS:
+            M = metric()
+            rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
+            out.append(embedding_report_to_json(rep))
+        return out
+
+    sliced = reports()
+    assert max(rows) == SCORE_ROWS < PAIR_DRAW  # some block needs more than one slice
+    monkeypatch.setattr(group_dynamics, "SCORE_ROWS", PAIR_DRAW)
+    rows.clear()
+    assert reports() == sliced
+    assert max(rows) > SCORE_ROWS  # one pass per block
+    for size in (1, 7):
+        monkeypatch.setattr(group_dynamics, "SCORE_ROWS", size)
+        rows.clear()
+        assert reports() == sliced
+        assert max(rows) == size
+
+
+def test_wide_probe_set_peak_memory():
+    # |Omega| = 1001: the L1 weight table and 64-row scoring slices peak at
+    # about 77 MiB; the per-offset table with 64-pair blocks took 110 MiB,
+    # and unsliced 512-pair blocks 149 MiB
+    M = geometric_weight_metric()
+    tracemalloc.start()
+    try:
+        rep = embedding_check(M, LatticeBox((0,), 500), 1.0, 0.5, 1024, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.omega) == 1001 and rep.passed and rep.checked_count > 0
+    assert peak < 90 * 2**20
 
 
 # --- pair draws and the sparse kernel ---------------------------------------------------
@@ -702,7 +810,8 @@ def test_pair_draw_does_not_depend_on_the_sample_count(monkeypatch):
 
     monkeypatch.setattr(group_dynamics, "_union", spy)
     runs = {}
-    for samples in (1, 63, 64, 65, 200):
+    counts = (1, PAIR_DRAW - 1, PAIR_DRAW, PAIR_DRAW + 1, 2 * PAIR_DRAW + 5)
+    for samples in counts:
         seen.clear()
         embedding_check(geometric_weight_metric(), LatticeBox((0,), 2), 1.5, 0.5, samples, seed=6)
         # x columns, x values, y columns, y values of every scored pair
@@ -710,7 +819,7 @@ def test_pair_draw_does_not_depend_on_the_sample_count(monkeypatch):
                          for k in range(4)]
         assert all(len(rows) == samples for rows in runs[samples])
     for samples, rows in runs.items():
-        assert rows == [full[:samples] for full in runs[200]]
+        assert rows == [full[:samples] for full in runs[counts[-1]]]
 
 
 def _pearson(counts, expected):
