@@ -89,18 +89,19 @@ def _parse_ints(text: str) -> list:
 def _write(args, command, params, doc, header, rows) -> None:
     """Write one command's output in the requested format.
 
-    ``doc`` returns the JSON text and ``rows`` the CSV data lines below
-    ``header``; only the one the format asks for is called.
+    ``doc`` returns the JSON text (written before its newline, not copied
+    with it) and ``rows`` the CSV data lines below ``header``; only the one
+    the format asks for is called.
     """
     if args.format == "json":
-        text = doc() + "\n"
+        parts = (doc(), "\n")
     else:
-        text = csv_document(command, params, header, rows())
+        parts = (csv_document(command, params, header, rows()),)
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 # --------------------------------------------------------------------------
@@ -117,32 +118,41 @@ def _run_bounds(args) -> int:
     columns = [(eps, _caps(eps, e)) for eps in grid]
     if any(caps and not 0 <= caps[0] <= caps[1] for _, caps in columns):
         raise ArithmeticError("a lower width plateau exceeds its upper plateau")
-    # each scale's floats are encoded once, as the JSON fields "epsilon" to "r"
-    # and the CSV epsilon cell that all of its rows share
-    r = e.r if q > p else None
-    exps = f'"p": {json.dumps(p)}, "q": {json.dumps(q)}, "r": {json.dumps(r)}'
-    scales = [(f'"epsilon": {json.dumps(eps)}, {exps}', cell(eps), caps) for eps, caps in columns]
-    rows = []  # (n, JSON fields, CSV cell, lower, upper, exact); lower None out of range
-    for n in ns:
-        for fields, eps_cell, caps in scales:
-            lower, upper = (min(n, caps[0]), min(n, caps[1])) if caps else (None, None)
-            rows.append((n, fields, eps_cell, lower, upper, caps is not None and lower == upper))
     params = {"p": p, "q": q, "eps": args.eps, "n": args.n, "seed": args.seed}
+
+    def lines(prefix, field, tail, out_of_range):
+        # each row is prefix(n) + field(eps) + tail(bracket), the bracket being (n, n) at
+        # or below the lower cap, the capped pair at or above the upper cap (no n reaches
+        # an infinite one) and (lower cap, n) between: a tail is formatted once per bracket
+        tail = functools.cache(tail)
+        scales = [(field(eps), *caps, tail(*caps) if math.isfinite(caps[1]) else None) if caps
+                  else (field(eps), 0, 0, out_of_range)  # every n >= 1 takes the fixed tail
+                  for eps, caps in columns]
+        for n in ns:
+            head, same = prefix(n), tail(n, n)
+            for body, lower, upper, top in scales:
+                yield head + body + (same if n <= lower else top if n >= upper else tail(lower, n))
+
+    # a row echoes an infinite p or q as the non-strict JSON token Infinity (the head
+    # says "inf"); the benchmark pins these bytes by digest, so a new spelling has to
+    # come with a change to the benchmark
+    r = e.r if q > p else None
+    exps = f'"p": {json.dumps(p)}, "q": {json.dumps(q)}, "r": {json.dumps(r)}, '
 
     def json_doc():  # the bytes json.dumps gives the document of row dicts
         head = json.dumps({"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
                            "seed": args.seed, "reports": []})
-        return head[:-2] + ", ".join(  # the rows go between the reports list's brackets
-            f'{{"n": {n}, {fields}, "lower": null, "upper": null, "exact": false, '
-            f'"status": "out_of_range"}}' if lower is None
-            else f'{{"n": {n}, {fields}, "lower": {lower}, "upper": {upper}, '
-                 f'"exact": {"true" if exact else "false"}, "status": "ok"}}'
-            for n, fields, _, lower, upper, exact in rows) + "]}"
+        return head[:-2] + ", ".join(lines(  # the rows go between the reports list's brackets
+            lambda n: f'{{"n": {n}, ',
+            lambda eps: f'"epsilon": {json.dumps(eps)}, {exps}',
+            lambda lower, upper: f'"lower": {lower}, "upper": {upper}, "exact": '
+                                 f'{"true" if lower == upper else "false"}, "status": "ok"}}',
+            '"lower": null, "upper": null, "exact": false, "status": "out_of_range"}')) + "]}"
 
     def csv_rows():
-        for n, _, eps_cell, lower, upper, exact in rows:
-            shown = ("out_of_range",) * 2 if lower is None else (lower, upper)
-            yield csv_row([n, eps_cell, *shown, exact])
+        return lines(lambda n: f"{n},", lambda eps: f"{cell(eps)},",
+                     lambda lower, upper: csv_row([lower, upper, lower == upper]),
+                     csv_row(["out_of_range", "out_of_range", False]))
 
     _write(args, "bounds", params, json_doc, "n,epsilon,lower,upper,exact", csv_rows)
     return 0

@@ -406,12 +406,19 @@ _GRID_N = st.one_of(st.sampled_from([1, 2, 7, 100, 10**21]), st.integers(1, 10**
 @example(pq=(1, math.inf), ns=[10**21, 3], grid=[0.5, 1e-10, 0.5])  # q = inf as Infinity
 @example(pq=(2, 1), ns=[7, 10**21], grid=[0.5, 1.5, 1.5])  # "r": null, out_of_range rows
 @example(pq=(math.inf, math.inf), ns=[5], grid=[2.0, 0.5, 2.0])
+# caps 3 and 15 at eps = 0.5: n at or below, between and at or above them
+@example(pq=(1, 2), ns=[2, 7, 100], grid=[0.5])
+@example(pq=(1, 2), ns=[100, 3, 100], grid=[0.5, 0.25])  # repeated, unsorted n
+@example(pq=(1, 1.01), ns=[10**21], grid=[1e-5])  # both caps saturated (inf)
 def test_bounds_grid_rows_equal_the_per_row_oracle(pq, ns, grid):
-    # the grid evaluates each eps once, caps by n and joins pre-encoded
-    # fragments; the oracle evaluates every row with bracket or
+    _assert_bounds_grid_equals_the_oracle(float(pq[0]), float(pq[1]), ns, grid)
+
+
+def _assert_bounds_grid_equals_the_oracle(p, q, ns, grid):
+    # the grid evaluates each eps once, caps by n and joins each row from
+    # cached n, eps and bracket fragments; the oracle evaluates every row with bracket or
     # widim_equal_case and encodes a document of row dicts with json.dumps
     # and csv_row, so a slip in a value or a byte fails
-    p, q = float(pq[0]), float(pq[1])
     argv = ["bounds", "--p", str(p), "--q", str(q), "--n", ",".join(map(str, ns)),
             "--eps", ",".join(map(repr, grid))]
     out, err = io.StringIO(), io.StringIO()
@@ -428,10 +435,27 @@ def test_bounds_grid_rows_equal_the_per_row_oracle(pq, ns, grid):
                             "upper": upper, "exact": exact, "status": status})
             shown = [lower, upper] if status == "ok" else ["out_of_range"] * 2
             lines.append(csv_row([n, eps, *shown, exact]))
-    assert doc == json.dumps({"command": "bounds", "p": json_exponent(p),
-                              "q": json_exponent(q), "seed": 0x5EED, "reports": reports})
+    want_doc = json.dumps({"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
+                           "seed": 0x5EED, "reports": reports})
     params = {"p": p, "q": q, "eps": grid, "n": ns, "seed": 0x5EED}
-    assert csv_text == csv_document("bounds", params, "n,epsilon,lower,upper,exact", lines)
+    want_csv = csv_document("bounds", params, "n,epsilon,lower,upper,exact", lines)
+    # compared row by row (a split is undone by its join, so this is text
+    # equality): pytest's diff of two whole long documents takes minutes
+    assert doc.split("}, {") == want_doc.split("}, {")
+    assert csv_text.split("\n") == want_csv.split("\n")
+
+
+#: A 47 n x 93 eps grid: n from 1 to 10^6, eight points per decade; eps the
+#: snap points 2/sqrt(k), where (2/eps)^2 = k, plus ten points per decade
+#: from 1 down to 10^-3.
+_WIDE_N = sorted({round(10 ** (k / 8)) for k in range(49)})
+_WIDE_EPS = sorted({2.0 / math.sqrt(k) for k in range(1, 65)} | {10 ** (-k / 10) for k in range(31)})
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (1, math.inf), (2, 4), (2, 2)])
+def test_wide_bounds_grid_equals_the_per_row_oracle(p, q):
+    assert (len(_WIDE_N), len(_WIDE_EPS)) == (47, 93)
+    _assert_bounds_grid_equals_the_oracle(float(p), float(q), _WIDE_N, _WIDE_EPS)
 
 
 @pytest.mark.parametrize("q, per_eps", [("2", 2), ("4", 2), ("inf", 1), ("1", 0)])
