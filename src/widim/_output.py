@@ -4,14 +4,18 @@ CSV cells use '.' decimals and 17 significant digits, so doubles
 round-trip losslessly, and an infinite value prints as ``inf``. JSON
 heads spell an infinite exponent ``"inf"`` (``bounds`` rows: ``Infinity``). A CSV
 document opens with ``# widim <command>`` and one ``# key=value`` line per
-echoed parameter, then the column header and the rows.
+echoed parameter, then the column header and the rows. A certify or embed
+report is written from its dataclass fields in declaration order
+(:func:`report_fields`), with an ``elapsed`` column that is always null in
+JSON and empty in CSV.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-__all__ = ["cell", "csv_row", "json_exponent", "csv_document"]
+__all__ = ["cell", "csv_row", "json_exponent", "csv_document", "report_fields"]
 
 
 def cell(v) -> str:
@@ -33,6 +37,20 @@ def csv_row(values) -> str:
 
 def json_exponent(x: float):
     return "inf" if math.isinf(x) else x
+
+
+def report_fields(report, **spelled) -> dict:
+    """The fields of a report dataclass in declaration order, then ``elapsed``
+    (None); a field named in ``spelled`` is replaced by the entries of the
+    dict given for it, so an empty dict drops it."""
+    doc = {}
+    for f in dataclasses.fields(report):
+        if f.name in spelled:
+            doc.update(spelled[f.name])
+        else:
+            doc[f.name] = getattr(report, f.name)
+    doc["elapsed"] = None
+    return doc
 
 
 def csv_document(command: str, params: dict, header, rows) -> str:

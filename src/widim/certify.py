@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
-from ._output import csv_row, json_exponent
+from ._output import csv_row, json_exponent, report_fields
 from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
                    _check_seed, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
@@ -157,59 +157,30 @@ class CertificationReport:
         return self.margin >= -BOUND_TOLERANCE
 
 
+def _exponents(report: CertificationReport) -> dict:
+    e = report.exponents
+    return {"p": e.p, "q": json_exponent(e.q), "r": e.r}
+
+
 def report_to_json(report: CertificationReport) -> str:
     """One-line JSON document; infinite q spelled "inf", elapsed nulled."""
-    doc = {
-        "n": report.n,
-        "m": report.m,
-        "exponents": {
-            "p": report.exponents.p,
-            "q": json_exponent(report.exponents.q),
-            "r": report.exponents.r,
-        },
-        "sample_count": report.sample_count,
-        "seed": report.seed,
-        "max_observed_distortion": report.max_observed_distortion,
-        "bound": report.bound,
-        "margin": report.margin,
-        "argmax_vector": list(report.argmax_vector),
-        "elapsed": None,
-    }
-    return json.dumps(doc)
+    return json.dumps(report_fields(report, exponents={"exponents": _exponents(report)}))
 
 
 def report_from_json(text: str) -> CertificationReport:
     doc = json.loads(text)
-    e = doc["exponents"]
-    q = math.inf if e["q"] == "inf" else float(e["q"])
-    return CertificationReport(
-        n=int(doc["n"]),
-        m=int(doc["m"]),
-        exponents=Exponents(p=float(e["p"]), q=q, r=float(e["r"])),
-        sample_count=int(doc["sample_count"]),
-        seed=int(doc["seed"]),
-        max_observed_distortion=float(doc["max_observed_distortion"]),
-        bound=float(doc["bound"]),
-        margin=float(doc["margin"]),
-        argmax_vector=tuple(float(v) for v in doc["argmax_vector"]),
-    )
+    doc.pop("elapsed", None)
+    return CertificationReport(**{**doc, "exponents": Exponents(**doc["exponents"]),
+                                  "argmax_vector": tuple(doc["argmax_vector"])})
 
 
 def report_csv_header() -> str:
-    return (
-        "n,m,p,q,r,sample_count,seed,max_observed_distortion,"
-        "bound,margin,argmax_vector,elapsed"
-    )
+    return "n,m,p,q,r,sample_count,seed,max_observed_distortion,bound,margin,argmax_vector,elapsed"
 
 
 def report_to_csv_row(report: CertificationReport) -> str:
     """One CSV row, 17 significant digits, vector ;-joined, elapsed empty."""
-    e = report.exponents
-    return csv_row([
-        report.n, report.m, e.p, e.q, e.r, report.sample_count, report.seed,
-        report.max_observed_distortion, report.bound, report.margin,
-        report.argmax_vector, None,
-    ])
+    return csv_row(report_fields(report, exponents=_exponents(report)).values())
 
 
 def _validate_run(n, m, e, count, count_name, workers, seed):

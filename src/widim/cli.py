@@ -71,10 +71,6 @@ def _parse_workers(text: str) -> int:
     return workers
 
 
-def _parse_exponent(text: str) -> float:
-    return math.inf if text.strip().lower() == "inf" else float(text)
-
-
 def _parse_floats(text: str, kind=float) -> list:
     values = [kind(v) for v in text.split(",") if v.strip()]
     if not values:  # an empty list would leave the values of the other lists unchecked
@@ -291,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     b = subs.add_parser("bounds", help="width-bound brackets over an (n, eps) grid")
-    b.add_argument("--p", type=_parse_exponent, required=True)
-    b.add_argument("--q", type=_parse_exponent, required=True)
+    b.add_argument("--p", type=float, required=True)
+    b.add_argument("--q", type=float, required=True)
     b.add_argument("--eps", type=_parse_floats, required=True,
                    help="comma-separated scales")
     b.add_argument("--n", type=_parse_ints, required=True,
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = subs.add_parser("map", help="apply the sparsifying threshold map to a vector")
     m.add_argument("--m", type=int, required=True, help="coordinates to keep")
-    m.add_argument("--q", type=_parse_exponent, default=None,
+    m.add_argument("--q", type=float, default=None,
                    help="also report the q-distance moved")
     m.add_argument("--in", dest="infile", default="-",
                    help="one-line whitespace-separated vector file, '-' for stdin")
@@ -310,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_run_map)
 
     c = subs.add_parser("certify", help="certify the distortion bound")
-    c.add_argument("--p", type=_parse_exponent, required=True)
-    c.add_argument("--q", type=_parse_exponent, required=True)
+    c.add_argument("--p", type=float, required=True)
+    c.add_argument("--q", type=float, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--method", choices=("mc", "adversarial"), default="mc")
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = subs.add_parser("group", help="lattice harness: ratio table or embedding check")
     g.add_argument("--task", choices=("table", "embed"), default="table")
     g.add_argument("--dim", type=int, default=1, help="lattice dimension d")
-    g.add_argument("--p", type=_parse_exponent, default=1.0)
+    g.add_argument("--p", type=float, default=1.0)
     g.add_argument("--eps", type=float, default=0.5)
     g.add_argument("--n", type=_parse_ints, default=[1, 2, 3, 4, 5, 6, 7],
                    help="box radii (table) or one probe radius (embed)")

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, fresh_stream
-from ._output import csv_row, json_exponent
+from ._output import csv_row, json_exponent, report_fields
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
@@ -152,8 +152,8 @@ def geometric_weight_metric(
     """
     dim_d = _check_int(dim_d, "lattice dimension d", 1)
     base, total = float(base), float(total)
-    if not base > 1.0:
-        raise ValueError(f"decay base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:  # an infinite base makes every weight inf / inf
+        raise ValueError(f"decay base must be a finite real above 1, got {base}")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
     try:
         scale = total / axis_total**dim_d
@@ -620,38 +620,14 @@ def embedding_check(
 
 
 def embedding_report_to_json(report: EmbeddingReport) -> str:
-    doc = {
-        "dim_d": report.dim_d,
-        "p": json_exponent(report.p),
-        "eps": report.eps,
-        "omega": [list(pt) for pt in report.omega],
-        "omega_prime_size": report.omega_prime_size,
-        "sample_count": report.sample_count,
-        "seed": report.seed,
-        "checked_count": report.checked_count,
-        "failure_count": report.failure_count,
-        "worst_margin": report.worst_margin,
-        "witness": report.witness,
-        "elapsed": None,
-    }
-    return json.dumps(doc)
+    return json.dumps(report_fields(report, p={"p": json_exponent(report.p)}))
 
 
 def embedding_report_from_json(text: str) -> EmbeddingReport:
     doc = json.loads(text)
-    return EmbeddingReport(
-        dim_d=int(doc["dim_d"]),
-        p=math.inf if doc["p"] == "inf" else float(doc["p"]),
-        eps=float(doc["eps"]),
-        omega=tuple(tuple(int(c) for c in pt) for pt in doc["omega"]),
-        omega_prime_size=int(doc["omega_prime_size"]),
-        sample_count=int(doc["sample_count"]),
-        seed=int(doc["seed"]),
-        checked_count=int(doc["checked_count"]),
-        failure_count=int(doc["failure_count"]),
-        worst_margin=doc["worst_margin"],
-        witness=doc["witness"],
-    )
+    doc.pop("elapsed", None)
+    return EmbeddingReport(**{**doc, "p": float(doc["p"]),
+                              "omega": tuple(map(tuple, doc["omega"]))})
 
 
 def embedding_csv_header() -> str:
@@ -662,11 +638,8 @@ def embedding_csv_header() -> str:
 
 
 def embedding_to_csv_row(report: EmbeddingReport) -> str:
-    return csv_row([
-        report.dim_d, report.p, report.eps, len(report.omega),
-        report.omega_prime_size, report.sample_count, report.seed,
-        report.checked_count, report.failure_count, report.worst_margin, None,
-    ])
+    return csv_row(report_fields(report, omega={"omega_size": len(report.omega)},
+                                 witness={}).values())
 
 
 # --------------------------------------------------------------------------

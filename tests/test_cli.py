@@ -541,6 +541,19 @@ def test_lattice_dimension_overflow_names_the_argument(capsys):
         assert "lattice dimension d" in err and "decay base" in err
 
 
+def test_infinite_weight_base_exits_2(capsys):
+    # an infinite base would make every weight NaN, and the run would exit 0
+    # with a passing report whose worst margin is the non-strict JSON token NaN
+    embed = ["group", "--task", "embed", "--n", "1", "--samples", "50", "--format", "json"]
+    code, out, err = run_cli(capsys, *embed, "--weight-base", "inf")
+    assert code == 2 and out == ""
+    assert err == "error: decay base must be a finite real above 1, got inf\n"
+    code, out, err = run_cli(capsys, *embed, "--weight-base", "1e308")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["failure_count"] == 0 and doc["worst_margin"] == -0.40980283340789125
+
+
 @pytest.mark.parametrize("argv, closed_form", [
     # the greedy vertex k = n: 10^9 coordinates at t, whose squares underflow
     (["--s", "2", "--c", "1", "--t", "1e-300", "--n", "1000000000"], 10**9 * 1e-300**2),

@@ -127,6 +127,20 @@ def test_weight_validation():
         WeightedGroupMetric(1, lambda g: 1.0, lambda k: 0.0, 2.0)
 
 
+@pytest.mark.parametrize("base", [0.5, -math.inf, math.inf, math.nan])
+def test_weight_base_must_be_a_finite_real_above_one(base):
+    # an infinite base would make every weight inf / inf = NaN, and an embed
+    # check on that metric would pass with a NaN worst margin
+    with pytest.raises(ValueError, match=f"decay base must be a finite real above 1, got {base}"):
+        geometric_weight_metric(base=base)
+
+
+def test_huge_finite_weight_base_still_works():
+    M = geometric_weight_metric(base=1e308)
+    assert M.weight((0,)) == 0.75 and M.weight((1,)) == 0.75 / 1e308
+    assert math.isfinite(M.tail_bound(0)) and M.tail_bound(1) == 0.0
+
+
 # --- finitely supported points ---------------------------------------------------
 
 
