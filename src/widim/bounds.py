@@ -25,7 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Exponents, _check_exponent, _check_int, _check_scale, make_exponents
+from .core import (Exponents, _check_exponent, _check_int, _check_nonnegative, _check_scale,
+                   make_exponents)
 
 __all__ = [
     "guarded_count",
@@ -145,14 +146,6 @@ def widim_equal_case(n: int, eps: float, p: float, q: float) -> Optional[int]:
     return None if caps is None else min(n, caps[0])
 
 
-def _check_equal_case(p, q) -> tuple:
-    """(p, q) as floats with 1 <= q <= p, the regime of the equal case."""
-    p, q = _check_exponent(p, "ball exponent p"), _check_exponent(q, "distance exponent q")
-    if p < q:
-        raise ValueError(f"equal case needs q <= p, got p={p}, q={q}")
-    return p, q
-
-
 @dataclass(frozen=True)
 class EqualCase:
     """Marker exponent pair for the q <= p regime (no derived rate exists)."""
@@ -161,7 +154,10 @@ class EqualCase:
     q: float
 
     def __post_init__(self):
-        p, q = _check_equal_case(self.p, self.q)
+        p = _check_exponent(self.p, "ball exponent p")
+        q = _check_exponent(self.q, "distance exponent q")
+        if p < q:
+            raise ValueError(f"equal case needs q <= p, got p={p}, q={q}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -175,26 +171,27 @@ class WidimBoundReport:
     exponents: Union[Exponents, EqualCase]
     lower: int
     upper: int
-    exact: bool
 
     def __post_init__(self):
         if not 0 <= self.lower <= self.upper <= self.n:
             raise ValueError(
                 f"invalid bracket: lower={self.lower}, upper={self.upper}, n={self.n}"
             )
-        if self.exact and self.lower != self.upper:
-            raise ValueError("an exact report must have lower == upper")
+
+    @property
+    def exact(self) -> bool:
+        """Whether the bracket pins the width: lower == upper."""
+        return self.lower == self.upper
 
 
 def bracket(n: int, eps: float, e: Exponents) -> WidimBoundReport:
     """Assemble lower and upper bounds into one report.
 
-    For q = inf both sides are replaced by the exact formula and the report
-    is flagged exact; otherwise exact means the two bounds coincide.
+    For q = inf both sides are the exact formula, so the report is exact.
     """
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
     lower, upper = (min(n, cap) for cap in _caps(eps, e))
-    return WidimBoundReport(n, eps, e, lower, upper, lower == upper)
+    return WidimBoundReport(n, eps, e, lower, upper)
 
 
 def equal_case_report(n: int, eps: float, p: float, q: float) -> WidimBoundReport:
@@ -202,7 +199,7 @@ def equal_case_report(n: int, eps: float, p: float, q: float) -> WidimBoundRepor
     value = widim_equal_case(n, eps, p, q)
     if value is None:
         raise ValueError(f"no closed form covers eps >= 1 in the equal case (eps={eps})")
-    return WidimBoundReport(n, float(eps), EqualCase(p, q), value, value, True)
+    return WidimBoundReport(n, float(eps), EqualCase(p, q), value, value)
 
 
 def asymptotic_exponent_fit(e: Exponents, eps_grid, use: str = "upper") -> float:
@@ -245,6 +242,7 @@ def ball_inclusion_max_radius(m: int, e: Exponents) -> float:
     return float(_check_int(m, "coordinate count m", 1) ** (-e.inverse_rate))
 
 
-def ball_inclusion_holds(rho: float, m: int, e: Exponents, tol: float = 1e-12) -> bool:
-    """Inclusion predicate rho * m^(1/r) <= 1 (+ tol)."""
-    return float(rho) * _check_int(m, "coordinate count m", 1) ** e.inverse_rate <= 1.0 + tol
+def ball_inclusion_holds(rho: float, m: int, e: Exponents) -> bool:
+    """Inclusion predicate rho * m^(1/r) <= 1 + 1e-12 for a radius rho >= 0."""
+    rho = _check_nonnegative(rho, "radius rho")
+    return rho * _check_int(m, "coordinate count m", 1) ** e.inverse_rate <= 1.0 + 1e-12

@@ -168,9 +168,14 @@ def report_to_json(report: CertificationReport) -> str:
 
 
 def report_from_json(text: str) -> CertificationReport:
+    """Read a report back; refuses one whose r is not the rate of its p and q."""
     doc = json.loads(text)
     doc.pop("elapsed", None)
-    return CertificationReport(**{**doc, "exponents": Exponents(**doc["exponents"]),
+    r = doc["exponents"].pop("r")
+    e = Exponents(**doc["exponents"])
+    if r != e.r:
+        raise ValueError(f"r={r!r} is not the rate {e.r!r} of p={e.p}, q={e.q}")
+    return CertificationReport(**{**doc, "exponents": e,
                                   "argmax_vector": tuple(doc["argmax_vector"])})
 
 

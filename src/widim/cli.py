@@ -61,16 +61,6 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
-def _parse_workers(text: str) -> int:
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return workers
-
-
 def _parse_floats(text: str, kind=float) -> list:
     values = [kind(v) for v in text.split(",") if v.strip()]
     if not values:  # an empty list would leave the values of the other lists unchecked
@@ -165,8 +155,6 @@ def _run_map(args) -> int:
         with open(args.infile) as fh:
             line = fh.readline()
     x = np.array([float(v) for v in line.split()], dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("input vector is empty")
     y = f_closed(x, args.m)
     params = {"m": args.m}
     dist = None
@@ -271,7 +259,7 @@ def _add_common(sub, *, workers=False):
     sub.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                      help="64-bit seed; default 0x5EED")
     if workers:
-        sub.add_argument("--workers", type=_parse_workers, default=1,
+        sub.add_argument("--workers", type=int, default=1,
                          help="worker threads; never affects output bytes")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
@@ -349,6 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_seed(args.seed)
+        _check_int(getattr(args, "workers", 1), "workers", 1)
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

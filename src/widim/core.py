@@ -9,7 +9,7 @@ order so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,21 +104,21 @@ def as_vector(x) -> np.ndarray:
 def lq_distance(x, y, q: float) -> float:
     """Distance (sum_k |x_k - y_k|^q)^(1/q), with q = inf meaning max_k |x_k - y_k|.
 
-    Both arguments must have the same dimension. The same power-sum
-    expression is used for every finite q, including q = 1 and q = 2, so the
-    scalar value agrees bitwise with the row-wise batch reductions used by
-    the certification drivers. The root is taken on a one-element array so
-    that it runs through the same vectorized power loop as the batch rows;
-    numpy's scalar power can round differently in the last place.
+    Both arguments must have the same dimension. The difference is a
+    one-row batch of :func:`_lq_rows`, the kernel the batch distortions
+    use, so the scalar and the row values agree bit for bit.
     """
     xv, yv = as_vector(x), as_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     q = _check_exponent(q, "distance exponent q")
-    diff = np.abs(xv - yv)
-    if math.isinf(q):
-        return float(np.max(diff))
-    return float((np.sum(diff**q, keepdims=True) ** (1.0 / q))[0])
+    return float(_lq_rows(np.abs(xv - yv)[None, :], q)[0])
+
+
+def _lq_rows(A: np.ndarray, q: float) -> np.ndarray:
+    """Per row of magnitudes A (at least one column): (sum_k a_k^q)^(1/q), or
+    max_k a_k at q = inf. Every q-norm of a row batch goes through here."""
+    return A.max(axis=1) if math.isinf(q) else (A**q).sum(axis=1) ** (1.0 / q)
 
 
 def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
@@ -144,36 +144,28 @@ def in_lp_ball(x, p: float, tol: float = BALL_TOLERANCE) -> bool:
 
 @dataclass(frozen=True)
 class Exponents:
-    """The triple (p, q, r) with 1/p - 1/q = 1/r.
+    """The triple (p, q, r) with 1/p - 1/q = 1/r, built from p and q alone.
 
-    ``p`` is the ball exponent, ``q`` the distance exponent, and ``r`` the
-    derived rate that drives every width bound. ``q = math.inf`` is the
-    distinguished infinite value, in which case ``r = p`` exactly.
+    ``p`` is the ball exponent and ``q > p`` the distance exponent. The rate
+    ``r`` that drives every width bound is derived, never passed: it is
+    ``pq/(q - p)``, or exactly ``p`` at ``q = math.inf``.
     """
 
     p: float
     q: float
-    r: float
+    r: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _check_exponent(self.p, "ball exponent p", finite=True))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "r", float(self.r))
-        if not self.q > self.p:
-            raise ValueError(f"need q > p, got p={self.p}, q={self.q}")
-        if math.isinf(self.q):
-            if self.r != self.p:
-                raise ValueError(f"q = inf requires r = p, got r={self.r}, p={self.p}")
-        else:
-            if not math.isfinite(self.r) or self.r <= 0.0:
-                raise ValueError(f"invalid rate r={self.r}")
-            # r (q - p) = pq, divided by q so that it cannot overflow; unlike
-            # 1/p - 1/q = 1/r it does not cancel when q is close to p
-            if abs(self.r * ((self.q - self.p) / self.q) - self.p) > 1e-12 * self.p:
-                raise ValueError(
-                    f"rate mismatch: need r (q - p) = pq, got r={self.r}"
-                    f" for p={self.p}, q={self.q}"
-                )
+        p = _check_exponent(self.p, "ball exponent p", finite=True)
+        q = float(self.q)
+        if not q > p:
+            raise ValueError(f"need p < q, got p={p}, q={q}")
+        r = p if math.isinf(q) else p * q / (q - p)
+        if math.isinf(r):  # p * q overflows
+            raise ValueError(f"the rate of p={p}, q={q} is not a finite float")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
     @property
     def inverse_rate(self) -> float:
@@ -184,12 +176,6 @@ class Exponents:
 
 
 def make_exponents(p: float, q: float) -> Exponents:
-    """Build the exponent triple from p and q, deriving r = pq/(q-p).
-
-    ``q = math.inf`` gives r = p. Raises on p < 1 or p >= q.
-    """
-    p, q = _check_exponent(p, "ball exponent p", finite=True), float(q)
-    if not q > p:
-        raise ValueError(f"need p < q, got p={p}, q={q}")
-    r = p if math.isinf(q) else p * q / (q - p)
-    return Exponents(p=p, q=q, r=r)
+    """The exponent triple of p and q; ``q = math.inf`` gives r = p.
+    Raises on p < 1 or p >= q."""
+    return Exponents(p, q)

@@ -35,7 +35,7 @@ from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
 from .core import (BALL_TOLERANCE, _ball_mass, _check_exponent, _check_int, _check_rows,
-                   _check_scale, _check_seed)
+                   _check_scale, _check_seed, _lq_rows)
 
 __all__ = [
     "LatticeBox",
@@ -487,9 +487,7 @@ class _Window:
         # Kind 2: a sup-norm perturbation well inside the hypothesis threshold.
         noise = gen.uniform(-eps / 8.0, eps / 8.0, (jitter.size, width))
         v = xv[jitter] + noise * (xv[jitter] != 0.0)
-        norm = _ball_mass(v, p)
-        if not math.isinf(p):
-            norm **= 1.0 / p
+        norm = _lq_rows(np.abs(v), p)
         yc[jitter, :width], yv[jitter, :width] = xc[jitter], v / np.maximum(norm, 1.0)[:, None]
         return xc, xv, yc, yv
 

@@ -27,11 +27,9 @@ as positive, and outputs are normalized so every zero is +0.0.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .core import Exponents, _check_exponent, _check_int, _check_rows, as_vector
+from .core import Exponents, _check_exponent, _check_int, _check_rows, _lq_rows, as_vector
 from .signed_perm import ConePoint
 
 __all__ = [
@@ -51,21 +49,21 @@ def _shrink(a: np.ndarray, m: int) -> np.ndarray:
     return np.maximum(a - tau, 0.0)
 
 
-def f0(y, m: int, tol: float = 1e-12) -> ConePoint:
+def f0(y, m: int) -> ConePoint:
     """Cone form of the map: subtract the (m+1)-th coordinate, zero the rest.
 
     ``y`` is a :class:`~widim.signed_perm.ConePoint` or a vector that must
     lie in the sorted-nonnegative cone; every input is checked, and
-    violations larger than ``tol`` raise. For m >= n the map is the
+    violations larger than 1e-12 raise. For m >= n the map is the
     identity. The kept block is clamped at zero, which changes nothing for
     exact cone input and guards the invariant against sub-tolerance dirt.
     """
     m = _check_int(m, "sparsity m", 0)
     yv = as_vector(y.coords if isinstance(y, ConePoint) else y)
     n = yv.shape[0]
-    if n > 1 and np.any(np.diff(yv) > tol):
+    if n > 1 and np.any(np.diff(yv) > 1e-12):
         raise ValueError("input is not sorted non-increasingly (beyond tolerance)")
-    if yv[-1] < -tol:
+    if yv[-1] < -1e-12:
         raise ValueError("input has a negative coordinate (beyond tolerance)")
     keep = min(m, n)
     tau = yv[m] if m < n else 0.0
@@ -148,7 +146,7 @@ def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
         return np.zeros(A.shape[0])
     if m > 0:  # m = 0 shrinks every entry to 0
         A -= _shrink(A, m)
-    return A.max(axis=1) if math.isinf(q) else (A**q).sum(axis=1) ** (1.0 / q)
+    return _lq_rows(A, q)
 
 
 def distortion_bound(m: int, e: Exponents) -> float:

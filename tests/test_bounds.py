@@ -102,11 +102,26 @@ def test_equal_case_report():
 def test_report_invariants_enforced():
     e = make_exponents(1, 2)
     with pytest.raises(ValueError):
-        WidimBoundReport(10, 0.5, e, 5, 3, False)  # lower > upper
+        WidimBoundReport(10, 0.5, e, 5, 3)  # lower > upper
     with pytest.raises(ValueError):
-        WidimBoundReport(2, 0.5, e, 1, 3, False)  # upper > n
-    with pytest.raises(ValueError):
-        WidimBoundReport(10, 0.5, e, 2, 3, True)  # exact needs lower == upper
+        WidimBoundReport(2, 0.5, e, 1, 3)  # upper > n
+    # exact is derived from the bracket, never passed
+    with pytest.raises(TypeError):
+        WidimBoundReport(10, 0.5, e, 2, 3, True)
+    assert not WidimBoundReport(10, 0.5, e, 2, 3).exact
+    assert WidimBoundReport(10, 0.5, e, 3, 3).exact
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from([(1.0, 2.0), (1.0, math.inf), (1.5, 3.7), (1.0, 1.0001), (2.5, math.inf)]),
+    st.integers(1, 10**9),
+    st.floats(1e-6, 4.0),
+)
+def test_bracket_exact_iff_bounds_coincide(pq, n, eps):
+    rep = bracket(n, eps, make_exponents(*pq))
+    assert rep.exact == (rep.lower == rep.upper)
+    assert rep.exact or not math.isinf(pq[1])  # q = inf pins the width
 
 
 @settings(max_examples=1000, deadline=None)

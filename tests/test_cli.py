@@ -82,6 +82,14 @@ def test_map_from_file_and_stdin(capsys, tmp_path, monkeypatch):
     assert "# distortion=0.70710678118654757" in out
 
 
+def test_map_empty_vector_exit_2(capsys, monkeypatch):
+    # core's row rule refuses an empty vector, before any output
+    for line in ("\n", "   \n", ""):
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(line))
+        code, out, err = run_cli(capsys, "map", "--m", "1", "--q", "2")
+        assert (code, out, err) == (2, "", "error: vectors must have at least one coordinate\n")
+
+
 def test_map_json(capsys, tmp_path):
     vec = tmp_path / "vec.txt"
     vec.write_text("-3 1 2\n")
@@ -290,15 +298,21 @@ def test_group_embed_window_guard_exits_2_promptly(capsys):
 
 def test_workers_below_one_exit_2(capsys):
     commands = (
+        ["group", "--task", "table", "--n", "1"],
         ["group", "--task", "embed", "--samples", "3"],
         ["certify", "--p", "1", "--q", "2", "--n", "4", "--m", "1", "--samples", "10"],
     )
     for argv in commands:
-        for workers in ("0", "-3", "two"):
-            with pytest.raises(SystemExit) as exc:
-                main(argv + ["--workers", workers])
-            assert exc.value.code == 2
-            assert "--workers" in capsys.readouterr().err
+        # below 1: core's integer rule, one error line naming workers
+        for workers in ("0", "-3"):
+            code, out, err = run_cli(capsys, *argv, "--workers", workers)
+            assert (code, out) == (2, "")
+            assert err == f"error: workers must be an integer of at least 1, got {workers}\n"
+        # not an integer: argparse's own error
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "two"])
+        assert exc.value.code == 2
+        assert "argument --workers: invalid int value: 'two'" in capsys.readouterr().err
 
 
 def test_argument_errors_exit_2(capsys):

@@ -140,15 +140,29 @@ def test_exponents_validation():
         make_exponents(3, 2)
     with pytest.raises(ValueError):
         make_exponents(math.inf, math.inf)
-    with pytest.raises(ValueError):
-        Exponents(p=1.0, q=2.0, r=3.0)  # 1/1 - 1/2 != 1/3
-    with pytest.raises(ValueError):
-        Exponents(p=1.0, q=2.0, r=2.1)
-    with pytest.raises(ValueError):
-        Exponents(p=2.0, q=math.inf, r=3.0)  # q = inf forces r = p
-    # a consistent triple is accepted as is
-    e = Exponents(p=1.0, q=2.0, r=2.0)
-    assert e.inverse_rate == 0.5
+    with pytest.raises(ValueError, match="p=1e[+]300"):
+        make_exponents(1e300, math.nextafter(1e300, math.inf))  # r is about 4.5e315
+    # r is derived from p and q, never passed
+    with pytest.raises(TypeError):
+        Exponents(p=1.0, q=2.0, r=2.0)
+    e = Exponents(1, 2)
+    assert e == make_exponents(1, 2) and e.r == 2.0 and e.inverse_rate == 0.5
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    p=st.floats(min_value=1.0, max_value=1e6),
+    q=st.one_of(st.floats(min_value=1.0, max_value=1e12), st.just(math.inf)),
+)
+def test_exponents_derive_the_rate(p, q):
+    # the rate has the bits of pq/(q - p), and exactly p at q = inf
+    if not q > p:
+        with pytest.raises(ValueError):
+            Exponents(p, q)
+        return
+    e = Exponents(p, q)
+    assert (e.p, e.q) == (p, q)
+    assert e.r == (p if math.isinf(q) else p * q / (q - p))
 
 
 @settings(max_examples=500, deadline=None)
@@ -157,7 +171,7 @@ def test_exponents_validation():
     log_gap=st.floats(min_value=-9.0, max_value=0.0),
 )
 def test_make_exponents_accepts_q_close_to_p(p, log_gap):
-    # 1/p - 1/q cancels when q is close to p; the consistency check must not
+    # 1/p - 1/q cancels when q is close to p; the derived pq/(q - p) must not
     q = p * (1.0 + 10.0**log_gap)
     e = make_exponents(p, q)
     assert e.r > 0.0 and math.isfinite(e.r)
@@ -271,7 +285,7 @@ _EXPONENTS = [
     ("lp_norm_power p", "ball exponent p", False, lambda v: lp_norm_power((0.5,), v)),
     ("in_lp_ball p", "ball exponent p", False, lambda v: in_lp_ball((0.5,), v)),
     ("make_exponents p", "ball exponent p", True, lambda v: make_exponents(v, math.inf)),
-    ("Exponents p", "ball exponent p", True, lambda v: Exponents(p=v, q=math.inf, r=v)),
+    ("Exponents p", "ball exponent p", True, lambda v: Exponents(p=v, q=math.inf)),
     ("sample_lp_ball p", "ball exponent p", False, lambda v: sample_lp_ball(2, v, _rng())),
     ("sample_lp_ball_rows p", "ball exponent p", False,
      lambda v: sample_lp_ball_rows(2, 2, v, _rng())),
@@ -321,6 +335,7 @@ _NONNEGATIVE = [
     ("check_lemma_swap x", "value x", lambda v: check_lemma_swap(2, v, 0.0, 0.1)),
     ("check_lemma_swap y", "value y", lambda v: check_lemma_swap(2, 1.0, v, 0.1)),
     ("check_lemma_swap z", "shift z", lambda v: check_lemma_swap(2, 1.0, 0.5, v)),
+    ("ball_inclusion_holds rho", "radius rho", lambda v: ball_inclusion_holds(v, 2, _E)),
 ]
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,6 +117,19 @@ def test_certification_report_round_trip(report):
     row = report_to_csv_row(report)
     assert row == _csv_cells(report, report_csv_header(), {"p": e.p, "q": e.q, "r": e.r})
     assert row.endswith(",")
+
+
+def test_report_from_json_refuses_an_edited_rate():
+    # r is derived from p and q, so a document whose r was edited is refused
+    report = dataclasses.replace(_EXAMPLE_CERTIFICATION, exponents=make_exponents(1.5, 3.7))
+    text = report_to_json(report)
+    assert report_from_json(text) == report
+    r = report.exponents.r
+    for edited in (math.nextafter(r, 0.0), math.nextafter(r, math.inf), 2.0, 1.5):
+        doc = json.loads(text)
+        doc["exponents"]["r"] = edited
+        with pytest.raises(ValueError, match="is not the rate"):
+            report_from_json(json.dumps(doc))
 
 
 @settings(max_examples=300, deadline=None)
