@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _check_seed
+
 __all__ = ["StreamFactory", "fresh_stream", "DEFAULT_SEED"]
 
 #: Documented default seed for every randomized entry point.
@@ -29,8 +31,6 @@ DOMAIN_BALL = 0xBA11
 DOMAIN_CLIMB = 0xC11B
 DOMAIN_POLYTOPE = 0x9017
 DOMAIN_PAIRS = 0x9A12
-
-_MASK64 = (1 << 64) - 1
 
 
 class StreamFactory:
@@ -43,13 +43,11 @@ class StreamFactory:
         self._seed, self._domain = seed, domain
 
     def generator(self, index: int) -> np.random.Generator:
-        if index < 0:
-            raise ValueError(f"stream index must be nonnegative, got {index}")
         return fresh_stream(self._seed, self._domain, index)
 
 
 def fresh_stream(seed: int, domain: int, index: int) -> np.random.Generator:
-    """The isolated stream of (seed, domain, index), one fresh Generator per call."""
-    key = np.array([int(seed) & _MASK64, int(domain) & _MASK64], dtype=np.uint64)
-    counter = np.array([0, 0, 0, int(index)], dtype=np.uint64)
+    """A fresh Generator on the stream of (seed, domain, index), each a word below 2^64."""
+    key = np.array([_check_seed(seed), _check_seed(domain, "stream domain")], dtype=np.uint64)
+    counter = np.array([0, 0, 0, _check_seed(index, "stream index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))

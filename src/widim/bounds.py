@@ -184,22 +184,20 @@ class WidimBoundReport:
         return self.lower == self.upper
 
 
-def bracket(n: int, eps: float, e: Exponents) -> WidimBoundReport:
-    """Assemble lower and upper bounds into one report.
-
-    For q = inf both sides are the exact formula, so the report is exact.
-    """
+def bracket(n: int, eps: float, e: Union[Exponents, EqualCase]) -> WidimBoundReport:
+    """Lower and upper bounds as one report: exact at q = inf, and n in the equal
+    case (q <= p) below eps = 1, where eps >= 1 raises for want of a closed form."""
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    lower, upper = (min(n, cap) for cap in _caps(eps, e))
+    caps = _caps(eps, e)
+    if caps is None:
+        raise ValueError(f"no closed form covers eps >= 1 in the equal case (eps={eps})")
+    lower, upper = (min(n, cap) for cap in caps)
     return WidimBoundReport(n, eps, e, lower, upper)
 
 
 def equal_case_report(n: int, eps: float, p: float, q: float) -> WidimBoundReport:
     """Report for the q <= p regime; raises for eps >= 1 (out of range)."""
-    value = widim_equal_case(n, eps, p, q)
-    if value is None:
-        raise ValueError(f"no closed form covers eps >= 1 in the equal case (eps={eps})")
-    return WidimBoundReport(n, float(eps), EqualCase(p, q), value, value)
+    return bracket(n, eps, EqualCase(p, q))
 
 
 def asymptotic_exponent_fit(e: Exponents, eps_grid, use: str = "upper") -> float:
@@ -210,16 +208,14 @@ def asymptotic_exponent_fit(e: Exponents, eps_grid, use: str = "upper") -> float
     families. The grid must have at least 4 entries, strictly decreasing,
     all inside (0, 1).
     """
-    grid = [float(v) for v in eps_grid]
+    grid = [_check_scale(v) for v in eps_grid]
     if len(grid) < 4:
         raise ValueError("need at least 4 grid points for a meaningful fit")
-    if any(not 0.0 < v < 1.0 for v in grid):
+    if any(v >= 1.0 for v in grid):
         raise ValueError("grid values must lie strictly inside (0, 1)")
     if any(a <= b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly decreasing")
-    plateau = widim_upper_plateau if use == "upper" else (
-        widim_lower_plateau if use == "lower" else None
-    )
+    plateau = {"upper": widim_upper_plateau, "lower": widim_lower_plateau}.get(use)
     if plateau is None:
         raise ValueError(f"bound family must be 'upper' or 'lower', got {use!r}")
     counts = [plateau(v, e) for v in grid]

@@ -22,10 +22,13 @@ __all__ = [
     "make_exponents",
 ]
 
-#: Default slack on the p-th power sum when testing ball membership.
+#: Slack on the p-th power sum when testing ball membership.
 #: Extremal vectors sit exactly on the boundary, so a strict `<= 1` would
 #: reject them on rounding noise alone.
 BALL_TOLERANCE = 1e-12
+
+#: The least normal double: a row's power sum below it has lost precision.
+_NORMAL_MIN = np.finfo(np.float64).tiny
 
 
 # The input rules every public entry point applies, and the one place they
@@ -43,12 +46,12 @@ def _check_int(value, what: str, least: int | None) -> int:
     return int(value)
 
 
-def _check_seed(seed) -> int:
-    """An integer of at least 0 and below 2^64, the width of a stream key."""
-    seed = _check_int(seed, "seed", 0)
-    if seed >> 64:
-        raise ValueError(f"seed must be an integer of at least 0 and below 2^64, got {seed}")
-    return seed
+def _check_seed(value, what: str = "seed") -> int:
+    """An integer of at least 0 and below 2^64, the width of a stream key word."""
+    value = _check_int(value, what, 0)
+    if value >> 64:
+        raise ValueError(f"{what} must be an integer of at least 0 and below 2^64, got {value}")
+    return value
 
 
 def _check_exponent(value, what: str, finite: bool = False) -> float:
@@ -60,11 +63,11 @@ def _check_exponent(value, what: str, finite: bool = False) -> float:
     return x
 
 
-def _check_scale(eps) -> float:
+def _check_scale(value, what: str = "scale eps") -> float:
     """A positive finite real."""
-    x = float(eps)
-    if isinstance(eps, bool) or not 0.0 < x < math.inf:
-        raise ValueError(f"scale eps must be a positive finite real, got {eps!r}")
+    x = float(value)
+    if isinstance(value, bool) or not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be a positive finite real, got {value!r}")
     return x
 
 
@@ -112,13 +115,25 @@ def lq_distance(x, y, q: float) -> float:
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.shape[0]} vs {yv.shape[0]}")
     q = _check_exponent(q, "distance exponent q")
-    return float(_lq_rows(np.abs(xv - yv)[None, :], q)[0])
+    with np.errstate(over="ignore"):  # _lq_rows recomputes an overflowed row
+        return float(_lq_rows(np.abs(xv - yv)[None, :], q)[0])
 
 
 def _lq_rows(A: np.ndarray, q: float) -> np.ndarray:
     """Per row of magnitudes A (at least one column): (sum_k a_k^q)^(1/q), or
-    max_k a_k at q = inf. Every q-norm of a row batch goes through here."""
-    return A.max(axis=1) if math.isinf(q) else (A**q).sum(axis=1) ** (1.0 / q)
+    max_k a_k at q = inf, for every q-norm of a row batch. A row whose power sum
+    is 0, subnormal or inf is recomputed as top * (sum_k (a_k/top)^q)^(1/q), top
+    its largest entry; other rows keep their bits. Checked callers mute overflow."""
+    if math.isinf(q):
+        return A.max(axis=1)
+    sums = (A**q).sum(axis=1)
+    out = sums ** (1.0 / q)
+    if not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
+        rows = np.flatnonzero(~(sums >= _NORMAL_MIN) | (sums == math.inf))
+        top = A[rows].max(axis=1)
+        scaled = A[rows] / np.where(top > 0.0, top, 1.0)[:, None]  # an all-zero row stays 0
+        out[rows] = top * (scaled**q).sum(axis=1) ** (1.0 / q)
+    return out
 
 
 def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
@@ -137,18 +152,18 @@ def lp_norm_power(x, p: float) -> float:
     return float(_ball_mass(xv[None, :], _check_exponent(p, "ball exponent p"))[0])
 
 
-def in_lp_ball(x, p: float, tol: float = BALL_TOLERANCE) -> bool:
-    """Membership test for the unit ball: lp_norm_power(x, p) <= 1 + tol."""
-    return lp_norm_power(x, p) <= 1.0 + tol
+def in_lp_ball(x, p: float) -> bool:
+    """Membership test for the unit ball: lp_norm_power(x, p) <= 1 + BALL_TOLERANCE."""
+    return lp_norm_power(x, p) <= 1.0 + BALL_TOLERANCE
 
 
 @dataclass(frozen=True)
 class Exponents:
     """The triple (p, q, r) with 1/p - 1/q = 1/r, built from p and q alone.
 
-    ``p`` is the ball exponent and ``q > p`` the distance exponent. The rate
-    ``r`` that drives every width bound is derived, never passed: it is
-    ``pq/(q - p)``, or exactly ``p`` at ``q = math.inf``.
+    ``p`` is the ball exponent and ``q > p`` the distance exponent. The rate ``r``
+    of every width bound is derived, never passed: ``pq/(q - p)``, or ``p/(1 - p/q)``
+    where ``p * q`` overflows, and exactly ``p`` at ``q = math.inf``.
     """
 
     p: float
@@ -162,6 +177,8 @@ class Exponents:
             raise ValueError(f"need p < q, got p={p}, q={q}")
         r = p if math.isinf(q) else p * q / (q - p)
         if math.isinf(r):  # p * q overflows
+            r = p / (1.0 - p / q)
+        if math.isinf(r):
             raise ValueError(f"the rate of p={p}, q={q} is not a finite float")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

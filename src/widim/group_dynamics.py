@@ -85,6 +85,14 @@ def _as_point(gamma, dim: int) -> tuple:
     return pt
 
 
+def _probe_set(omega, dim: int) -> tuple:
+    """The probe set Omega as sorted lattice points of dimension ``dim``, nonempty."""
+    deltas = tuple(sorted(_as_point(d, dim) for d in omega))
+    if not deltas:
+        raise ValueError("omega must be a nonempty set of lattice points")
+    return deltas
+
+
 @dataclass(frozen=True)
 class LatticeBox:
     """The cube of lattice points within sup-distance ``radius`` of ``center``."""
@@ -134,8 +142,8 @@ class WeightedGroupMetric:
 
     def __post_init__(self):
         object.__setattr__(self, "dim_d", _check_int(self.dim_d, "lattice dimension d", 1))
-        total = float(self.total_bound)
-        if not 0.0 < total <= 1.0:
+        total = _check_scale(self.total_bound, "total weight bound")
+        if total > 1.0:
             raise ValueError(f"total weight bound must lie in (0, 1], got {total}")
         object.__setattr__(self, "total_bound", total)
 
@@ -151,7 +159,7 @@ def geometric_weight_metric(
     so the tail bound is an exact closed form, not an estimate.
     """
     dim_d = _check_int(dim_d, "lattice dimension d", 1)
-    base, total = float(base), float(total)
+    base, total = float(base), _check_scale(total, "total weight bound")
     if not 1.0 < base < math.inf:  # an infinite base makes every weight inf / inf
         raise ValueError(f"decay base must be a finite real above 1, got {base}")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
@@ -169,8 +177,7 @@ def geometric_weight_metric(
         # total * (1 - (1 - 2 base^-R / (base + 1))^d), the mass outside the
         # box, in a form without cancellation: total minus the box sum
         # rounds to 0 once the tail falls below total's last bit.
-        if radius < 0:
-            raise ValueError("tail radius must be nonnegative")
+        radius = _check_int(radius, "tail radius", 0)
         shrink = -2.0 * base ** (-radius) / (base + 1.0)
         return -total * math.expm1(dim_d * math.log1p(shrink))
 
@@ -200,7 +207,7 @@ class _GeometricWeight(WeightedGroupMetric):
         return Fraction(self.total_bound) * (1 - inside**self.dim_d) > Fraction(target)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FinitelySupportedPoint:
     """A lattice point assignment with finite support inside the unit p-ball.
 
@@ -241,15 +248,6 @@ class FinitelySupportedPoint:
     def value_at(self, gamma) -> float:
         return self._index.get(_coords(gamma), 0.0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinitelySupportedPoint):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.support == other.support
-            and self.values == other.values
-        )
-
     __hash__ = None
 
 
@@ -285,15 +283,8 @@ def omega_distance(
     omega,
 ) -> float:
     """max over delta in omega of the weighted distance between translates."""
-    deltas = sorted(_coords(d) for d in omega)
-    if not deltas:
-        raise ValueError("omega must be a nonempty set of lattice points")
-    best = -math.inf
-    for delta in deltas:
-        dist = weighted_distance(translate(x, delta), translate(y, delta), M)
-        if dist > best:
-            best = dist
-    return best
+    return max(weighted_distance(translate(x, delta), translate(y, delta), M)
+               for delta in _probe_set(omega, M.dim_d))
 
 
 def tail_set(M: WeightedGroupMetric, delta, eps: float) -> LatticeBox:
@@ -558,9 +549,7 @@ def embedding_check(
 
     if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
         raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
-    deltas = tuple(sorted(_as_point(d, M.dim_d) for d in omega))
-    if not deltas:
-        raise ValueError("omega must be a nonempty set of lattice points")
+    deltas = _probe_set(omega, M.dim_d)
 
     # Every tail box has the same radius; only its center moves with delta.
     tail_radius = tail_set(M, deltas[0], eps).radius
@@ -674,13 +663,9 @@ def mean_dimension_table(
         if math.isinf(float(p)):
             raise ValueError("p = inf needs eps >= 4: (4/eps)^p is infinite for every eps < 4")
         raise ValueError("scale so small the width constant saturates; increase eps")
-    rows = []
-    for r in radii:
-        size = (2 * r + 1) ** M.dim_d
-        rows.append((r, size, constant / size))
-    return MeanDimensionTable(
-        dim_d=M.dim_d, p=float(p), eps=float(eps), constant=constant, rows=tuple(rows)
-    )
+    sizes = [(2 * r + 1) ** M.dim_d for r in radii]
+    rows = tuple((r, size, constant / size) for r, size in zip(radii, sizes))
+    return MeanDimensionTable(M.dim_d, float(p), float(eps), constant, rows)
 
 
 def table_to_json(table: MeanDimensionTable) -> str:

@@ -135,7 +135,8 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     arr = as_vector(arr)[None, :] if single else _check_rows(arr)
-    out = _distortion_rows(np.abs(arr), m, q)
+    with np.errstate(over="ignore"):  # _lq_rows recomputes an overflowed row
+        out = _distortion_rows(np.abs(arr), m, q)
     return float(out[0]) if single else out
 
 

@@ -95,6 +95,10 @@ def test_equal_case_report():
     assert rep.exponents == EqualCase(3, 2)
     with pytest.raises(ValueError):
         equal_case_report(7, 1.5, 3, 2)
+    # the equal-case report is the bracket of an EqualCase
+    assert bracket(7, 0.9, EqualCase(3, 2)) == rep
+    with pytest.raises(ValueError, match="no closed form covers eps >= 1"):
+        bracket(7, 1.0, EqualCase(3, 2))
     with pytest.raises(ValueError):
         EqualCase(1, 2)
 

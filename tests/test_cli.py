@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import pytest
@@ -101,6 +102,24 @@ def test_map_json(capsys, tmp_path):
     assert doc["nonzero_count"] == 1
     assert doc["q"] == "inf"
     assert doc["distortion"] == 2.0
+
+
+def test_q_norm_edges_through_the_cli(capsys, monkeypatch):
+    # the map's squares overflow (an inf power sum), and at q = 10000 the
+    # extremal argmax's powers underflow (a zero sum): both rows are rescaled
+    # by their largest entry, silently, so the maximum attains the bound
+    monkeypatch.setattr("sys.stdin", io.StringIO("1e200 1e200 0\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "map", "--m", "1", "--q", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["distortion"] == 1.414213562373095e200
+    code, out, _ = run_cli(capsys, "certify", "--method", "mc", "--p", "2", "--q", "10000",
+                           "--n", "4", "--m", "1", "--samples", "100", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["max_observed_distortion"] == doc["bound"] == 0.7071557957924182
+    assert doc["margin"] == 0.0
 
 
 def test_certify_json_equals_library_report(capsys):

@@ -2,12 +2,14 @@
 
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import widim
 from widim import (
@@ -15,7 +17,9 @@ from widim import (
     FinitelySupportedPoint,
     LatticeBox,
     WeightedGroupMetric,
+    StreamFactory,
     adversarial_certify,
+    asymptotic_exponent_fit,
     ball_inclusion_holds,
     ball_inclusion_max_radius,
     bracket,
@@ -29,6 +33,7 @@ from widim import (
     f0,
     f_closed,
     f_equivariant,
+    fresh_stream,
     geometric_weight_metric,
     key_lemma_oracle_max,
     mean_dimension_table,
@@ -48,6 +53,7 @@ from widim import (
 from widim.certify import sample_lp_ball_rows
 from widim.core import (
     Exponents,
+    _lq_rows,
     as_vector,
     in_lp_ball,
     lp_norm_power,
@@ -74,6 +80,51 @@ def test_lq_distance_rejects_bad_input():
         lq_distance((np.nan,), (1.0,), 2)
 
 
+def test_lq_norm_survives_underflow_and_overflow():
+    # in each row below the powers underflow (a zero or subnormal sum) or
+    # overflow (an inf sum); such a row is rescaled by its largest entry,
+    # with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lq_distance([1e-200], [0.0], 2) == 1e-200
+        assert lq_distance([1e200, 1e200, 0.0], [0.0, 0.0, 0.0], 2) == 1.414213562373095e200
+        assert distortion([1e200, 1e200, 0.0], 1, 2) == 1.414213562373095e200
+        assert lq_distance([0.0, 0.0], [0.0, 0.0], 2) == 0.0
+        # the extremal configuration attains the ceiling at q = 10000 too
+        e = make_exponents(2, 10000)
+        attained = distortion(extremal_vector(1, 2, 4), 1, e.q)
+        assert attained == distortion_bound(1, e) == 0.7071557957924182
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(min_value=1e-5, max_value=1e5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    A=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)), elements=_MAGNITUDES),
+    q=st.one_of(st.floats(min_value=1.0, max_value=1e4), st.just(math.inf)),
+    k=st.integers(min_value=-300, max_value=300),
+)
+def test_lq_rows_keeps_normal_rows_and_scales(A, q, k):
+    # a row whose power sum is a normal double keeps the plain formula's bits,
+    # and every row, rescaled or not, scales with its entries. The root s **
+    # (1/q) takes 1/q rounded, which moves a norm v by up to |ln v| units of
+    # 2^-53 (A = [[1.5]], q = 1.5 and k = 4 differ by 5 ulps); beyond that
+    # the two sides agree to a few ulps
+    with np.errstate(over="ignore"):
+        out = _lq_rows(A, q)
+        scaled = _lq_rows(10.0**k * A, q)
+        if not math.isinf(q):
+            sums = (A**q).sum(axis=1)
+            normal = (sums >= np.finfo(np.float64).tiny) & (sums < math.inf)
+            assert out[normal].tobytes() == (sums[normal] ** (1.0 / q)).tobytes()
+    assert np.all(np.isfinite(out)) and np.array_equal(out > 0.0, A.max(axis=1) > 0.0)
+    expect = 10.0**k * out
+    assert np.array_equal(scaled == 0.0, expect == 0.0)
+    v, w = scaled[expect > 0.0], expect[expect > 0.0]
+    assert np.all(np.abs(v - w) <= 2.0**-52 * w * (4.0 + np.abs(np.log(w)) + np.abs(np.log(w / 10.0**k))))
+
+
 def test_lp_norm_power_pinned_values():
     assert lp_norm_power((0.5, 0.5, 0.0), 1) == 1.0
     assert lp_norm_power((1.0, 0.0), 2) == 1.0
@@ -84,9 +135,11 @@ def test_lp_norm_power_pinned_values():
 def test_in_lp_ball_boundary_and_tolerance():
     assert in_lp_ball((0.5, 0.5, 0.0), 1)
     assert not in_lp_ball((0.6, 0.6), 1)
-    # boundary point plus noise below the default tolerance still passes
+    # boundary point plus noise below BALL_TOLERANCE still passes, noise above fails
     assert in_lp_ball((1.0 + 5e-13, 0.0), 2)
-    assert not in_lp_ball((1.0 + 5e-13, 0.0), 2, tol=1e-14)
+    assert not in_lp_ball((1.0 + 1e-11, 0.0), 2)
+    with pytest.raises(TypeError):  # the slack is a constant, not a knob
+        in_lp_ball((0.5,), 2, tol=1e-14)
 
 
 def test_triangle_inequality_random_triples():
@@ -142,6 +195,8 @@ def test_exponents_validation():
         make_exponents(math.inf, math.inf)
     with pytest.raises(ValueError, match="p=1e[+]300"):
         make_exponents(1e300, math.nextafter(1e300, math.inf))  # r is about 4.5e315
+    # p * q overflows, but the rate p/(1 - p/q) is finite
+    assert Exponents(2, 1e308).r == 2.0 and make_exponents(2, 1e308).r == 2.0
     # r is derived from p and q, never passed
     with pytest.raises(TypeError):
         Exponents(p=1.0, q=2.0, r=2.0)
@@ -262,7 +317,16 @@ _COUNTS = [
      lambda v: embedding_check(_M, [(0,)], 1.0, 0.5, 10, seed=v)),
     ("mean_dimension_table radius", "box radius", 0,
      lambda v: mean_dimension_table(_M, 1.0, 0.5, [v, 5])),
+    ("geometric tail_bound radius", "tail radius", 0, lambda v: _M.tail_bound(v)),
+    ("fresh_stream seed", "seed", 0, lambda v: fresh_stream(v, 0xBA11, 0)),
+    ("fresh_stream domain", "stream domain", 0, lambda v: fresh_stream(0, v, 0)),
+    ("fresh_stream index", "stream index", 0, lambda v: fresh_stream(0, 0xBA11, v)),
+    ("StreamFactory.generator index", "stream index", 0,
+     lambda v: StreamFactory(0, 0xBA11).generator(v)),
 ]
+
+# the counts that are 64-bit words of a stream key or counter, below 2^64
+_WORDS = {"seed", "stream domain", "stream index"}
 
 # (entry point and argument, the call with v there): lattice coordinates are
 # integers of any sign, never truncated
@@ -324,6 +388,23 @@ _SCALES = [
     ("widim_constant eps", lambda v: widim_constant(1.0, v)),
     ("embedding_check eps", lambda v: embedding_check(_M, [(0,)], 1.0, v, 10)),
     ("mean_dimension_table eps", lambda v: mean_dimension_table(_M, 1.0, v, [1, 2])),
+    ("asymptotic_exponent_fit eps_grid",
+     lambda v: asymptotic_exponent_fit(_E, [v, 0.1, 0.01, 0.001])),
+]
+
+# (entry point and argument, the call): a weight total is a scale in (0, 1]
+_TOTALS = [
+    ("WeightedGroupMetric total_bound",
+     lambda v: WeightedGroupMetric(1, lambda g: 0.5, lambda k: 0.0, v)),
+    ("geometric_weight_metric total", lambda v: geometric_weight_metric(total=v)),
+]
+
+# (entry point and argument, the call): a probe set is a nonempty set of
+# lattice points of the weight's dimension
+_EMPTY = FinitelySupportedPoint((), (), 1.0)
+_PROBE_SETS = [
+    ("omega_distance omega", lambda v: omega_distance(_EMPTY, _EMPTY, _M, v)),
+    ("embedding_check omega", lambda v: embedding_check(_M, v, 1.0, 0.5, 10)),
 ]
 
 # (entry point and argument, message name, the call): nonnegative finite reals
@@ -342,7 +423,7 @@ _NONNEGATIVE = [
 def _input_rule_cases():
     # a seed is also below 2^64, the width of a stream key
     rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf)
-             + ((2**64,) if what == "seed" else ()))
+             + ((2**64,) if what in _WORDS else ()))
             for name, what, least, call in _COUNTS]
     rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
              for name, call in _COORDINATES]
@@ -352,8 +433,13 @@ def _input_rule_cases():
              for name, call in _SCALES]
     rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf))
              for name, what, call in _NONNEGATIVE]
+    rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf))
+             for name, call in _TOTALS]
     for name, what, call, bads in rows:
         for bad in bads:
+            yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
+    for name, call in _PROBE_SETS:
+        for bad, what in (([], "nonempty"), ([(0, 0)], "dimension 1")):
             yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
 
 
@@ -371,7 +457,7 @@ def test_input_rule_table_covers_valid_values():
     for _, what, least, call in _COUNTS:
         call(least)
         call(np.int64(least + 1))
-        if what == "seed":
+        if what in _WORDS:
             call(2**64 - 1)
             call(np.uint64(2**64 - 1))
     for _, call in _COORDINATES:
@@ -384,6 +470,12 @@ def test_input_rule_table_covers_valid_values():
     for _, _, call in _NONNEGATIVE:
         call(0.0)
         call(0.5)
+    for _, call in _TOTALS:
+        call(0.25)
+        call(1.0)
+    for _, call in _PROBE_SETS:
+        call([(0,)])
+        call([(1,), (-1,)])
 
 
 def test_bool_checks_live_in_core():

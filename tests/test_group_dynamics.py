@@ -155,6 +155,17 @@ def test_point_canonical_form():
     assert empty.support == () and empty.dim is None
 
 
+def test_point_equality_is_by_value_and_points_are_unhashable():
+    # the dataclass compares (support, values, p); the lookup index is not compared
+    x = pt([(3,), (1,)], [0.1, 0.2])
+    assert x == pt([(1,), (3,), (2,)], [0.2, 0.1, 0.0])
+    assert x != pt([(1,), (3,)], [0.2, 0.1], p=2.0)
+    assert x != pt([(1,), (4,)], [0.2, 0.1])
+    assert x != ((1,), (3,))
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         pt([(0,), (0,)], [0.3, 0.3])  # duplicate support
