@@ -58,8 +58,10 @@ BOUND_TOLERANCE = 1e-9
 #: max(1, _CHUNK_CELLS // n) rows, so no array of a run holds a whole block.
 BLOCK = 4096
 
-# Cells of one Monte Carlo chunk: 2^14 doubles, 128 KiB, small enough that
-# its temporaries are reused from the heap instead of mapped afresh.
+# Cells of one Monte Carlo chunk: 2^14 doubles, 128 KiB, which is glibc's
+# default mmap threshold, so a chunk-sized temporary is mapped afresh or
+# trimmed and faulted back in depending on the heap's history. A block
+# therefore draws every chunk into one workspace allocated once.
 _CHUNK_CELLS = 1 << 14
 
 #: Hill-climbing schedule.
@@ -107,26 +109,42 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
     unused = None if sizes is None else np.arange(n) >= np.asarray(sizes)[:, None]
+    X = np.empty((rows, n))
+    return _fill_ball_rows(X, np.empty_like(X), p, rng, unused)
+
+
+def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Generator,
+                    unused) -> np.ndarray:
+    """Unchecked kernel of :func:`sample_lp_ball_rows`: fill the C-contiguous
+    float batch X with its ball points in the documented draw order and return
+    it. S, of X's shape, is scratch for the squares at p = 2 and the signs at
+    other finite p; every step runs in place, with the same bits as drawing
+    fresh arrays."""
     if math.isinf(p):
-        X = rng.uniform(-1.0, 1.0, (rows, n))
+        rng.random(out=X)  # uniform(-1, 1) is -1 + 2u, and 2u is exact
+        X *= 2.0
+        X -= 1.0
     elif p == 2.0:
-        X = rng.standard_normal((rows, n))
-        y = rng.standard_exponential(rows)
+        rng.standard_normal(out=X)
+        y = rng.standard_exponential(len(X))
         if unused is not None:
             X[unused] = 0.0
-        X /= np.sqrt(np.sum(X * X, axis=1) + 2.0 * y)[:, None]
+        np.multiply(X, X, out=S)
+        X /= np.sqrt(S.sum(axis=1) + 2.0 * y)[:, None]
     else:
         if p == 1.0:  # |g_ij|^p: Gamma(1) is the standard exponential, draw for draw
-            w = rng.standard_exponential((rows, n))
+            w = rng.standard_exponential(out=X)
         else:
-            w = rng.gamma(1.0 / p, 1.0, (rows, n))
-        signs = rng.integers(0, 2, (rows, n)) * 2.0 - 1.0
-        y = rng.standard_exponential(rows)
+            w = rng.gamma(1.0 / p, 1.0, X.shape)
+        np.multiply(rng.integers(0, 2, X.shape), 2.0, out=S)
+        S -= 1.0
+        y = rng.standard_exponential(len(X))
         if unused is not None:
             w[unused] = 0.0
-        scale = (np.sum(w, axis=1) + y) ** (1.0 / p)
-        X = w if p == 1.0 else w ** (1.0 / p)
-        X *= signs
+        scale = (w.sum(axis=1) + y) ** (1.0 / p)
+        if p != 1.0:
+            np.power(w, 1.0 / p, out=X)
+        X *= S
         X /= scale[:, None]
     if unused is not None:
         X[unused] = 0.0
@@ -212,11 +230,15 @@ def _report(n, m, e, count, seed, value, x) -> CertificationReport:
 
 def _sample_block(seed, b, n, p):
     """Block b of the Monte Carlo sample set: BLOCK rows from stream b, yielded
-    as consecutive chunks of max(1, _CHUNK_CELLS // n) rows, each drawn whole."""
+    as consecutive chunks of max(1, _CHUNK_CELLS // n) rows, each drawn whole.
+    Every chunk is drawn into one workspace allocated per call, so a yielded
+    chunk is a view that is valid only until the next chunk is drawn."""
     rng = fresh_stream(seed, DOMAIN_BALL, b)
     rows = max(1, _CHUNK_CELLS // n)
+    X, S = np.empty((2, min(rows, BLOCK), n))
     for lo in range(0, BLOCK, rows):
-        yield sample_lp_ball_rows(min(rows, BLOCK - lo), n, p, rng)
+        k = min(rows, BLOCK - lo)
+        yield _fill_ball_rows(X[:k], S[:k], p, rng, None)
 
 
 def monte_carlo_certify(

@@ -46,6 +46,17 @@ def _check_int(value, what: str, least: int | None) -> int:
     return int(value)
 
 
+def _check_int_array(values, what: str) -> np.ndarray:
+    """A fresh intp array of ``values`` under the rule of :func:`_check_int` for
+    every entry (any integer, never a ``bool``). An integer array passes on its
+    dtype alone; any other input, a list included, is checked entry by entry."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.intp)
+    arr = np.array(values, dtype=object)
+    return np.array([_check_int(v, what, None) for v in arr.flat],
+                    dtype=np.intp).reshape(arr.shape)
+
+
 def _check_seed(value, what: str = "seed") -> int:
     """An integer of at least 0 and below 2^64, the width of a stream key word."""
     value = _check_int(value, what, 0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_int, as_vector
+from .core import _check_int, _check_int_array, as_vector
 
 __all__ = [
     "SignedPermutation",
@@ -34,8 +34,9 @@ __all__ = [
 class SignedPermutation:
     """Group element: a sign vector in {-1,+1}^n and a permutation image list.
 
-    ``perm[k]`` is the index that coordinate ``k`` is sent to. Arrays are
-    copied and marked read-only on construction.
+    ``perm[k]`` is the index that coordinate ``k`` is sent to; its entries
+    must be integers, never bools or floats. Arrays are copied and marked
+    read-only on construction.
     """
 
     signs: np.ndarray
@@ -43,7 +44,7 @@ class SignedPermutation:
 
     def __post_init__(self):
         signs = np.array(self.signs, dtype=np.float64)
-        perm = np.array(self.perm, dtype=np.intp)
+        perm = _check_int_array(self.perm, "permutation entry")
         if signs.ndim != 1 or perm.ndim != 1 or signs.shape != perm.shape:
             raise ValueError("signs and perm must be 1-D of equal length")
         n = signs.shape[0]

@@ -43,10 +43,13 @@ __all__ = [
 
 def _shrink(a: np.ndarray, m: int) -> np.ndarray:
     """Row-wise ``max(a - tau, 0)`` for ``a >= 0``, with ``tau`` the (m+1)-th
-    largest entry of the row; requires m < n."""
+    largest entry of the row; requires m < n. The partitioned copy of ``a``
+    is the result's only row-batch allocation."""
     k = a.shape[1] - 1 - m
-    tau = np.partition(a, k, axis=1)[:, k, None]
-    return np.maximum(a - tau, 0.0)
+    out = np.partition(a, k, axis=1)
+    tau = out[:, k, None].copy()
+    np.subtract(a, tau, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def f0(y, m: int) -> ConePoint:

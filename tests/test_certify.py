@@ -61,9 +61,10 @@ def test_samples_lie_in_the_ball():
                 assert all(in_lp_ball(x, p) for x in X)
     # the Monte Carlo blocks themselves, including the boundary-heavy p = 1:
     # BLOCK rows in chunks of max(1, _CHUNK_CELLS // n) rows, the last one short
+    # (a chunk is valid until the next draw, so each is copied)
     for p in (1.0, 2.0, math.inf):
         for n, sizes in ((1, [BLOCK]), (5, [3276, 820]), (64, [256] * 16)):
-            chunks = list(certify._sample_block(41, 2, n, p))
+            chunks = [X.copy() for X in certify._sample_block(41, 2, n, p)]
             assert [X.shape for X in chunks] == [(k, n) for k in sizes]
             assert all(in_lp_ball(x, p) for X in chunks for x in X)
 
@@ -144,10 +145,21 @@ def test_block_matches_fresh_stream_reference():
             rows = max(1, certify._CHUNK_CELLS // n)
             ref = [reference_chunk(g, min(rows, BLOCK - lo), n, p)
                    for lo in range(0, BLOCK, rows)]
-            got = list(certify._sample_block(9, b, n, p))
+            got = [X.copy() for X in certify._sample_block(9, b, n, p)]
             assert len(got) == len(ref)
             for X, R in zip(got, ref):
                 assert np.array_equal(X.view(np.uint64), R.view(np.uint64))
+
+
+def test_block_chunks_share_one_workspace():
+    # a block draws every chunk into one buffer allocated per call: consecutive
+    # full chunks are views of the same memory, and the short last chunk too
+    for p in (1.0, 2.0, 3.5, math.inf):
+        for n in (5, 64, 1024):
+            chunks = certify._sample_block(9, 1, n, p)
+            first = next(chunks)
+            for X in chunks:
+                assert np.shares_memory(first, X)
 
 
 def test_gamma_one_is_the_standard_exponential():
@@ -198,7 +210,7 @@ def test_monte_carlo_samples_are_prefix_stable(monkeypatch):
     monkeypatch.setattr(certify, "distortion", spy)
     e = make_exponents(1.5, 3)
     rows = certify._CHUNK_CELLS // 5  # 3276: chunks of 3276 and 820 rows
-    full = [list(certify._sample_block(21, b, 5, e.p)) for b in (0, 1)]
+    full = [[X.copy() for X in certify._sample_block(21, b, 5, e.p)] for b in (0, 1)]
     assert [len(X) for X in full[0]] == [rows, BLOCK - rows]
     whole = np.vstack(full[0] + full[1])
     for k, chunks in ((1, 1), (17, 1), (rows, 1), (rows + 1, 2), (BLOCK - 1, 2), (BLOCK, 2),
@@ -233,7 +245,8 @@ def monte_carlo_oracle(n, m, e, samples, seed):
     the concatenated chunks of every block: the first argmax, unless the
     extremal point (m < n) reaches it."""
     blocks = range(-(-samples // BLOCK))
-    X = np.vstack([C for b in blocks for C in certify._sample_block(seed, b, n, e.p)])[:samples]
+    X = np.vstack([C.copy() for b in blocks
+                   for C in certify._sample_block(seed, b, n, e.p)])[:samples]
     d = threshold_map.distortion(X, m, e.q)
     at = int(np.argmax(d))
     value, x = float(d[at]), X[at]

@@ -60,7 +60,7 @@ from widim.core import (
     lq_distance,
     make_exponents,
 )
-from widim.signed_perm import identity, random_element
+from widim.signed_perm import SignedPermutation, identity, random_element
 
 
 def test_lq_distance_pinned_values():
@@ -343,6 +343,12 @@ _COORDINATES = [
     ("geometric weight gamma", lambda v: _M.weight((v,))),
 ]
 
+# (entry point and argument, message name, the call with v there): arrays of
+# integers, never of bools or floats, whether or not the values are whole
+_INT_ARRAYS = [
+    ("SignedPermutation perm", "permutation entry", lambda v: SignedPermutation([1.0, 1.0], v)),
+]
+
 # (entry point and argument, message name, whether inf is refused, the call)
 _EXPONENTS = [
     ("lq_distance q", "distance exponent q", False, lambda v: lq_distance((1.0,), (0.0,), v)),
@@ -427,6 +433,9 @@ def _input_rule_cases():
             for name, what, least, call in _COUNTS]
     rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
              for name, call in _COORDINATES]
+    rows += [(name, what, call, ([0.7, 1.2], [1.9, 0.2], [1.0, 0.0], [True, False], [True, 0],
+                                 np.array([True, False]), np.array([1.0, 0.0])))
+             for name, what, call in _INT_ARRAYS]
     rows += [(name, what, call, (True, 0.5, -math.inf, math.nan) + ((math.inf,) if finite else ()))
              for name, what, finite, call in _EXPONENTS]
     rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf))
@@ -463,6 +472,11 @@ def test_input_rule_table_covers_valid_values():
     for _, call in _COORDINATES:
         call(-3)
         call(np.int64(2))
+    for _, _, call in _INT_ARRAYS:
+        call([1, 0])
+        call([np.int64(1), 0])
+        call(np.array([1, 0]))
+        call(np.array([1, 0], dtype=np.uint8))
     for _, _, _, call in _EXPONENTS:
         call(2.0)
     for _, call in _SCALES:

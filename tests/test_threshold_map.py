@@ -1,6 +1,7 @@
 """Threshold map: the two routes, their agreement, and the distortion bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from widim.core import lq_distance, make_exponents
 from widim.signed_perm import ConePoint, SignedPermutation, act, canonicalize, in_cone, inverse
 from widim.threshold_map import (
     _distortion_rows,
+    _shrink,
     distortion,
     distortion_bound,
     extremal_vector,
@@ -186,6 +188,22 @@ def test_cone_restricted_equivariance(data, entries):
 
 
 # --- distortion and the extremal configuration ------------------------------
+
+
+def test_shrink_allocates_one_row_batch():
+    # the partitioned copy is reused for a - tau and for the max with 0, so the
+    # traced peak stays below two batches
+    A = np.abs(np.random.default_rng(5).standard_normal((256, 64)))
+    for m in (0, 3, 63):
+        expected = np.maximum(A - np.sort(A, axis=1)[:, 63 - m, None], 0.0)
+        tracemalloc.start()
+        try:
+            out = _shrink(A, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * A.nbytes
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
 def test_distortion_pinned_values():
