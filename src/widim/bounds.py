@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Exponents, _check_exponent, _check_int, _check_nonnegative, _check_scale,
-                   make_exponents)
+from .core import (Exponents, _check_exponent, _check_int, _check_nonnegative, _check_pair,
+                   _check_scale, make_exponents)
 
 __all__ = [
     "guarded_count",
@@ -82,24 +82,24 @@ def _power(base: float, exponent: float) -> float:
 
 def widim_upper_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free upper count ceil((2/eps)^r) - 1; None if saturated."""
-    return _upper_plateau(_check_scale(eps), e)
+    return _upper_plateau(_check_scale(eps), _check_pair(e))
 
 
 def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free lower count ceil(eps^-r) - 1; None if saturated."""
-    return _lower_plateau(_check_scale(eps), e)
+    return _lower_plateau(_check_scale(eps), _check_pair(e))
 
 
 def widim_upper(n: int, eps: float, e: Exponents) -> int:
     """Upper width bound min(n, ceil((2/eps)^r) - 1)."""
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return min(n, _cap(_upper_plateau(eps, e)))
+    return min(n, _cap(_upper_plateau(eps, _check_pair(e))))
 
 
 def widim_lower(n: int, eps: float, e: Exponents) -> int:
     """Lower width bound min(n, ceil(eps^-r) - 1)."""
     n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return min(n, _cap(_lower_plateau(eps, e)))
+    return min(n, _cap(_lower_plateau(eps, _check_pair(e))))
 
 
 # Unchecked cores of the bounds above, for callers that checked n and eps.
@@ -122,7 +122,7 @@ def _caps(eps: float, e: Union[Exponents, EqualCase]) -> Optional[tuple]:
     from there on."""
     if isinstance(e, EqualCase):
         return (math.inf, math.inf) if eps < 1.0 else None
-    upper = _cap(_upper_plateau(eps, e))
+    upper = _cap(_upper_plateau(eps, _check_pair(e)))
     return (upper if math.isinf(e.q) else _cap(_lower_plateau(eps, e))), upper
 
 
@@ -235,10 +235,10 @@ def ball_inclusion_max_radius(m: int, e: Exponents) -> float:
     The norm comparison ||x||_p <= m^(1/r) ||x||_q on m coordinates gives
     rho = m^(-1/r), attained by the constant-coordinate corner vector.
     """
-    return float(_check_int(m, "coordinate count m", 1) ** (-e.inverse_rate))
+    return float(_check_int(m, "coordinate count m", 1) ** (-_check_pair(e).inverse_rate))
 
 
 def ball_inclusion_holds(rho: float, m: int, e: Exponents) -> bool:
     """Inclusion predicate rho * m^(1/r) <= 1 + 1e-12 for a radius rho >= 0."""
-    rho = _check_nonnegative(rho, "radius rho")
-    return rho * _check_int(m, "coordinate count m", 1) ** e.inverse_rate <= 1.0 + 1e-12
+    rho, m = _check_nonnegative(rho, "radius rho"), _check_int(m, "coordinate count m", 1)
+    return rho * m ** _check_pair(e).inverse_rate <= 1.0 + 1e-12

@@ -31,7 +31,7 @@ import numpy as np
 from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
 from ._output import csv_row, json_exponent, report_fields
 from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
-                   _check_seed, as_vector)
+                   _check_pair, _check_row_sizes, _check_seed, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -101,14 +101,13 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     drawn as every normal, then one exponential per row. ``p = inf`` draws
     coordinates independently uniform on [-1, 1].
 
-    With ``sizes``, row r is uniform in the ball of its first sizes[r]
-    coordinates and zero beyond: unused coordinates are drawn but masked
-    before the normalizing sum.
+    With ``sizes``, one integer in [0, n] per row, row r is uniform in the
+    ball of its first sizes[r] coordinates and zero beyond: unused
+    coordinates are drawn but masked before the normalizing sum.
     """
-    _check_int(rows, "rows", 1)
-    _check_int(n, "dimension n", 1)
+    rows, n = _check_int(rows, "rows", 1), _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
-    unused = None if sizes is None else np.arange(n) >= np.asarray(sizes)[:, None]
+    unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
     X = np.empty((rows, n))
     return _fill_ball_rows(X, np.empty_like(X), p, rng, unused)
 
@@ -208,8 +207,7 @@ def report_to_csv_row(report: CertificationReport) -> str:
 
 def _validate_run(n, m, e, count, count_name, workers, seed):
     """The checked (n, m, count, seed) of a run, refused above MAX_CERTIFY_CELLS."""
-    if not isinstance(e, Exponents):
-        raise ValueError(f"expected an Exponents triple, got {e!r}")
+    _check_pair(e)
     n, m = _check_int(n, "dimension n", 1), _check_int(m, "sparsity m", 0)
     count = _check_int(count, count_name, 1)
     _check_int(workers, "workers", 1)
@@ -325,7 +323,7 @@ def adversarial_certify(
         starts[k + 1] = sample_lp_ball(n, p, fresh_stream(seed, DOMAIN_CLIMB, k))
 
     X = starts
-    best = np.asarray(distortion(X, m, q))
+    best = distortion(X, m, q)
     steps = np.full(restarts + 1, CLIMB_INITIAL_STEP)
     # Move j of a sweep adds +step (j even) or -step (j odd) to coordinate
     # j // 2; the tables are padded so a window may run past the last move.

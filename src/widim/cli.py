@@ -154,7 +154,7 @@ def _run_map(args) -> int:
     else:
         with open(args.infile) as fh:
             line = fh.readline()
-    x = np.array([float(v) for v in line.split()], dtype=np.float64)
+    x = [float(v) for v in line.split()]
     y = f_closed(x, args.m)
     params = {"m": args.m}
     dist = None
@@ -165,7 +165,7 @@ def _run_map(args) -> int:
         "command": "map",
         "m": args.m,
         "q": None if args.q is None else json_exponent(args.q),
-        "input": [float(v) for v in x],
+        "input": x,
         "output": [float(v) for v in y],
         "nonzero_count": int(np.count_nonzero(y)),
         "distortion": dist,

@@ -1,6 +1,7 @@
 """Numeric primitives shared by every other module.
 
-Vectors are plain 1-D float64 numpy arrays validated by :func:`as_vector`.
+Vectors and row batches are plain float64 numpy arrays read by one reader,
+:func:`_check_reals`, whose one-vector case is :func:`as_vector`.
 Distances and norms branch explicitly on an infinite exponent instead of
 approximating it with a large float, and every reduction runs in a fixed
 order so results are reproducible bit for bit.
@@ -57,6 +58,14 @@ def _check_int_array(values, what: str) -> np.ndarray:
                     dtype=np.intp).reshape(arr.shape)
 
 
+def _check_row_sizes(sizes, rows: int, n: int) -> np.ndarray:
+    """One integer in [0, n] per row of a batch of ``rows`` rows, as an intp array."""
+    sizes = _check_int_array(sizes, "row size")
+    if sizes.shape != (rows,) or not np.all((sizes >= 0) & (sizes <= n)):
+        raise ValueError(f"row sizes must be {rows} integers in [0, {n}], got {sizes!r}")
+    return sizes
+
+
 def _check_seed(value, what: str = "seed") -> int:
     """An integer of at least 0 and below 2^64, the width of a stream key word."""
     value = _check_int(value, what, 0)
@@ -90,29 +99,39 @@ def _check_nonnegative(value, what: str) -> float:
     return x
 
 
-def _check_rows(X: np.ndarray) -> np.ndarray:
-    """A 2-D float batch with at least one column and only finite values."""
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-D batch of row vectors, got shape {X.shape}")
+def _check_pair(e) -> Exponents:
+    """An exponent pair (p, q) as :func:`make_exponents` builds it."""
+    if not isinstance(e, Exponents):
+        raise ValueError(f"exponent pair must be an Exponents from make_exponents, got {e!r}")
+    return e
+
+
+def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarray, bool]:
+    """``x`` as a float64 batch of row vectors, and whether it was one vector
+    (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. A bool
+    array is refused as a bool scalar is; an empty vector and a non-finite value
+    are refused too. The batch may share memory with ``x``."""
+    X = np.asarray(x)
+    if X.dtype == bool:
+        raise ValueError(f"{what} must hold reals, not bools")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 1 and not (rows and X.ndim == 2):
+        shape = "a vector or a 2-D batch of row vectors" if rows else "a 1-D vector"
+        raise ValueError(f"{what} must be {shape}, got shape {X.shape}")
+    single = X.ndim == 1
+    X = X[None] if single else X
     if X.shape[1] < 1:
         raise ValueError("vectors must have at least one coordinate")
     if not np.isfinite(X).all():
         raise ValueError("values must be finite")
-    return X
+    return X, single
 
 
 def as_vector(x) -> np.ndarray:
-    """Validate and return ``x`` as a 1-D float64 array.
-
-    Accepts any sequence of real numbers. Rejects empty input, higher
-    dimensional arrays, and non-finite entries. The returned array may share
-    memory with the input; callers treat vectors as immutable values.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    _check_rows(arr[None, :])
-    return arr
+    """Validate and return ``x`` as a 1-D float64 array: the one-vector case of
+    :func:`_check_reals`, which may share memory with ``x``; callers treat
+    vectors as immutable values."""
+    return _check_reals(x)[0][0]
 
 
 def lq_distance(x, y, q: float) -> float:
@@ -166,6 +185,14 @@ def lp_norm_power(x, p: float) -> float:
 def in_lp_ball(x, p: float) -> bool:
     """Membership test for the unit ball: lp_norm_power(x, p) <= 1 + BALL_TOLERANCE."""
     return lp_norm_power(x, p) <= 1.0 + BALL_TOLERANCE
+
+
+def _check_in_ball(B, p: float) -> None:
+    """Ball membership per row of B: finite values and mass at most 1 + tolerance."""
+    mass = _ball_mass(_check_reals(B, "point values", rows=True)[0], p)
+    outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
+    if outside.size:
+        raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from ._output import csv_row, json_exponent, report_fields
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import (BALL_TOLERANCE, _ball_mass, _check_exponent, _check_int, _check_rows,
+from .core import (_ball_mass, _check_exponent, _check_in_ball, _check_int, _check_reals,
                    _check_scale, _check_seed, _lq_rows)
 
 __all__ = [
@@ -86,10 +86,10 @@ def _as_point(gamma, dim: int) -> tuple:
 
 
 def _probe_set(omega, dim: int) -> tuple:
-    """The probe set Omega as sorted lattice points of dimension ``dim``, nonempty."""
+    """The probe set Omega as sorted distinct lattice points of dimension ``dim``, nonempty."""
     deltas = tuple(sorted(_as_point(d, dim) for d in omega))
-    if not deltas:
-        raise ValueError("omega must be a nonempty set of lattice points")
+    if not deltas or len(set(deltas)) < len(deltas):
+        raise ValueError("omega must be a nonempty set of distinct lattice points")
     return deltas
 
 
@@ -224,7 +224,7 @@ class FinitelySupportedPoint:
     def __post_init__(self):
         p = _check_exponent(self.p, "ball exponent p")
         pts = [_coords(pt) for pt in self.support]
-        vals = [float(v) for v in self.values]
+        vals = _check_reals(self.values, "point values")[0][0].tolist() if len(self.values) else []
         if len(pts) != len(vals):
             raise ValueError("support and values must have equal length")
         if len(set(len(pt) for pt in pts)) > 1:
@@ -498,14 +498,6 @@ class _Window:
     def omega_distances(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Per pair of :func:`_union`: d_Omega, every probe row in one pass."""
         return np.cumsum(D * self.weights[:, C], axis=2)[..., -1].max(axis=0)
-
-
-def _check_in_ball(B: np.ndarray, p) -> None:
-    """Ball membership per row of B: finite values and mass at most 1 + tolerance."""
-    mass = _ball_mass(_check_rows(B), p)
-    outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
-    if outside.size:
-        raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")
 
 
 def embedding_check(

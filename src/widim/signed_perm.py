@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_int, _check_int_array, as_vector
+from .core import _check_int, _check_int_array, _check_reals, as_vector
 
 __all__ = [
     "SignedPermutation",
@@ -43,16 +43,13 @@ class SignedPermutation:
     perm: np.ndarray
 
     def __post_init__(self):
-        signs = np.array(self.signs, dtype=np.float64)
+        signs = np.array(_check_reals(self.signs, "signs")[0][0])
         perm = _check_int_array(self.perm, "permutation entry")
-        if signs.ndim != 1 or perm.ndim != 1 or signs.shape != perm.shape:
+        if perm.ndim != 1 or signs.shape != perm.shape:
             raise ValueError("signs and perm must be 1-D of equal length")
-        n = signs.shape[0]
-        if n < 1:
-            raise ValueError("degree must be at least 1")
         if not np.all(np.abs(signs) == 1.0):
             raise ValueError("signs must be +1 or -1")
-        if not np.array_equal(np.sort(perm), np.arange(n)):
+        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValueError("perm is not a permutation of 0..n-1")
         signs.setflags(write=False)
         perm.setflags(write=False)
@@ -81,10 +78,8 @@ class ConePoint:
 
     def __post_init__(self):
         coords = np.array(as_vector(self.coords))
-        if coords.shape[0] > 1 and np.any(np.diff(coords) > 0.0):
-            raise ValueError("cone point must be sorted in non-increasing order")
-        if not coords[-1] >= 0.0:
-            raise ValueError("cone point coordinates must be nonnegative")
+        if not _in_cone(coords, 0.0):
+            raise ValueError("cone point must be sorted non-increasingly and nonnegative")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -100,12 +95,15 @@ class ConePoint:
     __hash__ = None
 
 
+def _in_cone(xv: np.ndarray, slack: float) -> bool:
+    """Whether the checked vector xv is sorted non-increasingly with nonnegative
+    entries, up to ``slack``: no entry above its left neighbour or below 0 by more."""
+    return not np.any(np.diff(xv) > slack) and bool(xv[-1] >= -slack)
+
+
 def in_cone(x) -> bool:
     """True iff x is sorted non-increasingly with nonnegative entries."""
-    xv = as_vector(x)
-    if xv.shape[0] > 1 and np.any(np.diff(xv) > 0.0):
-        return False
-    return bool(xv[-1] >= 0.0)
+    return _in_cone(as_vector(x), 0.0)
 
 
 def identity(n: int) -> SignedPermutation:

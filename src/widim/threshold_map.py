@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Exponents, _check_exponent, _check_int, _check_rows, _lq_rows, as_vector
-from .signed_perm import ConePoint
+from .core import (Exponents, _check_exponent, _check_int, _check_pair, _check_reals, _lq_rows,
+                   as_vector)
+from .signed_perm import ConePoint, _in_cone
 
 __all__ = [
     "f0",
@@ -63,11 +64,9 @@ def f0(y, m: int) -> ConePoint:
     """
     m = _check_int(m, "sparsity m", 0)
     yv = as_vector(y.coords if isinstance(y, ConePoint) else y)
+    if not _in_cone(yv, 1e-12):
+        raise ValueError("input is not sorted non-increasingly and nonnegative (beyond 1e-12)")
     n = yv.shape[0]
-    if n > 1 and np.any(np.diff(yv) > 1e-12):
-        raise ValueError("input is not sorted non-increasingly (beyond tolerance)")
-    if yv[-1] < -1e-12:
-        raise ValueError("input has a negative coordinate (beyond tolerance)")
     keep = min(m, n)
     tau = yv[m] if m < n else 0.0
     z = np.zeros(n, dtype=np.float64)
@@ -86,20 +85,21 @@ def f_equivariant(x, m: int) -> np.ndarray:
     with ``g, y = canonicalize(x)``.
     """
     m = _check_int(m, "sparsity m", 0)
-    X = np.asarray(x, dtype=np.float64)
-    X = as_vector(X) if X.ndim == 1 else _check_rows(X)
-    if m >= X.shape[-1]:
-        return X + 0.0
-    # the shrink reads the first m + 1 sorted coordinates and writes the first
-    # m; every other output coordinate is +0.0
-    order = np.argsort(-np.abs(X), axis=-1, kind="stable")[..., :m + 1]
-    gx = np.take_along_axis(X, order, axis=-1)
-    signs = np.where(gx[..., :m] >= 0.0, 1.0, -1.0)
-    y = np.abs(gx)
-    z = signs * np.maximum(y[..., :m] - y[..., m:], 0.0)
-    out = np.zeros_like(X)
-    np.put_along_axis(out, order[..., :m], z + 0.0, axis=-1)
-    return out
+    X, single = _check_reals(x, "x", rows=True)
+    if m >= X.shape[1]:
+        out = X + 0.0
+    else:
+        # the shrink reads the first m + 1 sorted coordinates and writes the
+        # first m; every other output coordinate is +0.0
+        rows = np.arange(X.shape[0])[:, None]
+        order = np.argsort(-np.abs(X), axis=1, kind="stable")[:, :m + 1]
+        gx = X[rows, order]
+        signs = np.where(gx[:, :m] >= 0.0, 1.0, -1.0)
+        y = np.abs(gx)
+        z = signs * np.maximum(y[:, :m] - y[:, m:], 0.0)
+        out = np.zeros_like(X)
+        out[rows, order[:, :m]] = z + 0.0
+    return out[0] if single else out
 
 
 def f_closed(x, m: int) -> np.ndarray:
@@ -111,14 +111,12 @@ def f_closed(x, m: int) -> np.ndarray:
     :func:`f_equivariant` bit for bit on every input.
     """
     m = _check_int(m, "sparsity m", 0)
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    arr = as_vector(arr)[None, :] if single else _check_rows(arr)
-    if m >= arr.shape[1]:
-        out = arr + 0.0
-        return out[0] if single else out
-    shrunk = _shrink(np.abs(arr), m)
-    out = np.where(arr >= 0.0, shrunk, -shrunk) + 0.0
+    X, single = _check_reals(x, "x", rows=True)
+    if m >= X.shape[1]:
+        out = X + 0.0
+    else:
+        shrunk = _shrink(np.abs(X), m)
+        out = np.where(X >= 0.0, shrunk, -shrunk) + 0.0
     return out[0] if single else out
 
 
@@ -135,11 +133,9 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
     """
     m = _check_int(m, "sparsity m", 0)
     q = _check_exponent(q, "distance exponent q")
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    arr = as_vector(arr)[None, :] if single else _check_rows(arr)
+    X, single = _check_reals(x, "x", rows=True)
     with np.errstate(over="ignore"):  # _lq_rows recomputes an overflowed row
-        out = _distortion_rows(np.abs(arr), m, q)
+        out = _distortion_rows(np.abs(X), m, q)
     return float(out[0]) if single else out
 
 
@@ -160,7 +156,7 @@ def distortion_bound(m: int, e: Exponents) -> float:
     arithmetic of the extremal configuration as closely as possible.
     """
     m = _check_int(m, "sparsity m", 0)
-    return float((m + 1) ** (-e.inverse_rate))
+    return float((m + 1) ** (-_check_pair(e).inverse_rate))
 
 
 def extremal_vector(m: int, p: float, n: int) -> np.ndarray:

@@ -60,7 +60,8 @@ from widim.core import (
     lq_distance,
     make_exponents,
 )
-from widim.signed_perm import SignedPermutation, identity, random_element
+from widim.signed_perm import (ConePoint, SignedPermutation, act, canonicalize, identity, in_cone,
+                               random_element)
 
 
 def test_lq_distance_pinned_values():
@@ -413,6 +414,57 @@ _PROBE_SETS = [
     ("embedding_check omega", lambda v: embedding_check(_M, v, 1.0, 0.5, 10)),
 ]
 
+# (entry point and argument, message name, whether a 2-D batch is legal, a valid
+# value, the call with v there): arrays of finite reals, read by core's one
+# reader, which refuses a bool array as the scalar rules refuse a bool
+_HALVES = [0.5, 0.25]
+_VECTORS = [
+    ("as_vector x", "vector", False, _HALVES, lambda v: as_vector(v)),
+    ("lq_distance x", "vector", False, _HALVES, lambda v: lq_distance(v, (0.0, 0.0), 2)),
+    ("lq_distance y", "vector", False, _HALVES, lambda v: lq_distance((0.0, 0.0), v, 2)),
+    ("lp_norm_power x", "vector", False, _HALVES, lambda v: lp_norm_power(v, 2)),
+    ("in_lp_ball x", "vector", False, _HALVES, lambda v: in_lp_ball(v, 2)),
+    ("f_closed x", "x", True, _HALVES, lambda v: f_closed(v, 1)),
+    ("f_equivariant x", "x", True, _HALVES, lambda v: f_equivariant(v, 1)),
+    ("distortion x", "x", True, _HALVES, lambda v: distortion(v, 1, 2)),
+    ("ConePoint coords", "vector", False, _HALVES, lambda v: ConePoint(v)),
+    ("in_cone x", "vector", False, _HALVES, lambda v: in_cone(v)),
+    ("act x", "vector", False, _HALVES, lambda v: act(identity(2), v)),
+    ("canonicalize x", "vector", False, _HALVES, lambda v: canonicalize(v)),
+    ("f0 y", "vector", False, _HALVES, lambda v: f0(v, 1)),
+    ("check_key_lemma xs", "vector", False, _HALVES, lambda v: check_key_lemma(2, 1, 0.5, v)),
+    ("SignedPermutation signs", "signs", False, [1.0, -1.0],
+     lambda v: SignedPermutation(v, [1, 0])),
+    # a point with empty support has empty values, so only a nonempty input is read
+    ("FinitelySupportedPoint values", "point values", False, _HALVES,
+     lambda v: FinitelySupportedPoint(((0,), (1,))[:len(v)], v, 1.0)),
+]
+
+# (entry point and argument, the call with v there): row sizes are one integer
+# in [0, n] per row, here 3 rows of dimension 4
+_ROW_SIZES = [
+    ("sample_lp_ball_rows sizes p=1", lambda v: sample_lp_ball_rows(3, 4, 1.0, _rng(), v)),
+    ("sample_lp_ball_rows sizes p=2", lambda v: sample_lp_ball_rows(3, 4, 2.0, _rng(), v)),
+    ("sample_lp_ball_rows sizes p=inf", lambda v: sample_lp_ball_rows(3, 4, math.inf, _rng(), v)),
+]
+
+# (entry point and argument, the call with v there): an exponent pair is an
+# Exponents from make_exponents; bracket also takes the EqualCase marker
+_PAIRS = [
+    ("widim_upper e", lambda v: widim_upper(10, 0.5, v)),
+    ("widim_lower e", lambda v: widim_lower(10, 0.5, v)),
+    ("widim_upper_plateau e", lambda v: widim_upper_plateau(0.5, v)),
+    ("widim_lower_plateau e", lambda v: widim_lower_plateau(0.5, v)),
+    ("bracket e", lambda v: bracket(10, 0.5, v)),
+    ("asymptotic_exponent_fit e",
+     lambda v: asymptotic_exponent_fit(v, [0.5, 0.25, 0.125, 0.0625])),
+    ("distortion_bound e", lambda v: distortion_bound(3, v)),
+    ("ball_inclusion_max_radius e", lambda v: ball_inclusion_max_radius(3, v)),
+    ("ball_inclusion_holds e", lambda v: ball_inclusion_holds(0.5, 3, v)),
+    ("monte_carlo_certify e", lambda v: monte_carlo_certify(4, 1, v, 10)),
+    ("adversarial_certify e", lambda v: adversarial_certify(4, 1, v, 2)),
+]
+
 # (entry point and argument, message name, the call): nonnegative finite reals
 _NONNEGATIVE = [
     ("check_key_lemma c", "budget c", lambda v: check_key_lemma(2, v, 0.5, (0.0,))),
@@ -447,9 +499,23 @@ def _input_rule_cases():
     for name, what, call, bads in rows:
         for bad in bads:
             yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
-    for name, call in _PROBE_SETS:
-        for bad, what in (([], "nonempty"), ([(0, 0)], "dimension 1")):
-            yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
+    rows = [(name, what, call, bad) for name, call in _PROBE_SETS
+            for bad, what in (([], "nonempty"), ([(0, 0)], "dimension 1"),
+                              ([(0,), (0,)], "distinct"))]
+    for name, what, batch, _, call in _VECTORS:
+        rows += [(name, f"{what} must hold reals, not bools", call, bad)
+                 for bad in (np.array([True, False]), [True, False])]
+        rows += [(name, "values must be finite", call, [0.5, math.nan]),
+                 (name, f"{what} must be a", call, [[[0.5, 0.25]]] if batch else [[0.5, 0.25]])]
+        if what != "point values":  # a point with empty support has empty values
+            rows.append((name, "at least one coordinate", call, []))
+    rows += [(name, "row size", call, bad) for name, call in _ROW_SIZES
+             for bad in ([1, 2], [1.5, 2, 3], [True, 2, 3], [-1, 2, 3], [9, 2, 3], [[1, 2, 3]],
+                         np.array([1.0, 2.0, 3.0]), np.array([True, True, False]))]
+    rows += [(name, "exponent pair", call, bad) for name, call in _PAIRS
+             for bad in ((1, 2), None, "1,2") + (() if name == "bracket e" else (EqualCase(2, 2),))]
+    for name, what, call, bad in rows:
+        yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
 
 
 @pytest.mark.parametrize("call, bad, what", _input_rule_cases())
@@ -490,6 +556,21 @@ def test_input_rule_table_covers_valid_values():
     for _, call in _PROBE_SETS:
         call([(0,)])
         call([(1,), (-1,)])
+    for _, _, batch, valid, call in _VECTORS:
+        call(valid)
+        call(np.array(valid))
+        call(np.array(valid, dtype=np.float32))
+        if batch:
+            call([valid, valid])
+    FinitelySupportedPoint((), [], 1.0)  # the empty point reads no values
+    for _, call in _ROW_SIZES:
+        call([0, 2, 4])
+        call(np.array([1, 2, 3]))
+        call(np.array([4, 4, 0], dtype=np.uint8))
+    for _, call in _PAIRS:
+        call(_E)
+        call(make_exponents(2, math.inf))
+    bracket(10, 0.5, EqualCase(2, 1))
 
 
 def test_bool_checks_live_in_core():
@@ -499,3 +580,16 @@ def test_bool_checks_live_in_core():
     pattern = re.compile(r"isinstance\([^()]*\bbool\b")
     holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
     assert holders == ["_output.py", "core.py"]
+
+
+def test_real_casts_and_the_ball_rule_live_in_core():
+    # caller input becomes a float array only in core's reader, and only core
+    # compares a mass with 1 + BALL_TOLERANCE: a local np.asarray, a cast of a
+    # bare argument such as np.array(x, dtype=np.float64), or a local ball test
+    # elsewhere would be a second copy of the rule
+    src = Path(widim.__file__).parent
+    for rule in (r"np\.asarray\(", r"np\.(as)?array\(\s*[\w.]+\s*,\s*dtype=",
+                 r"1\.0 \+ BALL_TOLERANCE"):
+        pattern = re.compile(rule)
+        holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
+        assert holders == ["core.py"], rule
