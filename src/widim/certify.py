@@ -109,16 +109,23 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     p = _check_exponent(p, "ball exponent p")
     unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
     X = np.empty((rows, n))
-    return _fill_ball_rows(X, np.empty_like(X), p, rng, unused)
+    bits = _fill_ball_rows(X, np.empty_like(X), p, rng, unused)
+    if bits is not None:
+        np.negative(X, out=X, where=bits == 0)
+    if unused is not None:
+        X[unused] = 0.0
+    return X
 
 
 def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Generator,
-                    unused) -> np.ndarray:
+                    unused) -> np.ndarray | None:
     """Unchecked kernel of :func:`sample_lp_ball_rows`: fill the C-contiguous
-    float batch X with its ball points in the documented draw order and return
-    it. S, of X's shape, is scratch for the squares at p = 2 and the signs at
-    other finite p; every step runs in place, with the same bits as drawing
-    fresh arrays."""
+    float batch X in the documented draw order, unused cells not yet zeroed,
+    with the points at p = 2 and p = inf (returning None) and elsewhere with
+    their magnitudes ``w^(1/p) / scale``, returning the integer sign draw, 1
+    for plus: for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit.
+    S is scratch for p = 2's squares; all runs in place, with fresh arrays' bits."""
+    bits = None
     if math.isinf(p):
         rng.random(out=X)  # uniform(-1, 1) is -1 + 2u, and 2u is exact
         X *= 2.0
@@ -135,19 +142,15 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
             w = rng.standard_exponential(out=X)
         else:
             w = rng.gamma(1.0 / p, 1.0, X.shape)
-        np.multiply(rng.integers(0, 2, X.shape), 2.0, out=S)
-        S -= 1.0
+        bits = rng.integers(0, 2, X.shape)
         y = rng.standard_exponential(len(X))
         if unused is not None:
             w[unused] = 0.0
         scale = (w.sum(axis=1) + y) ** (1.0 / p)
         if p != 1.0:
             np.power(w, 1.0 / p, out=X)
-        X *= S
         X /= scale[:, None]
-    if unused is not None:
-        X[unused] = 0.0
-    return X
+    return bits
 
 
 @dataclass(frozen=True)
@@ -227,16 +230,24 @@ def _report(n, m, e, count, seed, value, x) -> CertificationReport:
 
 
 def _sample_block(seed, b, n, p):
-    """Block b of the Monte Carlo sample set: BLOCK rows from stream b, yielded
+    """Block b of the Monte Carlo sample set: BLOCK rows from stream b, drawn
     as consecutive chunks of max(1, _CHUNK_CELLS // n) rows, each drawn whole.
-    Every chunk is drawn into one workspace allocated per call, so a yielded
-    chunk is a view that is valid only until the next chunk is drawn."""
+    A chunk is yielded as its magnitudes and a function that returns one of its
+    rows, signed, as a fresh array. Every chunk is drawn into one workspace
+    allocated per call, so the magnitudes are a view that is valid only until
+    the next chunk is drawn: |X| written into the scratch at p = 2 and p = inf,
+    the drawn batch itself elsewhere, whose integer sign draw is applied only
+    to a row that is asked for."""
     rng = fresh_stream(seed, DOMAIN_BALL, b)
     rows = max(1, _CHUNK_CELLS // n)
     X, S = np.empty((2, min(rows, BLOCK), n))
     for lo in range(0, BLOCK, rows):
         k = min(rows, BLOCK - lo)
-        yield _fill_ball_rows(X[:k], S[:k], p, rng, None)
+        bits = _fill_ball_rows(X[:k], S[:k], p, rng, None)
+        if bits is None:
+            yield np.abs(X[:k], out=S[:k]), lambda r: X[r].copy()
+        else:
+            yield X[:k], lambda r, bits=bits: np.where(bits[r] == 1, X[r], -X[r])
 
 
 def monte_carlo_certify(
@@ -251,19 +262,21 @@ def monte_carlo_certify(
 
     The analytic extremal configuration participates as pseudo-index -1, so
     it wins ties and the reported maximum can never undershoot the known
-    equality case. Deterministic for a fixed seed, independent of workers.
+    equality case. Chunks are scored on their magnitudes by the unchecked row
+    kernel, and only a winning row is signed. Deterministic for a fixed seed,
+    independent of workers.
     """
     n, m, samples, seed = _validate_run(n, m, e, samples, "samples", workers, seed)
 
     def eval_block(b):
         lo, best = b * BLOCK, None
-        for X in _sample_block(seed, b, n, e.p):
-            X = X[: samples - lo]
-            d = distortion(X, m, e.q)
+        for A, signed in _sample_block(seed, b, n, e.p):
+            A = A[: samples - lo]
+            d = _distortion_rows(A, m, e.q)
             off = int(np.argmax(d))  # first occurrence: smallest index wins ties
             if best is None or d[off] > best[0]:  # an earlier chunk wins ties
-                best = float(d[off]), lo + off, X[off].copy()
-            lo += len(X)
+                best = float(d[off]), lo + off, signed(off)
+            lo += len(A)
             if lo >= samples:
                 break
         return best

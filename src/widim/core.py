@@ -110,9 +110,11 @@ def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarra
     """``x`` as a float64 batch of row vectors, and whether it was one vector
     (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. A bool
     array is refused as a bool scalar is; an empty vector and a non-finite value
-    are refused too. The batch may share memory with ``x``."""
+    are refused too, and so is a list that holds a bool anywhere, which numpy
+    would read as a number. The batch may share memory with ``x``."""
     X = np.asarray(x)
-    if X.dtype == bool:
+    if X.dtype == bool or (not isinstance(x, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)):
         raise ValueError(f"{what} must hold reals, not bools")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 1 and not (rows and X.ndim == 2):
@@ -167,8 +169,8 @@ def _lq_rows(A: np.ndarray, q: float) -> np.ndarray:
 
 
 def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
-    """Per row of A: sum_k |a_k|^p, or max_k |a_k| at p = inf (0 for an empty row)."""
-    A = np.abs(A)
+    """Per row of magnitudes A: sum_k a_k^p, or max_k a_k at p = inf (0 for an
+    empty row); signed callers pass ``np.abs`` of their rows."""
     return A.max(axis=1, initial=0.0) if math.isinf(p) else (A**p).sum(axis=1)
 
 
@@ -179,7 +181,7 @@ def lp_norm_power(x, p: float) -> float:
     membership predicate applies.
     """
     xv = as_vector(x)
-    return float(_ball_mass(xv[None, :], _check_exponent(p, "ball exponent p"))[0])
+    return float(_ball_mass(np.abs(xv)[None, :], _check_exponent(p, "ball exponent p"))[0])
 
 
 def in_lp_ball(x, p: float) -> bool:
@@ -189,7 +191,7 @@ def in_lp_ball(x, p: float) -> bool:
 
 def _check_in_ball(B, p: float) -> None:
     """Ball membership per row of B: finite values and mass at most 1 + tolerance."""
-    mass = _ball_mass(_check_reals(B, "point values", rows=True)[0], p)
+    mass = _ball_mass(np.abs(_check_reals(B, "point values", rows=True)[0]), p)
     outside = np.flatnonzero(mass > 1.0 + BALL_TOLERANCE)
     if outside.size:
         raise ValueError(f"point lies outside the unit ball: mass {float(mass[outside[0]])}")

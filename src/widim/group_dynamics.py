@@ -471,7 +471,7 @@ class _Window:
             picks = _subsets(gen, counts, cap, outside.size)
             fresh = sample_lp_ball_rows(tail.size, cap, p, gen, counts)
             if not math.isinf(p):
-                mass_in = _ball_mass(yv[tail, :width], p)
+                mass_in = _ball_mass(np.abs(yv[tail, :width]), p)
                 fresh *= (np.maximum(1.0 - mass_in, 0.0) ** (1.0 / p))[:, None]
             yc[tail, width:] = np.where(picks >= 0, outside[picks], -1)
             yv[tail, width:] = fresh

@@ -50,6 +50,13 @@ def draw_rows(N, n, p, rng):
 SAMPLERS = (draw_scalar, draw_rows)
 
 
+def block_chunks(seed, b, n, p):
+    """The chunks of a Monte Carlo block as (magnitudes, signed rows), copied
+    out of the workspace, each row signed through the chunk's own signer."""
+    return [(A.copy(), np.array([signed(r) for r in range(len(A))]).reshape(A.shape))
+            for A, signed in certify._sample_block(seed, b, n, p)]
+
+
 def test_samples_lie_in_the_ball():
     for draw in SAMPLERS:
         rng = np.random.default_rng(41)
@@ -61,12 +68,14 @@ def test_samples_lie_in_the_ball():
                 assert all(in_lp_ball(x, p) for x in X)
     # the Monte Carlo blocks themselves, including the boundary-heavy p = 1:
     # BLOCK rows in chunks of max(1, _CHUNK_CELLS // n) rows, the last one short
-    # (a chunk is valid until the next draw, so each is copied)
+    # (a chunk is valid until the next draw, so each is copied); membership is
+    # checked on the signed rows, and the yielded magnitudes are theirs
     for p in (1.0, 2.0, math.inf):
         for n, sizes in ((1, [BLOCK]), (5, [3276, 820]), (64, [256] * 16)):
-            chunks = [X.copy() for X in certify._sample_block(41, 2, n, p)]
-            assert [X.shape for X in chunks] == [(k, n) for k in sizes]
-            assert all(in_lp_ball(x, p) for X in chunks for x in X)
+            chunks = block_chunks(41, 2, n, p)
+            assert [X.shape for _, X in chunks] == [(k, n) for k in sizes]
+            assert all(in_lp_ball(x, p) for _, X in chunks for x in X)
+            assert all(np.array_equal(A, np.abs(X)) for A, X in chunks)
 
 
 def test_sample_coordinate_means_vanish():
@@ -138,17 +147,19 @@ def reference_chunk(g, rows, n, p):
 
 def test_block_matches_fresh_stream_reference():
     # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn in order
-    # as chunks of max(1, _CHUNK_CELLS // n) rows, each chunk drawn whole
+    # as chunks of max(1, _CHUNK_CELLS // n) rows, each chunk drawn whole; a
+    # chunk's magnitudes are |R| and its signed rows R, bit for bit
     for p in (1.0, 2.0, 3.5, math.inf):
         for n, b in ((1, 0), (5, 7), (8, 3), (64, 2**40)):
             g = fresh_stream(9, DOMAIN_BALL, b)
             rows = max(1, certify._CHUNK_CELLS // n)
             ref = [reference_chunk(g, min(rows, BLOCK - lo), n, p)
                    for lo in range(0, BLOCK, rows)]
-            got = [X.copy() for X in certify._sample_block(9, b, n, p)]
+            got = block_chunks(9, b, n, p)
             assert len(got) == len(ref)
-            for X, R in zip(got, ref):
+            for (A, X), R in zip(got, ref):
                 assert np.array_equal(X.view(np.uint64), R.view(np.uint64))
+                assert np.array_equal(A.view(np.uint64), np.abs(R).view(np.uint64))
 
 
 def test_block_chunks_share_one_workspace():
@@ -157,9 +168,9 @@ def test_block_chunks_share_one_workspace():
     for p in (1.0, 2.0, 3.5, math.inf):
         for n in (5, 64, 1024):
             chunks = certify._sample_block(9, 1, n, p)
-            first = next(chunks)
-            for X in chunks:
-                assert np.shares_memory(first, X)
+            first, _ = next(chunks)
+            for A, _ in chunks:
+                assert np.shares_memory(first, A)
 
 
 def test_gamma_one_is_the_standard_exponential():
@@ -197,21 +208,21 @@ def test_sampler_golden_bytes(p, with_sizes):
 
 def test_monte_carlo_samples_are_prefix_stable(monkeypatch):
     # sample i is the same whatever the sample count: a run of k samples
-    # scores exactly the first k rows of the full blocks, one distortion call
-    # per chunk, and draws no chunk past the one that holds sample k - 1
+    # scores exactly the magnitudes of the first k rows of the full blocks,
+    # one kernel call per chunk, and draws no chunk past the one that holds
+    # sample k - 1
     seen = []
-    real = certify.distortion
+    real = certify._distortion_rows
 
-    def spy(x, m, q):
-        if np.ndim(x) == 2:
-            seen.append(np.array(x))
-        return real(x, m, q)
+    def spy(A, m, q):
+        seen.append(A.copy())
+        return real(A, m, q)
 
-    monkeypatch.setattr(certify, "distortion", spy)
+    monkeypatch.setattr(certify, "_distortion_rows", spy)
     e = make_exponents(1.5, 3)
     rows = certify._CHUNK_CELLS // 5  # 3276: chunks of 3276 and 820 rows
-    full = [[X.copy() for X in certify._sample_block(21, b, 5, e.p)] for b in (0, 1)]
-    assert [len(X) for X in full[0]] == [rows, BLOCK - rows]
+    full = [[A for A, _ in block_chunks(21, b, 5, e.p)] for b in (0, 1)]
+    assert [len(A) for A in full[0]] == [rows, BLOCK - rows]
     whole = np.vstack(full[0] + full[1])
     for k, chunks in ((1, 1), (17, 1), (rows, 1), (rows + 1, 2), (BLOCK - 1, 2), (BLOCK, 2),
                       (BLOCK + 3, 3), (BLOCK + rows + 1, 4)):
@@ -237,7 +248,7 @@ def test_monte_carlo_identity_regime():
     assert rep.max_observed_distortion == 0.0
     assert rep.passed
     # every sample ties at 0 across two blocks: the lowest sample index wins
-    assert rep.argmax_vector == tuple(next(certify._sample_block(rep.seed, 0, 8, 1.0))[0])
+    assert rep.argmax_vector == tuple(block_chunks(rep.seed, 0, 8, 1.0)[0][1][0])
 
 
 def monte_carlo_oracle(n, m, e, samples, seed):
@@ -245,8 +256,7 @@ def monte_carlo_oracle(n, m, e, samples, seed):
     the concatenated chunks of every block: the first argmax, unless the
     extremal point (m < n) reaches it."""
     blocks = range(-(-samples // BLOCK))
-    X = np.vstack([C.copy() for b in blocks
-                   for C in certify._sample_block(seed, b, n, e.p)])[:samples]
+    X = np.vstack([C for b in blocks for _, C in block_chunks(seed, b, n, e.p)])[:samples]
     d = threshold_map.distortion(X, m, e.q)
     at = int(np.argmax(d))
     value, x = float(d[at]), X[at]
@@ -284,7 +294,25 @@ def test_monte_carlo_matches_the_whole_block_oracle(nm, pq, samples, seed):
                           np.asarray(x).view(np.uint64))
     if m >= n:  # every sample ties at 0: sample 0 wins
         assert value == 0.0
-        assert rep.argmax_vector == tuple(next(certify._sample_block(seed, 0, n, e.p))[0])
+        assert rep.argmax_vector == tuple(block_chunks(seed, 0, n, e.p)[0][1][0])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_monte_carlo_signs_the_reported_sample(p):
+    # with m >= n every sample ties at 0, so sample 0 is reported: signed from
+    # its chunk's magnitudes, it is row 0 of the sampler's first chunk-sized
+    # batch from stream (seed, DOMAIN_BALL, 0), bit for bit; a run needs a
+    # finite p, so at p = inf the block's own signer is checked alone
+    for n, seed in ((1, 5), (3, 0), (16, 24301), (64, 2**64 - 1)):
+        rows = min(BLOCK, max(1, certify._CHUNK_CELLS // n))
+        want = sample_lp_ball_rows(rows, n, p, fresh_stream(seed, DOMAIN_BALL, 0))[0]
+        _, signed = next(certify._sample_block(seed, 0, n, p))
+        got = [signed(0)]
+        if not math.isinf(p):
+            rep = monte_carlo_certify(n, n + seed % 2, make_exponents(p, math.inf), 2, seed=seed)
+            got.append(np.array(rep.argmax_vector))
+        for x in got:
+            assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("p, q", [(1.0, 2.0), (1.5, 4.0), (2.0, math.inf)])

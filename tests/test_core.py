@@ -503,8 +503,10 @@ def _input_rule_cases():
             for bad, what in (([], "nonempty"), ([(0, 0)], "dimension 1"),
                               ([(0,), (0,)], "distinct"))]
     for name, what, batch, _, call in _VECTORS:
+        # a list that mixes a bool with reals, which numpy reads as floats
+        mixed = [[True, 0.5], (0.5, np.bool_(False))] + ([[_HALVES, [0.5, True]]] if batch else [])
         rows += [(name, f"{what} must hold reals, not bools", call, bad)
-                 for bad in (np.array([True, False]), [True, False])]
+                 for bad in [np.array([True, False]), [True, False]] + mixed]
         rows += [(name, "values must be finite", call, [0.5, math.nan]),
                  (name, f"{what} must be a", call, [[[0.5, 0.25]]] if batch else [[0.5, 0.25]])]
         if what != "point values":  # a point with empty support has empty values

@@ -145,6 +145,43 @@ def test_distortion_kernel_matches_distortion_bitwise(data, n, kinds, q):
 
 
 @st.composite
+def kernel_rows(draw, n):
+    """A row for the kernel oracle: a stress vector, a zero row with signed
+    zeros, a row whose top block of k magnitudes ties above a tied lower
+    block, or a stress vector at 1e300 scale."""
+    kind = draw(st.sampled_from(("stress", "zero", "tied", "huge")))
+    signs = np.array(draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n)))
+    if kind == "zero":
+        return 0.0 * signs
+    if kind == "tied":
+        top = draw(st.sampled_from((0.5, 3.0, 1e-300, 1e300)))
+        k = draw(st.integers(1, n))
+        low = draw(st.lists(st.sampled_from((0.0, 0.25, 0.75)), min_size=n - k, max_size=n - k))
+        row = top * np.array([1.0] * k + low)
+        return signs * row[draw(st.permutations(range(n)))]
+    if kind == "huge":
+        return 1e300 * np.array(draw(st.lists(st.one_of(*_entries), min_size=n, max_size=n)))
+    return draw(stress_vectors(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), q=st.sampled_from((1.0, 2.0, 3.5, math.inf)))
+def test_distortion_kernel_matches_the_group_route_oracle(data, n, q):
+    # the unchecked row kernel, for every m in 0..n+1, against the q-distance
+    # to the group route's image (not against distortion, which shares the
+    # kernel), bit for bit; the magnitudes it reads are left as they were
+    X = np.vstack(data.draw(st.lists(kernel_rows(n), min_size=1, max_size=6)))
+    A = np.abs(X)
+    before = A.copy()
+    for m in range(n + 2):
+        with np.errstate(over="ignore"):  # 1e300-scale rows overflow to inf
+            got = _distortion_rows(A, m, q)
+            want = [lq_distance(x, f_equivariant(x, m), q) for x in X]
+        assert hexes(got) == hexes(want), m
+        assert np.array_equal(A.view(np.uint64), before.view(np.uint64)), m
+
+
+@st.composite
 def signed_permutations(draw, n):
     signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
     return SignedPermutation(signs, draw(st.permutations(range(n))))
