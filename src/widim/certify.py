@@ -108,10 +108,10 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     rows, n = _check_int(rows, "rows", 1), _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
     unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
-    X = np.empty((rows, n))
-    bits = _fill_ball_rows(X, np.empty_like(X), p, rng, unused)
-    if bits is not None:
-        np.negative(X, out=X, where=bits == 0)
+    X, S = np.empty((rows, n)), np.empty((rows, n))
+    bits = _fill_ball_rows(X, S, p, rng, unused)
+    if bits is not None:  # signs +-1.0 as a product, faster than a masked negate
+        X *= np.subtract(np.multiply(bits, 2.0, out=S), 1.0, out=S)
     if unused is not None:
         X[unused] = 0.0
     return X

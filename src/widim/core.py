@@ -110,10 +110,11 @@ def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarra
     """``x`` as a float64 batch of row vectors, and whether it was one vector
     (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. A bool
     array is refused as a bool scalar is; an empty vector and a non-finite value
-    are refused too, and so is a list that holds a bool anywhere, which numpy
-    would read as a number. The batch may share memory with ``x``."""
+    are refused too, and so is a list or object array that holds a bool
+    anywhere, which numpy would read as a number. The batch may share memory
+    with ``x``."""
     X = np.asarray(x)
-    if X.dtype == bool or (not isinstance(x, np.ndarray) and any(
+    if X.dtype == bool or ((X.dtype == object or not isinstance(x, np.ndarray)) and any(
             isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)):
         raise ValueError(f"{what} must hold reals, not bools")
     X = np.asarray(X, dtype=np.float64)
@@ -151,19 +152,26 @@ def lq_distance(x, y, q: float) -> float:
         return float(_lq_rows(np.abs(xv - yv)[None, :], q)[0])
 
 
-def _lq_rows(A: np.ndarray, q: float) -> np.ndarray:
+def _lq_rows(A: np.ndarray, q: float, redo=None) -> np.ndarray:
     """Per row of magnitudes A (at least one column): (sum_k a_k^q)^(1/q), or
     max_k a_k at q = inf, for every q-norm of a row batch. A row whose power sum
     is 0, subnormal or inf is recomputed as top * (sum_k (a_k/top)^q)^(1/q), top
-    its largest entry; other rows keep their bits. Checked callers mute overflow."""
+    its largest entry; other rows keep their bits. Given ``redo``, A is scratch
+    that is raised to the power q in place, and ``redo(rows)`` rebuilds the
+    magnitudes of the rows to recompute. Checked callers mute overflow."""
     if math.isinf(q):
         return A.max(axis=1)
-    sums = (A**q).sum(axis=1)
+    if redo is None:
+        sums, redo = (A**q).sum(axis=1), A.__getitem__
+    else:
+        A **= q  # the same bits as A**q
+        sums = A.sum(axis=1)
     out = sums ** (1.0 / q)
     if not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
         rows = np.flatnonzero(~(sums >= _NORMAL_MIN) | (sums == math.inf))
-        top = A[rows].max(axis=1)
-        scaled = A[rows] / np.where(top > 0.0, top, 1.0)[:, None]  # an all-zero row stays 0
+        B = redo(rows)
+        top = B.max(axis=1)
+        scaled = B / np.where(top > 0.0, top, 1.0)[:, None]  # an all-zero row stays 0
         out[rows] = top * (scaled**q).sum(axis=1) ** (1.0 / q)
     return out
 

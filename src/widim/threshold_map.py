@@ -141,24 +141,16 @@ def distortion(x, m: int, q: float) -> float | np.ndarray:
 
 def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
     """Unchecked core of :func:`distortion`: the row distortions of a batch
-    from its magnitudes ``A = |X|``, which it leaves unchanged; the moved
-    amounts ``A - max(A - tau, 0)`` are built in :func:`_shrink`'s copy. At
-    q = inf and 0 < m <= 3 the row maximum is ``max(tau, a - (a - tau))`` over
-    the m largest ``a``, taken column by column from a partition: an entry up
-    to tau keeps its value, and tau is one of them."""
-    k = A.shape[1] - 1 - m
-    if k < 0:  # m >= n is the identity
+    from its magnitudes ``A = |X|``, which it leaves unchanged. The moved
+    amounts ``A - max(A - tau, 0)`` are built in :func:`_shrink`'s copy, and
+    :func:`_lq_rows` powers that copy in place, so a call holds one batch
+    beside A."""
+    if m >= A.shape[1]:
         return np.zeros(A.shape[0])
     if m == 0:  # m = 0 shrinks every entry to 0
         return _lq_rows(A, q)
-    if q == np.inf and m <= 3:  # past 3 columns the whole batch is cheaper
-        P = np.partition(A, k, axis=1)
-        tau, out = P[:, k], P[:, k].copy()
-        for a in P[:, k + 1:].T:
-            np.maximum(out, a - (a - tau), out=out)
-        return out
     D = _shrink(A, m)
-    return _lq_rows(np.subtract(A, D, out=D), q)
+    return _lq_rows(np.subtract(A, D, out=D), q, lambda rows: A[rows] - _shrink(A[rows], m))
 
 
 def distortion_bound(m: int, e: Exponents) -> float:

@@ -503,8 +503,9 @@ def _input_rule_cases():
             for bad, what in (([], "nonempty"), ([(0, 0)], "dimension 1"),
                               ([(0,), (0,)], "distinct"))]
     for name, what, batch, _, call in _VECTORS:
-        # a list that mixes a bool with reals, which numpy reads as floats
-        mixed = [[True, 0.5], (0.5, np.bool_(False))] + ([[_HALVES, [0.5, True]]] if batch else [])
+        # a list or object array that mixes a bool with reals, which numpy reads as floats
+        mixed = [[True, 0.5], (0.5, np.bool_(False)), np.array([0.5, True], dtype=object)]
+        mixed += [[_HALVES, [0.5, True]]] if batch else []
         rows += [(name, f"{what} must hold reals, not bools", call, bad)
                  for bad in [np.array([True, False]), [True, False]] + mixed]
         rows += [(name, "values must be finite", call, [0.5, math.nan]),
