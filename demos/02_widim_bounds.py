@@ -12,7 +12,7 @@ from widim.bounds import (
     ball_inclusion_max_radius,
     bracket,
     widim_equal_case,
-    widim_exact_q_infinity,
+    widim_upper,
     widim_upper_plateau,
 )
 from widim.core import make_exponents
@@ -27,7 +27,7 @@ for n in (5, 10, 100, 10_000):
         print(f"{n:<6d} {eps:<5g} {rep.lower:<6d} {rep.upper:<6d} {rep.exact}")
 
 # q = inf admits an exact count, not just a bracket
-print("exact value at q=inf, p=2, eps=0.5:", widim_exact_q_infinity(100, 0.5, 2))
+print("exact value at q=inf, p=2, eps=0.5:", widim_upper(100, 0.5, make_exponents(2, math.inf)))
 
 # q <= p with eps < 1 pins the count at n (no compression at all)
 print("equal-case value:", widim_equal_case(50, 0.99, 2, 2))

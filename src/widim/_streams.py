@@ -35,9 +35,9 @@ DOMAIN_PAIRS = 0x9A12
 
 class StreamFactory:
     """The streams of one (seed, domain) pair: :meth:`generator` returns
-    :func:`fresh_stream` of an index. No driver in this package uses it; it
-    stays for callers that hold a factory.
-    """
+    :func:`fresh_stream` of an index. Nothing in the package calls it; it
+    stays because the benchmark's kernel probe draws through it and its
+    tracer wraps :meth:`generator`."""
 
     def __init__(self, seed: int, domain: int):
         self._seed, self._domain = seed, domain

@@ -25,8 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import (Exponents, _check_exponent, _check_int, _check_nonnegative, _check_pair,
-                   _check_scale, make_exponents)
+from .core import Exponents, _check_exponent, _check_int, _check_pair, _check_scale
 
 __all__ = [
     "guarded_count",
@@ -34,15 +33,12 @@ __all__ = [
     "widim_lower",
     "widim_upper_plateau",
     "widim_lower_plateau",
-    "widim_exact_q_infinity",
     "widim_equal_case",
     "EqualCase",
     "WidimBoundReport",
     "bracket",
-    "equal_case_report",
     "asymptotic_exponent_fit",
     "ball_inclusion_max_radius",
-    "ball_inclusion_holds",
 ]
 
 #: Integer-snap distance for the guarded ceiling, absolute and relative.
@@ -82,33 +78,22 @@ def _power(base: float, exponent: float) -> float:
 
 def widim_upper_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free upper count ceil((2/eps)^r) - 1; None if saturated."""
-    return _upper_plateau(_check_scale(eps), _check_pair(e))
+    return guarded_count(_power(2.0 / _check_scale(eps), _check_pair(e).r))
 
 
 def widim_lower_plateau(eps: float, e: Exponents) -> Optional[int]:
     """The dimension-free lower count ceil(eps^-r) - 1; None if saturated."""
-    return _lower_plateau(_check_scale(eps), _check_pair(e))
+    return guarded_count(_power(_check_scale(eps), -_check_pair(e).r))
 
 
 def widim_upper(n: int, eps: float, e: Exponents) -> int:
     """Upper width bound min(n, ceil((2/eps)^r) - 1)."""
-    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return min(n, _cap(_upper_plateau(eps, _check_pair(e))))
+    return min(_check_int(n, "dimension n", 1), _cap(widim_upper_plateau(eps, e)))
 
 
 def widim_lower(n: int, eps: float, e: Exponents) -> int:
     """Lower width bound min(n, ceil(eps^-r) - 1)."""
-    n, eps = _check_int(n, "dimension n", 1), _check_scale(eps)
-    return min(n, _cap(_lower_plateau(eps, _check_pair(e))))
-
-
-# Unchecked cores of the bounds above, for callers that checked n and eps.
-def _upper_plateau(eps: float, e: Exponents) -> Optional[int]:
-    return guarded_count(_power(2.0 / eps, e.r))
-
-
-def _lower_plateau(eps: float, e: Exponents) -> Optional[int]:
-    return guarded_count(_power(eps, -e.r))
+    return min(_check_int(n, "dimension n", 1), _cap(widim_lower_plateau(eps, e)))
 
 
 def _cap(plateau: Optional[int]) -> Union[int, float]:
@@ -122,16 +107,8 @@ def _caps(eps: float, e: Union[Exponents, EqualCase]) -> Optional[tuple]:
     from there on."""
     if isinstance(e, EqualCase):
         return (math.inf, math.inf) if eps < 1.0 else None
-    upper = _cap(_upper_plateau(eps, _check_pair(e)))
-    return (upper if math.isinf(e.q) else _cap(_lower_plateau(eps, e))), upper
-
-
-def widim_exact_q_infinity(n: int, eps: float, p: float) -> int:
-    """Exact width min(n, ceil((2/eps)^p) - 1) for the sup-distance.
-
-    Equals widim_upper(n, eps, make_exponents(p, inf)) for every input.
-    """
-    return widim_upper(n, eps, make_exponents(p, math.inf))
+    upper = _cap(widim_upper_plateau(eps, e))
+    return (upper if math.isinf(e.q) else _cap(widim_lower_plateau(eps, e))), upper
 
 
 def widim_equal_case(n: int, eps: float, p: float, q: float) -> Optional[int]:
@@ -173,7 +150,13 @@ class WidimBoundReport:
     upper: int
 
     def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= self.n:
+        n = _check_int(self.n, "dimension n", 1)
+        _check_scale(self.epsilon)
+        if not isinstance(self.exponents, EqualCase):
+            _check_pair(self.exponents)
+        lower = _check_int(self.lower, "lower bound", 0)
+        upper = _check_int(self.upper, "upper bound", 0)
+        if not lower <= upper <= n:
             raise ValueError(
                 f"invalid bracket: lower={self.lower}, upper={self.upper}, n={self.n}"
             )
@@ -193,11 +176,6 @@ def bracket(n: int, eps: float, e: Union[Exponents, EqualCase]) -> WidimBoundRep
         raise ValueError(f"no closed form covers eps >= 1 in the equal case (eps={eps})")
     lower, upper = (min(n, cap) for cap in caps)
     return WidimBoundReport(n, eps, e, lower, upper)
-
-
-def equal_case_report(n: int, eps: float, p: float, q: float) -> WidimBoundReport:
-    """Report for the q <= p regime; raises for eps >= 1 (out of range)."""
-    return bracket(n, eps, EqualCase(p, q))
 
 
 def asymptotic_exponent_fit(e: Exponents, eps_grid, use: str = "upper") -> float:
@@ -236,9 +214,3 @@ def ball_inclusion_max_radius(m: int, e: Exponents) -> float:
     rho = m^(-1/r), attained by the constant-coordinate corner vector.
     """
     return float(_check_int(m, "coordinate count m", 1) ** (-_check_pair(e).inverse_rate))
-
-
-def ball_inclusion_holds(rho: float, m: int, e: Exponents) -> bool:
-    """Inclusion predicate rho * m^(1/r) <= 1 + 1e-12 for a radius rho >= 0."""
-    rho, m = _check_nonnegative(rho, "radius rho"), _check_int(m, "coordinate count m", 1)
-    return rho * m ** _check_pair(e).inverse_rate <= 1.0 + 1e-12

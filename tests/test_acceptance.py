@@ -16,7 +16,6 @@ import numpy as np
 from widim.bounds import (
     asymptotic_exponent_fit,
     widim_equal_case,
-    widim_exact_q_infinity,
     widim_lower,
     widim_upper,
     widim_upper_plateau,
@@ -189,7 +188,7 @@ def test_criterion_4_bound_formulas(capfd):
     t0 = time.perf_counter()
     e12 = make_exponents(1, 2)
     ok = widim_lower(100, 0.5, e12) == 3 and widim_upper(100, 0.5, e12) == 15
-    ok &= widim_exact_q_infinity(100, 0.5, 2) == 15
+    ok &= widim_upper(100, 0.5, make_exponents(2, math.inf)) == 15  # exact at q = inf
     ok &= widim_equal_case(50, 0.99, 2, 2) == 50
     ok &= widim_equal_case(50, 0.5, 3, 1) == 50
 

@@ -12,13 +12,10 @@ from widim.bounds import (
     EqualCase,
     WidimBoundReport,
     asymptotic_exponent_fit,
-    ball_inclusion_holds,
     ball_inclusion_max_radius,
     bracket,
-    equal_case_report,
     guarded_count,
     widim_equal_case,
-    widim_exact_q_infinity,
     widim_lower,
     widim_lower_plateau,
     widim_upper,
@@ -59,17 +56,19 @@ def test_widim_lower_pinned():
 
 
 def test_widim_exact_q_infinity_pinned():
-    assert widim_exact_q_infinity(100, 0.5, 2) == 15
-    assert widim_exact_q_infinity(10, 1.0, 1) == 1
-    assert widim_exact_q_infinity(5, 0.01, 1) == 5
+    # at q = inf the upper bound is the exact width min(n, ceil((2/eps)^p) - 1)
+    assert widim_upper(100, 0.5, make_exponents(2, math.inf)) == 15
+    assert widim_upper(10, 1.0, make_exponents(1, math.inf)) == 1
+    assert widim_upper(5, 0.01, make_exponents(1, math.inf)) == 5
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 999), st.floats(0.01, 4.0), st.floats(1.0, 4.0))
 def test_exact_matches_upper_at_q_infinity(n, eps, p):
     e = make_exponents(p, math.inf)
-    assert widim_exact_q_infinity(n, eps, p) == widim_upper(n, eps, e)
-    assert bracket(n, eps, e).lower == bracket(n, eps, e).upper == widim_upper(n, eps, e)
+    exact = min(n, guarded_count((2.0 / eps) ** p))
+    assert widim_upper(n, eps, e) == exact
+    assert bracket(n, eps, e).lower == bracket(n, eps, e).upper == exact
 
 
 def test_widim_equal_case_pinned():
@@ -90,13 +89,12 @@ def test_bracket_pinned():
 
 
 def test_equal_case_report():
-    rep = equal_case_report(7, 0.9, 3, 2)
+    # the equal-case report is the bracket of an EqualCase
+    rep = bracket(7, 0.9, EqualCase(3, 2))
     assert rep.lower == rep.upper == 7 and rep.exact
     assert rep.exponents == EqualCase(3, 2)
     with pytest.raises(ValueError):
-        equal_case_report(7, 1.5, 3, 2)
-    # the equal-case report is the bracket of an EqualCase
-    assert bracket(7, 0.9, EqualCase(3, 2)) == rep
+        bracket(7, 1.5, EqualCase(3, 2))
     with pytest.raises(ValueError, match="no closed form covers eps >= 1"):
         bracket(7, 1.0, EqualCase(3, 2))
     with pytest.raises(ValueError):
@@ -258,8 +256,8 @@ def test_ball_inclusion_pinned():
     assert ball_inclusion_max_radius(1, make_exponents(1.7, 9.0)) == 1.0
     e = make_exponents(1, 2)
     rho = ball_inclusion_max_radius(9, e)
-    assert ball_inclusion_holds(rho, 9, e)
-    assert not ball_inclusion_holds(rho * 1.01, 9, e)
+    assert rho * 9**e.inverse_rate <= 1.0 + 1e-12
+    assert not rho * 1.01 * 9**e.inverse_rate <= 1.0 + 1e-12
 
 
 def test_ball_inclusion_corner_vector():
@@ -293,7 +291,7 @@ def test_ball_inclusion_soundness_on_samples(pq, magnitudes, radius):
     x = radius * v / (v.max() if math.isinf(e.q) else lp_norm_power(v, e.q) ** (1.0 / e.q))
     rho = ball_inclusion_max_radius(v.size, e)
     assert lp_norm_power(rho * x, e.p) <= 1.0 + 1e-12
-    assert ball_inclusion_holds(rho, v.size, e)
+    assert rho * v.size**e.inverse_rate <= 1.0 + 1e-12
 
 
 def test_validation_errors():

@@ -18,9 +18,9 @@ from widim import (
     LatticeBox,
     WeightedGroupMetric,
     StreamFactory,
+    WidimBoundReport,
     adversarial_certify,
     asymptotic_exponent_fit,
-    ball_inclusion_holds,
     ball_inclusion_max_radius,
     bracket,
     check_key_lemma,
@@ -28,7 +28,6 @@ from widim import (
     distortion,
     distortion_bound,
     embedding_check,
-    equal_case_report,
     extremal_vector,
     f0,
     f_closed,
@@ -44,7 +43,6 @@ from widim import (
     translate,
     widim_constant,
     widim_equal_case,
-    widim_exact_q_infinity,
     widim_lower,
     widim_lower_plateau,
     widim_upper,
@@ -297,13 +295,13 @@ _COUNTS = [
     ("extremal_vector n", "dimension n", 1, lambda v: extremal_vector(0, 2.0, v)),
     ("widim_upper n", "dimension n", 1, lambda v: widim_upper(v, 0.5, _E)),
     ("widim_lower n", "dimension n", 1, lambda v: widim_lower(v, 0.5, _E)),
-    ("widim_exact_q_infinity n", "dimension n", 1, lambda v: widim_exact_q_infinity(v, 0.5, 2)),
     ("widim_equal_case n", "dimension n", 1, lambda v: widim_equal_case(v, 0.5, 2, 1)),
     ("bracket n", "dimension n", 1, lambda v: bracket(v, 0.5, _E)),
+    ("WidimBoundReport n", "dimension n", 1, lambda v: WidimBoundReport(v, 0.5, _E, 0, 0)),
+    ("WidimBoundReport lower", "lower bound", 0, lambda v: WidimBoundReport(3, 0.5, _E, v, 3)),
+    ("WidimBoundReport upper", "upper bound", 0, lambda v: WidimBoundReport(3, 0.5, _E, 0, v)),
     ("ball_inclusion_max_radius m", "coordinate count m", 1,
      lambda v: ball_inclusion_max_radius(v, _E)),
-    ("ball_inclusion_holds m", "coordinate count m", 1,
-     lambda v: ball_inclusion_holds(0.5, v, _E)),
     ("identity n", "degree n", 1, lambda v: identity(v)),
     ("random_element n", "degree n", 1, lambda v: random_element(v, _rng())),
     ("LatticeBox radius", "box radius", 0, lambda v: LatticeBox((0,), v)),
@@ -366,8 +364,6 @@ _EXPONENTS = [
     ("distortion q", "distance exponent q", False, lambda v: distortion([2.0, 1.0], 1, v)),
     ("distortion rows q", "distance exponent q", False, lambda v: distortion(_X, 1, v)),
     ("extremal_vector p", "ball exponent p", False, lambda v: extremal_vector(0, v, 2)),
-    ("widim_exact_q_infinity p", "ball exponent p", True,
-     lambda v: widim_exact_q_infinity(10, 0.5, v)),
     ("widim_equal_case p", "ball exponent p", False, lambda v: widim_equal_case(10, 0.5, v, 1)),
     ("widim_equal_case q", "distance exponent q", False,
      lambda v: widim_equal_case(10, 0.5, 2, v)),
@@ -387,10 +383,10 @@ _SCALES = [
     ("widim_lower_plateau eps", lambda v: widim_lower_plateau(v, _E)),
     ("widim_upper eps", lambda v: widim_upper(10, v, _E)),
     ("widim_lower eps", lambda v: widim_lower(10, v, _E)),
-    ("widim_exact_q_infinity eps", lambda v: widim_exact_q_infinity(10, v, 2)),
     ("widim_equal_case eps", lambda v: widim_equal_case(10, v, 2, 1)),
-    ("equal_case_report eps", lambda v: equal_case_report(10, v, 2, 1)),
     ("bracket eps", lambda v: bracket(10, v, _E)),
+    ("bracket EqualCase eps", lambda v: bracket(10, v, EqualCase(2, 1))),
+    ("WidimBoundReport epsilon", lambda v: WidimBoundReport(3, v, _E, 1, 2)),
     ("tail_set eps", lambda v: tail_set(_M, (0,), v)),
     ("widim_constant eps", lambda v: widim_constant(1.0, v)),
     ("embedding_check eps", lambda v: embedding_check(_M, [(0,)], 1.0, v, 10)),
@@ -449,21 +445,22 @@ _ROW_SIZES = [
 ]
 
 # (entry point and argument, the call with v there): an exponent pair is an
-# Exponents from make_exponents; bracket also takes the EqualCase marker
+# Exponents from make_exponents; bracket and the report also take the EqualCase marker
 _PAIRS = [
     ("widim_upper e", lambda v: widim_upper(10, 0.5, v)),
     ("widim_lower e", lambda v: widim_lower(10, 0.5, v)),
     ("widim_upper_plateau e", lambda v: widim_upper_plateau(0.5, v)),
     ("widim_lower_plateau e", lambda v: widim_lower_plateau(0.5, v)),
     ("bracket e", lambda v: bracket(10, 0.5, v)),
+    ("WidimBoundReport exponents", lambda v: WidimBoundReport(3, 0.5, v, 1, 2)),
     ("asymptotic_exponent_fit e",
      lambda v: asymptotic_exponent_fit(v, [0.5, 0.25, 0.125, 0.0625])),
     ("distortion_bound e", lambda v: distortion_bound(3, v)),
     ("ball_inclusion_max_radius e", lambda v: ball_inclusion_max_radius(3, v)),
-    ("ball_inclusion_holds e", lambda v: ball_inclusion_holds(0.5, 3, v)),
     ("monte_carlo_certify e", lambda v: monte_carlo_certify(4, 1, v, 10)),
     ("adversarial_certify e", lambda v: adversarial_certify(4, 1, v, 2)),
 ]
+_TAKES_EQUAL_CASE = {"bracket e", "WidimBoundReport exponents"}
 
 # (entry point and argument, message name, the call): nonnegative finite reals
 _NONNEGATIVE = [
@@ -474,7 +471,6 @@ _NONNEGATIVE = [
     ("check_lemma_swap x", "value x", lambda v: check_lemma_swap(2, v, 0.0, 0.1)),
     ("check_lemma_swap y", "value y", lambda v: check_lemma_swap(2, 1.0, v, 0.1)),
     ("check_lemma_swap z", "shift z", lambda v: check_lemma_swap(2, 1.0, 0.5, v)),
-    ("ball_inclusion_holds rho", "radius rho", lambda v: ball_inclusion_holds(v, 2, _E)),
 ]
 
 
@@ -516,7 +512,8 @@ def _input_rule_cases():
              for bad in ([1, 2], [1.5, 2, 3], [True, 2, 3], [-1, 2, 3], [9, 2, 3], [[1, 2, 3]],
                          np.array([1.0, 2.0, 3.0]), np.array([True, True, False]))]
     rows += [(name, "exponent pair", call, bad) for name, call in _PAIRS
-             for bad in ((1, 2), None, "1,2") + (() if name == "bracket e" else (EqualCase(2, 2),))]
+             for bad in ((1, 2), None, "1,2")
+             + (() if name in _TAKES_EQUAL_CASE else (EqualCase(2, 2),))]
     for name, what, call, bad in rows:
         yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
 
@@ -574,6 +571,7 @@ def test_input_rule_table_covers_valid_values():
         call(_E)
         call(make_exponents(2, math.inf))
     bracket(10, 0.5, EqualCase(2, 1))
+    WidimBoundReport(3, 0.5, EqualCase(2, 1), 3, 3)
 
 
 def test_bool_checks_live_in_core():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import widim
 LIBRARY = ("_streams", "core", "signed_perm", "threshold_map", "bounds", "certify",
            "group_dynamics")
 MODULES = {name: importlib.import_module(f"widim.{name}") for name in LIBRARY}
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _tree(module):
@@ -60,3 +62,39 @@ def test_imported_names_stay_importable():
 
     assert DEFAULT_SEED == widim.DEFAULT_SEED == 0x5EED
     assert sample_lp_ball is again is widim.sample_lp_ball
+
+
+@pytest.mark.parametrize("name", ["widim_exact_q_infinity", "equal_case_report",
+                                  "ball_inclusion_holds"])
+def test_each_width_quantity_has_one_name(name):
+    # widim_upper at q = inf, bracket of an EqualCase and the inequality of
+    # ball_inclusion_max_radius are the one spelling of each
+    assert name not in widim.__all__ and not hasattr(MODULES["bounds"], name)
+
+
+# the benchmark's tracer, loaded from its file: perfbench is not a package
+_SPEC = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+TRACING = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(TRACING)
+
+
+@pytest.mark.parametrize("owner, attr", [patch[:2] for patch in TRACING.PATCHES],
+                         ids=[f"{patch[0]}.{patch[1]}" for patch in TRACING.PATCHES])
+def test_traced_names_resolve(owner, attr):
+    # the benchmark's tracer wraps each of these names under --trace 1, so
+    # removing or renaming one breaks the traced benchmark run
+    assert callable(getattr(TRACING._owner(owner), attr))
+
+
+def _probe_imports():
+    tree = ast.parse((PERFBENCH / "probes.py").read_text())
+    probe = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "kernel_block_times")
+    return [(node.module, alias.name) for node in ast.walk(probe)
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+@pytest.mark.parametrize("module, name", _probe_imports())
+def test_probed_names_import(module, name):
+    # the benchmark's kernel probe times these names on one block
+    assert callable(getattr(importlib.import_module(module), name))
