@@ -30,8 +30,8 @@ import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
 from ._output import csv_row, json_exponent, report_fields
-from .core import (Exponents, _ball_mass, _check_exponent, _check_int, _check_nonnegative,
-                   _check_pair, _check_row_sizes, _check_seed, as_vector)
+from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_int,
+                   _check_nonnegative, _check_pair, _check_row_sizes, _check_seed, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -71,13 +71,6 @@ CLIMB_MIN_STEP = 1e-12
 
 #: Moves per chain scored in one batch by the hill climb.
 CLIMB_WINDOW = 8
-
-#: Cap on the cells of a run (2^22 doubles, 32 MiB): a Monte Carlo block of
-#: BLOCK x n (drawn in chunks, but counted whole), CLIMB_WINDOW x (restarts + 1)
-#: x n for the climb, samples x n for the key-lemma oracle. Larger runs are
-#: refused before allocating: n <= 1024 for Monte Carlo, n <= 15887 for the
-#: climb at 32 restarts.
-MAX_CERTIFY_CELLS = 1 << 22
 
 
 def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -192,7 +185,7 @@ def report_from_json(text: str) -> CertificationReport:
     doc = json.loads(text)
     doc.pop("elapsed", None)
     r = doc["exponents"].pop("r")
-    e = Exponents(**doc["exponents"])
+    e = Exponents(**{k: float(v) for k, v in doc["exponents"].items()})  # q may be "inf"
     if r != e.r:
         raise ValueError(f"r={r!r} is not the rate {e.r!r} of p={e.p}, q={e.q}")
     return CertificationReport(**{**doc, "exponents": e,
@@ -209,16 +202,12 @@ def report_to_csv_row(report: CertificationReport) -> str:
 
 
 def _validate_run(n, m, e, count, count_name, workers, seed):
-    """The checked (n, m, count, seed) of a run, refused above MAX_CERTIFY_CELLS."""
+    """The checked (n, m, count, seed) of a run."""
     _check_pair(e)
     n, m = _check_int(n, "dimension n", 1), _check_int(m, "sparsity m", 0)
     count = _check_int(count, count_name, 1)
     _check_int(workers, "workers", 1)
     seed = _check_seed(seed)
-    rows = BLOCK if count_name == "samples" else CLIMB_WINDOW * (count + 1)
-    if rows * n > MAX_CERTIFY_CELLS:
-        raise ValueError(f"{rows} rows of dimension n = {n} exceed the cap of"
-                         f" {MAX_CERTIFY_CELLS} cells")
     return n, m, count, seed
 
 
@@ -267,6 +256,7 @@ def monte_carlo_certify(
     independent of workers.
     """
     n, m, samples, seed = _validate_run(n, m, e, samples, "samples", workers, seed)
+    _check_cells(BLOCK, n, "Monte Carlo block")  # counted whole, though drawn in chunks
 
     def eval_block(b):
         lo, best = b * BLOCK, None
@@ -327,6 +317,7 @@ def adversarial_certify(
     the same as scoring one move at a time.
     """
     n, m, restarts, seed = _validate_run(n, m, e, restarts, "restarts", workers, seed)
+    _check_cells(CLIMB_WINDOW * (restarts + 1), n, "hill-climb window")
     p, q = e.p, e.q
 
     starts = np.empty((restarts + 1, n), dtype=np.float64)
@@ -452,8 +443,7 @@ def key_lemma_oracle_max(
     n = _check_int(n, "coordinate count n", 1)
     samples = _check_int(samples, "samples", 0)
     seed = _check_seed(seed)
-    if samples * n > MAX_CERTIFY_CELLS:
-        raise ValueError(f"{samples} samples of n = {n} exceed the cap of {MAX_CERTIFY_CELLS} cells")
+    _check_cells(samples, n, "oracle sample set")
     try:
         float(n)
     except OverflowError:

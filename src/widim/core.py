@@ -31,6 +31,10 @@ BALL_TOLERANCE = 1e-12
 #: The least normal double: a row's power sum below it has lost precision.
 _NORMAL_MIN = np.finfo(np.float64).tiny
 
+#: Cap on the cells of a run (2^22 doubles, 32 MiB): every driver counts the
+#: largest table it would allocate, and larger runs are refused before allocating.
+MAX_CELLS = 1 << 22
+
 
 # The input rules every public entry point applies, and the one place they
 # are written down. Each helper returns the value in its working type, and
@@ -74,27 +78,39 @@ def _check_seed(value, what: str = "seed") -> int:
     return value
 
 
+def _check_cells(rows: int, n: int, what: str) -> None:
+    """The run-size rule: ``what``, a table of ``rows`` x ``n`` cells, fits in MAX_CELLS."""
+    if rows * n > MAX_CELLS:
+        raise ValueError(f"{what}: {rows} x {n} = {rows * n} cells, above the cap of {MAX_CELLS}")
+
+
+def _real(value) -> float:
+    """``value`` as a float, or NaN, which no real rule admits, for any bool or a string."""
+    return math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
+
+
 def _check_exponent(value, what: str, finite: bool = False) -> float:
     """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
-    x = float(value)
-    if isinstance(value, bool) or not x >= 1.0 or (finite and x == math.inf):
+    x = _real(value)
+    if not x >= 1.0 or (finite and x == math.inf):
         rule = "a finite real of at least 1" if finite else "at least 1 or inf"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
     return x
 
 
-def _check_scale(value, what: str = "scale eps") -> float:
-    """A positive finite real."""
-    x = float(value)
-    if isinstance(value, bool) or not 0.0 < x < math.inf:
-        raise ValueError(f"{what} must be a positive finite real, got {value!r}")
+def _check_scale(value, what: str = "scale eps", above: float = 0.0) -> float:
+    """A finite real above ``above``: a positive finite real by default."""
+    x = _real(value)
+    if not above < x < math.inf:
+        rule = f"a finite real above {above:g}" if above else "a positive finite real"
+        raise ValueError(f"{what} must be {rule}, got {value!r}")
     return x
 
 
 def _check_nonnegative(value, what: str) -> float:
     """A nonnegative finite real."""
-    x = float(value)
-    if isinstance(value, bool) or not 0.0 <= x < math.inf:
+    x = _real(value)
+    if not 0.0 <= x < math.inf:
         raise ValueError(f"{what} must be a nonnegative finite real, got {value!r}")
     return x
 
@@ -111,12 +127,12 @@ def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarra
     (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. A bool
     array is refused as a bool scalar is; an empty vector and a non-finite value
     are refused too, and so is a list or object array that holds a bool
-    anywhere, which numpy would read as a number. The batch may share memory
-    with ``x``."""
+    anywhere, which numpy would read as a number; strings are refused the same
+    way. The batch may share memory with ``x``."""
     X = np.asarray(x)
-    if X.dtype == bool or ((X.dtype == object or not isinstance(x, np.ndarray)) and any(
-            isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)):
-        raise ValueError(f"{what} must hold reals, not bools")
+    if X.dtype.kind in "bSU" or ((X.dtype == object or not isinstance(x, np.ndarray)) and any(
+            isinstance(v, (bool, np.bool_, str, bytes)) for v in np.array(x, dtype=object).flat)):
+        raise ValueError(f"{what} must hold reals, not bools or strings")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 1 and not (rows and X.ndim == 2):
         shape = "a vector or a 2-D batch of row vectors" if rows else "a 1-D vector"
@@ -220,7 +236,7 @@ class Exponents:
 
     def __post_init__(self):
         p = _check_exponent(self.p, "ball exponent p", finite=True)
-        q = float(self.q)
+        q = _check_exponent(self.q, "distance exponent q")
         if not q > p:
             raise ValueError(f"need p < q, got p={p}, q={q}")
         r = p if math.isinf(q) else p * q / (q - p)

@@ -34,8 +34,8 @@ from ._output import csv_row, json_exponent, report_fields
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import (_ball_mass, _check_exponent, _check_in_ball, _check_int, _check_reals,
-                   _check_scale, _check_seed, _lq_rows)
+from .core import (_ball_mass, _check_cells, _check_exponent, _check_in_ball, _check_int,
+                   _check_reals, _check_scale, _check_seed, _lq_rows)
 
 __all__ = [
     "LatticeBox",
@@ -63,14 +63,6 @@ __all__ = [
 #: Cap on drawn support sizes, keeping sampled points genuinely sparse.
 MAX_SUPPORT = 8
 MAX_OUTSIDE_SUPPORT = 6
-
-#: Cap on |Omega| * |window|, the entry count of embedding_check's weight
-#: table (2^22 doubles, 32 MiB). Larger runs are refused before allocating.
-#: Pairs are scored on their sparse rows, in slices of at most SCORE_ROWS
-#: close pairs, so a d_Omega temporary holds |Omega| * SCORE_ROWS * 22
-#: doubles whatever the window and the block size: at most 23 MiB, as the
-#: window contains Omega and so |Omega| <= 2^11.
-MAX_WINDOW_CELLS = 1 << 22
 
 
 def _coords(gamma) -> tuple:
@@ -159,9 +151,8 @@ def geometric_weight_metric(
     so the tail bound is an exact closed form, not an estimate.
     """
     dim_d = _check_int(dim_d, "lattice dimension d", 1)
-    base, total = float(base), _check_scale(total, "total weight bound")
-    if not 1.0 < base < math.inf:  # an infinite base makes every weight inf / inf
-        raise ValueError(f"decay base must be a finite real above 1, got {base}")
+    # an infinite base would make every weight inf / inf
+    base, total = _check_scale(base, "decay base", 1.0), _check_scale(total, "total weight bound")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
     try:
         scale = total / axis_total**dim_d
@@ -359,7 +350,9 @@ class EmbeddingReport:
 PAIR_DRAW = 512
 
 #: Close pairs of a block scored together, so that a block's d_Omega
-#: temporaries stay those of a 64-pair block.
+#: temporaries stay those of a 64-pair block: |Omega| * SCORE_ROWS * 22
+#: doubles whatever the window, at most 23 MiB, as core.MAX_CELLS caps
+#: |Omega| * |window| and the window contains Omega, so |Omega| <= 2^11.
 SCORE_ROWS = 64
 
 
@@ -519,7 +512,7 @@ def embedding_check(
     differing only outside the union box, and small perturbations, so both
     halves of the estimate (projection term and tail term) are exercised.
     Runs whose weight table, |Omega| times the window size, would exceed
-    :data:`MAX_WINDOW_CELLS` entries are refused with ``ValueError``.
+    :data:`core.MAX_CELLS` entries are refused with ``ValueError``.
 
     Pair i belongs to block b = i // :data:`PAIR_DRAW` (512 pairs), drawn in
     full from stream (seed, b) in one pass, so pair i never depends on
@@ -539,19 +532,14 @@ def embedding_check(
     _check_int(workers, "workers", 1)  # serial scan; see docstring
     seed = _check_seed(seed)
 
-    if hasattr(omega, "__len__") and len(omega) > MAX_WINDOW_CELLS:
-        raise ValueError(f"probe set of {len(omega)} points exceeds the window cap")
+    if hasattr(omega, "__len__"):  # called directly: len() overflows past sys.maxsize
+        _check_cells(omega.__len__(), 1, "probe set")
     deltas = _probe_set(omega, M.dim_d)
 
     # Every tail box has the same radius; only its center moves with delta.
     tail_radius = tail_set(M, deltas[0], eps).radius
     window_radius = 2 * (max(max(abs(c) for c in delta) for delta in deltas) + tail_radius)
-    cells = len(deltas) * (2 * window_radius + 1) ** M.dim_d
-    if cells > MAX_WINDOW_CELLS:
-        raise ValueError(
-            f"|omega| * |window| = {cells} exceeds the cap of {MAX_WINDOW_CELLS};"
-            " use a smaller probe set, lattice dimension or a larger scale"
-        )
+    _check_cells(len(deltas), (2 * window_radius + 1) ** M.dim_d, "weight table |omega| x |window|")
     window = _Window(M, deltas, tail_radius, window_radius)
 
     checked = failures = 0

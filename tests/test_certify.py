@@ -10,14 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widim import certify, threshold_map
+from widim import certify, core, group_dynamics, threshold_map
 from widim.certify import (
     BLOCK,
     CLIMB_INITIAL_STEP,
     CLIMB_MIN_STEP,
     CLIMB_SWEEPS,
     CLIMB_WINDOW,
-    MAX_CERTIFY_CELLS,
     CertificationReport,
     adversarial_certify,
     check_key_lemma,
@@ -31,7 +30,8 @@ from widim.certify import (
     sample_lp_ball,
     sample_lp_ball_rows,
 )
-from widim.core import in_lp_ball, lp_norm_power, make_exponents
+from widim.core import MAX_CELLS, in_lp_ball, lp_norm_power, make_exponents
+from widim.group_dynamics import LatticeBox, embedding_check, geometric_weight_metric, tail_set
 from widim._streams import DOMAIN_BALL, DOMAIN_CLIMB, StreamFactory, fresh_stream
 from widim.threshold_map import distortion_bound, extremal_vector
 
@@ -560,48 +560,105 @@ def test_run_validation():
         adversarial_certify(4, 1, "not exponents", 8)
 
 
-@pytest.mark.parametrize("run", [
-    lambda e: monte_carlo_certify(300_000, 2, e, 1),
-    lambda e: monte_carlo_certify(MAX_CERTIFY_CELLS // BLOCK + 1, 2, e, 1),
-    lambda e: adversarial_certify(20_000, 2, e, 32),
-    lambda e: adversarial_certify(4, 2, e, MAX_CERTIFY_CELLS // (4 * CLIMB_WINDOW)),
-    lambda e: key_lemma_oracle_max(2, 1, 0.5, 10**9),
-    lambda e: key_lemma_oracle_max(2, 1, 0.5, MAX_CERTIFY_CELLS, samples=2),
-], ids=["mc", "mc-edge", "climb", "climb-edge", "oracle", "oracle-edge"])
-def test_oversized_runs_are_refused_before_allocating(run, monkeypatch):
-    # MC always draws a whole BLOCK x n block and the climb scores
-    # CLIMB_WINDOW x (restarts + 1) x n moves at once: a run above the cap
-    # used to die in numpy with a MemoryError (exit 1) or hold gigabytes.
-    # Nothing may be drawn, so a missing guard fails here without allocating.
+_M4 = geometric_weight_metric(dim_d=4)
+
+
+# (run, what it counts): one case per capped size, each just above the cap or far above it
+@pytest.mark.parametrize("run, what", [
+    (lambda e: monte_carlo_certify(300_000, 2, e, 1), "Monte Carlo block: 4096 x 300000"),
+    (lambda e: monte_carlo_certify(MAX_CELLS // BLOCK + 1, 2, e, 1),
+     "Monte Carlo block: 4096 x 1025"),
+    (lambda e: adversarial_certify(20_000, 2, e, 32), "hill-climb window: 264 x 20000"),
+    (lambda e: adversarial_certify(4, 2, e, MAX_CELLS // (4 * CLIMB_WINDOW)),
+     "hill-climb window: 1048584 x 4"),
+    (lambda e: key_lemma_oracle_max(2, 1, 0.5, 10**9), "oracle sample set: 4096 x 1000000000"),
+    (lambda e: key_lemma_oracle_max(2, 1, 0.5, MAX_CELLS, samples=2),
+     "oracle sample set: 2 x 4194304"),
+    (lambda e: embedding_check(_M4, LatticeBox((0,) * 4, 23), 1.0, 0.5, 1),
+     "probe set: 4879681 x 1"),
+    # more points than sys.maxsize, which len() cannot report
+    (lambda e: embedding_check(_M4, LatticeBox((0,) * 4, 10**5), 1.0, 0.5, 10),
+     f"probe set: {(2 * 10**5 + 1)**4} x 1"),
+    (lambda e: embedding_check(_M4, [(0,) * 4], 1.0, 1e-3, 1),
+     "weight table |omega| x |window|: 1 x 7890481"),
+], ids=["mc", "mc-edge", "climb", "climb-edge", "oracle", "oracle-edge", "embed-probe",
+        "embed-probe-past-maxsize", "embed-table"])
+def test_oversized_runs_are_refused_before_allocating(run, what, monkeypatch):
+    # MC always draws a whole BLOCK x n block, the climb scores
+    # CLIMB_WINDOW x (restarts + 1) x n moves at once, the oracle draws
+    # samples x n and the embedding check tabulates |omega| x |window|
+    # weights: a run above the cap used to die in numpy with a MemoryError
+    # (exit 1) or hold gigabytes. Nothing may be drawn, so a missing guard
+    # fails here without allocating.
     def no_draw(*args):
         raise AssertionError("an oversized run drew its samples")
 
     monkeypatch.setattr(certify, "_sample_block", no_draw)
     monkeypatch.setattr(certify, "fresh_stream", no_draw)
+    monkeypatch.setattr(group_dynamics, "fresh_stream", no_draw)
     e = make_exponents(1, 2)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"exceed the cap of {MAX_CERTIFY_CELLS} cells"):
+        with pytest.raises(ValueError) as info:
             run(e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    rows, n = map(int, what.split(": ")[1].split(" x "))
+    assert str(info.value) == f"{what} = {rows * n} cells, above the cap of {MAX_CELLS}"
     assert peak < 1 << 20
 
 
 def test_runs_at_the_cell_cap_are_admitted(monkeypatch):
     e = make_exponents(1, 2)
-    monkeypatch.setattr(certify, "MAX_CERTIFY_CELLS", BLOCK * 4)
+    monkeypatch.setattr(core, "MAX_CELLS", BLOCK * 4)
     assert monte_carlo_certify(4, 1, e, 10).passed
-    with pytest.raises(ValueError, match="4096 rows of dimension n = 5"):
+    with pytest.raises(ValueError, match="Monte Carlo block: 4096 x 5 = 20480 cells"):
         monte_carlo_certify(5, 1, e, 10)
-    monkeypatch.setattr(certify, "MAX_CERTIFY_CELLS", CLIMB_WINDOW * 3 * 4)
+    monkeypatch.setattr(core, "MAX_CELLS", CLIMB_WINDOW * 3 * 4)
     assert adversarial_certify(4, 1, e, 2).passed
-    with pytest.raises(ValueError, match="24 rows of dimension n = 5"):
+    with pytest.raises(ValueError, match="hill-climb window: 24 x 5 = 120 cells"):
         adversarial_certify(5, 1, e, 2)
     assert key_lemma_oracle_max(2, 1, 0.5, 4, samples=24) == 0.5
-    with pytest.raises(ValueError, match="25 samples of n = 4"):
+    with pytest.raises(ValueError, match="oracle sample set: 25 x 4 = 100 cells"):
         key_lemma_oracle_max(2, 1, 0.5, 4, samples=25)
+    # one probe point at the origin: the window has radius twice the tail's
+    M = geometric_weight_metric()
+    window = 4 * tail_set(M, (0,), 0.5).radius + 1
+    monkeypatch.setattr(core, "MAX_CELLS", window)
+    assert embedding_check(M, [(0,)], 1.0, 0.5, 10).passed
+    monkeypatch.setattr(core, "MAX_CELLS", window - 1)
+    with pytest.raises(ValueError, match=rf"weight table \|omega\| x \|window\|: 1 x {window} "):
+        embedding_check(M, [(0,)], 1.0, 0.5, 10)
+    # a probe set of exactly the cap passes its own count and meets the table's
+    monkeypatch.setattr(core, "MAX_CELLS", 3)
+    with pytest.raises(ValueError, match="weight table"):
+        embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 10)
+    monkeypatch.setattr(core, "MAX_CELLS", 2)
+    with pytest.raises(ValueError, match="probe set: 3 x 1 = 3 cells, above the cap of 2"):
+        embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 10)
+
+
+class _Admitted(Exception):
+    """Raised by the first draw of a run that passed the cell cap."""
+
+
+@pytest.mark.parametrize("run, limit", [
+    (lambda e, n: monte_carlo_certify(n, 2, e, 1), 1024),
+    (lambda e, n: adversarial_certify(n, 2, e, 32), 15887),
+    (lambda e, n: key_lemma_oracle_max(2, 1, 0.5, n, samples=4096), 1024),
+], ids=["mc", "climb", "oracle"])
+def test_admission_limits_of_the_cell_cap(run, limit, monkeypatch):
+    # the largest admitted n reaches its first draw; one more is refused before it
+    def admitted(*args):
+        raise _Admitted
+
+    monkeypatch.setattr(certify, "fresh_stream", admitted)
+    e = make_exponents(1, 2)
+    with pytest.raises(_Admitted):
+        run(e, limit)
+    with pytest.raises(ValueError, match=f"above the cap of {MAX_CELLS}"):
+        run(e, limit + 1)
 
 
 # --- report serialization ------------------------------------------------------

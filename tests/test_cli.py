@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widim import bounds, certify
+from widim import bounds, certify, core
 from widim._output import csv_document, csv_row, json_exponent
 from widim.bounds import bracket, widim_equal_case
 from widim.certify import monte_carlo_certify, report_from_json, report_to_json
@@ -312,7 +312,9 @@ def test_group_embed_window_guard_exits_2_promptly(capsys):
     code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",
                              "--n", "6", "--samples", "1")
     assert time.perf_counter() - t0 < 10.0
-    assert code == 2 and out == "" and "exceeds the cap" in err
+    assert (code, out) == (2, "")
+    assert err == ("error: weight table |omega| x |window|: 28561 x 2825761 = 80706559921 cells,"
+                   " above the cap of 4194304\n")
 
 
 def test_workers_below_one_exit_2(capsys):
@@ -688,7 +690,24 @@ def test_oversized_certify_exits_2_before_allocating(capsys, monkeypatch):
         finally:
             tracemalloc.stop()
         assert code == 2 and out == "" and peak < 1 << 20
-        assert err.startswith("error: ") and err.count("\n") == 1 and "exceed the cap" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(" cells, above the cap of 4194304\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["certify", "--method", "mc", "--p", "1", "--q", "2", "--n", "1025", "--m", "1",
+      "--samples", "1"], "Monte Carlo block: 4096 x 1025 = 4198400 cells"),
+    (["certify", "--method", "adversarial", "--p", "1", "--q", "2", "--n", "15888", "--m", "1"],
+     "hill-climb window: 264 x 15888 = 4194432 cells"),
+    (["oracle", "--s", "2", "--c", "1", "--t", "0.5", "--n", "1025"],
+     "oracle sample set: 4096 x 1025 = 4198400 cells"),
+    # (2 * 10^5 + 1)^4 points, more than sys.maxsize: len() used to overflow
+    (["group", "--task", "embed", "--dim", "4", "--n", "100000", "--samples", "10"],
+     "probe set: 1600032000240000800001 x 1 = 1600032000240000800001 cells"),
+], ids=["mc", "climb", "oracle", "embed-probe"])
+def test_each_capped_driver_exits_2_with_the_one_cap_line(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {line}, above the cap of 4194304\n")
 
 
 # --- every command line ends in a documented status ---------------------------------
@@ -773,7 +792,7 @@ def test_every_command_line_ends_in_a_documented_status(case):
     draw = certify._sample_block
 
     def capped_draw(seed, b, n, p):  # an oversized block fails here, unallocated
-        assert certify.BLOCK * n <= certify.MAX_CERTIFY_CELLS, argv
+        assert certify.BLOCK * n <= core.MAX_CELLS, argv
         return draw(seed, b, n, p)
 
     out, err = io.StringIO(), io.StringIO()

@@ -354,7 +354,9 @@ _EXPONENTS = [
     ("lp_norm_power p", "ball exponent p", False, lambda v: lp_norm_power((0.5,), v)),
     ("in_lp_ball p", "ball exponent p", False, lambda v: in_lp_ball((0.5,), v)),
     ("make_exponents p", "ball exponent p", True, lambda v: make_exponents(v, math.inf)),
+    ("make_exponents q", "distance exponent q", False, lambda v: make_exponents(1, v)),
     ("Exponents p", "ball exponent p", True, lambda v: Exponents(p=v, q=math.inf)),
+    ("Exponents q", "distance exponent q", False, lambda v: Exponents(p=1, q=v)),
     ("sample_lp_ball p", "ball exponent p", False, lambda v: sample_lp_ball(2, v, _rng())),
     ("sample_lp_ball_rows p", "ball exponent p", False,
      lambda v: sample_lp_ball_rows(2, 2, v, _rng())),
@@ -393,6 +395,12 @@ _SCALES = [
     ("mean_dimension_table eps", lambda v: mean_dimension_table(_M, 1.0, v, [1, 2])),
     ("asymptotic_exponent_fit eps_grid",
      lambda v: asymptotic_exponent_fit(_E, [v, 0.1, 0.01, 0.001])),
+]
+
+# (entry point and argument, message name, the call): a real above a bound of its own
+_ABOVE = [
+    ("geometric_weight_metric base", "decay base must be a finite real above 1",
+     lambda v: geometric_weight_metric(base=v)),
 ]
 
 # (entry point and argument, the call): a weight total is a scale in (0, 1]
@@ -474,6 +482,10 @@ _NONNEGATIVE = [
 ]
 
 
+# a real is never a string, even one that float() would read, nor a numpy bool
+_NOT_REALS = ("2", b"2", "abc", np.True_)
+
+
 def _input_rule_cases():
     # a seed is also below 2^64, the width of a stream key
     rows = [(name, what, call, (True, least + 1.5, least - 1, math.nan, math.inf)
@@ -484,14 +496,16 @@ def _input_rule_cases():
     rows += [(name, what, call, ([0.7, 1.2], [1.9, 0.2], [1.0, 0.0], [True, False], [True, 0],
                                  np.array([True, False]), np.array([1.0, 0.0])))
              for name, what, call in _INT_ARRAYS]
-    rows += [(name, what, call, (True, 0.5, -math.inf, math.nan) + ((math.inf,) if finite else ()))
-             for name, what, finite, call in _EXPONENTS]
-    rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf))
+    rows += [(name, what, call, (True, 0.5, -math.inf, math.nan) + ((math.inf,) if finite else ())
+              + _NOT_REALS) for name, what, finite, call in _EXPONENTS]
+    rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf, "0.5") + _NOT_REALS)
              for name, call in _SCALES]
-    rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf))
+    rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf, "0") + _NOT_REALS)
              for name, what, call in _NONNEGATIVE]
-    rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf))
-             for name, call in _TOTALS]
+    rows += [(name, what, call, (True, 1.0, 0.5, -math.inf, math.nan, math.inf, "3") + _NOT_REALS)
+             for name, what, call in _ABOVE]
+    rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf, "0.5")
+              + _NOT_REALS) for name, call in _TOTALS]
     for name, what, call, bads in rows:
         for bad in bads:
             yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
@@ -502,8 +516,12 @@ def _input_rule_cases():
         # a list or object array that mixes a bool with reals, which numpy reads as floats
         mixed = [[True, 0.5], (0.5, np.bool_(False)), np.array([0.5, True], dtype=object)]
         mixed += [[_HALVES, [0.5, True]]] if batch else []
-        rows += [(name, f"{what} must hold reals, not bools", call, bad)
-                 for bad in [np.array([True, False]), [True, False]] + mixed]
+        # strings, which numpy would parse, alone or beside reals
+        texts = [np.array(["1", "2"]), ["1", "2"], np.array([b"1", b"2"]), ["0.5", 0.25],
+                 [0.5, b"0.25"], np.array([0.5, "0.25"], dtype=object)]
+        texts += [[_HALVES, ["0.5", 0.25]]] if batch else []
+        rows += [(name, f"{what} must hold reals, not bools or strings", call, bad)
+                 for bad in [np.array([True, False]), [True, False]] + mixed + texts]
         rows += [(name, "values must be finite", call, [0.5, math.nan]),
                  (name, f"{what} must be a", call, [[[0.5, 0.25]]] if batch else [[0.5, 0.25]])]
         if what != "point values":  # a point with empty support has empty values
@@ -550,6 +568,9 @@ def test_input_rule_table_covers_valid_values():
     for _, _, call in _NONNEGATIVE:
         call(0.0)
         call(0.5)
+    for _, _, call in _ABOVE:
+        call(1.5)
+        call(np.float64(3.0))
     for _, call in _TOTALS:
         call(0.25)
         call(1.0)
@@ -592,5 +613,17 @@ def test_real_casts_and_the_ball_rule_live_in_core():
     for rule in (r"np\.asarray\(", r"np\.(as)?array\(\s*[\w.]+\s*,\s*dtype=",
                  r"1\.0 \+ BALL_TOLERANCE"):
         pattern = re.compile(rule)
+        holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
+        assert holders == ["core.py"], rule
+
+
+def test_the_cell_cap_lives_in_core():
+    # one cap on the size of a run, written and compared only in core's
+    # _check_cells: a second 2^22, or a driver comparing a size with the cap
+    # by hand, would be a second copy of the rule
+    src = Path(widim.__file__).parent
+    for rule in (r"1\s*<<\s*22|2\s*\*\*\s*22|4194304", r"^\w*MAX_\w*CELLS\w* =",
+                 r"[<>]=?\s*(core\.)?MAX_CELLS\b|\bMAX_CELLS\s*[<>]"):
+        pattern = re.compile(rule, re.MULTILINE)
         holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
         assert holders == ["core.py"], rule

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import widim.group_dynamics as group_dynamics
 from widim._streams import DOMAIN_PAIRS, fresh_stream
+from widim.core import MAX_CELLS
 from widim.group_dynamics import (
     MAX_OUTSIDE_SUPPORT,
     MAX_SUPPORT,
-    MAX_WINDOW_CELLS,
     PAIR_DRAW,
     SCORE_ROWS,
     EmbeddingReport,
@@ -413,9 +413,9 @@ def test_embedding_check_window_guard():
     # a probe set larger than the cap is refused before it is listed
     M = geometric_weight_metric(dim_d=4)
     omega = LatticeBox((0,) * 4, 30)
-    assert len(omega) > MAX_WINDOW_CELLS
+    assert len(omega) > MAX_CELLS
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="exceeds the window cap"):
+    with pytest.raises(ValueError, match=f"probe set: {len(omega)} x 1 = "):
         embedding_check(M, omega, 1.0, 0.5, 1)
     assert time.perf_counter() - t0 < 5.0
 
