@@ -185,7 +185,7 @@ def report_from_json(text: str) -> CertificationReport:
     doc = json.loads(text)
     doc.pop("elapsed", None)
     r = doc["exponents"].pop("r")
-    e = Exponents(**{k: float(v) for k, v in doc["exponents"].items()})  # q may be "inf"
+    e = Exponents(**{k: math.inf if v == "inf" else v for k, v in doc["exponents"].items()})
     if r != e.r:
         raise ValueError(f"r={r!r} is not the rate {e.r!r} of p={e.p}, q={e.q}")
     return CertificationReport(**{**doc, "exponents": e,

@@ -35,6 +35,9 @@ _NORMAL_MIN = np.finfo(np.float64).tiny
 #: largest table it would allocate, and larger runs are refused before allocating.
 MAX_CELLS = 1 << 22
 
+#: What no real rule admits, though float() would read it: a bool or a string.
+_NOT_REAL = (bool, np.bool_, str, bytes)
+
 
 # The input rules every public entry point applies, and the one place they
 # are written down. Each helper returns the value in its working type, and
@@ -84,32 +87,26 @@ def _check_cells(rows: int, n: int, what: str) -> None:
         raise ValueError(f"{what}: {rows} x {n} = {rows * n} cells, above the cap of {MAX_CELLS}")
 
 
-def _real(value) -> float:
-    """``value`` as a float, or NaN, which no real rule admits, for any bool or a string."""
-    return math.nan if isinstance(value, (bool, np.bool_, str, bytes)) else float(value)
-
-
 def _check_exponent(value, what: str, finite: bool = False) -> float:
     """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
-    x = _real(value)
+    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
     if not x >= 1.0 or (finite and x == math.inf):
         rule = "a finite real of at least 1" if finite else "at least 1 or inf"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
     return x
 
 
-def _check_scale(value, what: str = "scale eps", above: float = 0.0) -> float:
-    """A finite real above ``above``: a positive finite real by default."""
-    x = _real(value)
-    if not above < x < math.inf:
-        rule = f"a finite real above {above:g}" if above else "a positive finite real"
-        raise ValueError(f"{what} must be {rule}, got {value!r}")
+def _check_scale(value, what: str = "scale eps") -> float:
+    """A positive finite real."""
+    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be a positive finite real, got {value!r}")
     return x
 
 
 def _check_nonnegative(value, what: str) -> float:
     """A nonnegative finite real."""
-    x = _real(value)
+    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{what} must be a nonnegative finite real, got {value!r}")
     return x
@@ -131,7 +128,7 @@ def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarra
     way. The batch may share memory with ``x``."""
     X = np.asarray(x)
     if X.dtype.kind in "bSU" or ((X.dtype == object or not isinstance(x, np.ndarray)) and any(
-            isinstance(v, (bool, np.bool_, str, bytes)) for v in np.array(x, dtype=object).flat)):
+            isinstance(v, _NOT_REAL) for v in np.array(x, dtype=object).flat)):
         raise ValueError(f"{what} must hold reals, not bools or strings")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 1 and not (rows and X.ndim == 2):

@@ -151,8 +151,9 @@ def geometric_weight_metric(
     so the tail bound is an exact closed form, not an estimate.
     """
     dim_d = _check_int(dim_d, "lattice dimension d", 1)
-    # an infinite base would make every weight inf / inf
-    base, total = _check_scale(base, "decay base", 1.0), _check_scale(total, "total weight bound")
+    base, total = _check_scale(base, "decay base"), _check_scale(total, "total weight bound")
+    if base <= 1.0:  # the weights base^-|k| must decay
+        raise ValueError(f"decay base must be a finite real above 1, got {base!r}")
     axis_total = (base + 1.0) / (base - 1.0)  # sum over one axis of base^-|k|
     try:
         scale = total / axis_total**dim_d
@@ -533,7 +534,8 @@ def embedding_check(
     seed = _check_seed(seed)
 
     if hasattr(omega, "__len__"):  # called directly: len() overflows past sys.maxsize
-        _check_cells(omega.__len__(), 1, "probe set")
+        size = omega.__len__()  # the window holds Omega, so the table holds |Omega|^2 cells
+        _check_cells(size, size, "probe set")
     deltas = _probe_set(omega, M.dim_d)
 
     # Every tail box has the same radius; only its center moves with delta.

@@ -1,6 +1,7 @@
 """Certification drivers: sampling, Monte Carlo, hill climbing, lemma oracles."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -575,14 +576,17 @@ _M4 = geometric_weight_metric(dim_d=4)
     (lambda e: key_lemma_oracle_max(2, 1, 0.5, MAX_CELLS, samples=2),
      "oracle sample set: 2 x 4194304"),
     (lambda e: embedding_check(_M4, LatticeBox((0,) * 4, 23), 1.0, 0.5, 1),
-     "probe set: 4879681 x 1"),
+     "probe set: 4879681 x 4879681"),
+    # 2^11 + 1 points, whose weight table could never fit: refused before it is listed
+    (lambda e: embedding_check(geometric_weight_metric(), LatticeBox((0,), 1024), 1.0, 0.5, 1),
+     "probe set: 2049 x 2049"),
     # more points than sys.maxsize, which len() cannot report
     (lambda e: embedding_check(_M4, LatticeBox((0,) * 4, 10**5), 1.0, 0.5, 10),
-     f"probe set: {(2 * 10**5 + 1)**4} x 1"),
+     f"probe set: {(2 * 10**5 + 1)**4} x {(2 * 10**5 + 1)**4}"),
     (lambda e: embedding_check(_M4, [(0,) * 4], 1.0, 1e-3, 1),
      "weight table |omega| x |window|: 1 x 7890481"),
 ], ids=["mc", "mc-edge", "climb", "climb-edge", "oracle", "oracle-edge", "embed-probe",
-        "embed-probe-past-maxsize", "embed-table"])
+        "embed-probe-edge", "embed-probe-past-maxsize", "embed-table"])
 def test_oversized_runs_are_refused_before_allocating(run, what, monkeypatch):
     # MC always draws a whole BLOCK x n block, the climb scores
     # CLIMB_WINDOW x (restarts + 1) x n moves at once, the oracle draws
@@ -630,12 +634,13 @@ def test_runs_at_the_cell_cap_are_admitted(monkeypatch):
     monkeypatch.setattr(core, "MAX_CELLS", window - 1)
     with pytest.raises(ValueError, match=rf"weight table \|omega\| x \|window\|: 1 x {window} "):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
-    # a probe set of exactly the cap passes its own count and meets the table's
-    monkeypatch.setattr(core, "MAX_CELLS", 3)
+    # a probe set counted at exactly the cap, |Omega|^2 cells, passes its own
+    # count and meets the table's, which holds at least as many
+    monkeypatch.setattr(core, "MAX_CELLS", 9)
     with pytest.raises(ValueError, match="weight table"):
         embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 10)
-    monkeypatch.setattr(core, "MAX_CELLS", 2)
-    with pytest.raises(ValueError, match="probe set: 3 x 1 = 3 cells, above the cap of 2"):
+    monkeypatch.setattr(core, "MAX_CELLS", 8)
+    with pytest.raises(ValueError, match="probe set: 3 x 3 = 9 cells, above the cap of 8"):
         embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 10)
 
 
@@ -674,6 +679,16 @@ def test_report_json_round_trip():
         if math.isinf(q):
             assert '"q": "inf"' in text
         assert '"elapsed": null' in text
+
+
+@pytest.mark.parametrize("p", [True, "2", "1"])
+def test_report_from_json_refuses_non_real_exponents(p):
+    # only the JSON spelling "inf" of q is decoded; a bool or another string
+    # still meets the exponent rule
+    doc = json.loads(report_to_json(monte_carlo_certify(3, 1, make_exponents(1, 2), 10)))
+    doc["exponents"]["p"] = p
+    with pytest.raises(ValueError, match="ball exponent p must be a finite real of at least 1"):
+        report_from_json(json.dumps(doc))
 
 
 def test_report_csv_shape():

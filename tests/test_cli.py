@@ -308,13 +308,15 @@ def test_group_table_p_inf_below_eps_4_exits_2(capsys):
 
 
 def test_group_embed_window_guard_exits_2_promptly(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",
-                             "--n", "6", "--samples", "1")
-    assert time.perf_counter() - t0 < 10.0
-    assert (code, out) == (2, "")
-    assert err == ("error: weight table |omega| x |window|: 28561 x 2825761 = 80706559921 cells,"
-                   " above the cap of 4194304\n")
+    # a probe set of more than 2^11 points is refused on its own count, |omega|^2,
+    # before it is listed; a smaller one meets the weight table's count
+    for n, line in (("6", "probe set: 28561 x 28561 = 815730721 cells"),
+                    ("2", "weight table |omega| x |window|: 625 x 390625 = 244140625 cells")):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "group", "--task", "embed", "--dim", "4",
+                                 "--n", n, "--samples", "1")
+        assert time.perf_counter() - t0 < 10.0
+        assert (code, out, err) == (2, "", f"error: {line}, above the cap of 4194304\n")
 
 
 def test_workers_below_one_exit_2(capsys):
@@ -582,7 +584,7 @@ def test_infinite_weight_base_exits_2(capsys):
     embed = ["group", "--task", "embed", "--n", "1", "--samples", "50", "--format", "json"]
     code, out, err = run_cli(capsys, *embed, "--weight-base", "inf")
     assert code == 2 and out == ""
-    assert err == "error: decay base must be a finite real above 1, got inf\n"
+    assert err == "error: decay base must be a positive finite real, got inf\n"
     code, out, err = run_cli(capsys, *embed, "--weight-base", "1e308")
     assert code == 0 and err == ""
     doc = json.loads(out)
@@ -703,7 +705,8 @@ def test_oversized_certify_exits_2_before_allocating(capsys, monkeypatch):
      "oracle sample set: 4096 x 1025 = 4198400 cells"),
     # (2 * 10^5 + 1)^4 points, more than sys.maxsize: len() used to overflow
     (["group", "--task", "embed", "--dim", "4", "--n", "100000", "--samples", "10"],
-     "probe set: 1600032000240000800001 x 1 = 1600032000240000800001 cells"),
+     "probe set: 1600032000240000800001 x 1600032000240000800001"
+     " = 2560102401792017920112000448001120001600001 cells"),
 ], ids=["mc", "climb", "oracle", "embed-probe"])
 def test_each_capped_driver_exits_2_with_the_one_cap_line(capsys, argv, line):
     code, out, err = run_cli(capsys, *argv)

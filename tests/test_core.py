@@ -397,10 +397,9 @@ _SCALES = [
      lambda v: asymptotic_exponent_fit(_E, [v, 0.1, 0.01, 0.001])),
 ]
 
-# (entry point and argument, message name, the call): a real above a bound of its own
+# (entry point and argument, message name, the call): a scale, then above a bound of its own
 _ABOVE = [
-    ("geometric_weight_metric base", "decay base must be a finite real above 1",
-     lambda v: geometric_weight_metric(base=v)),
+    ("geometric_weight_metric base", "decay base", lambda v: geometric_weight_metric(base=v)),
 ]
 
 # (entry point and argument, the call): a weight total is a scale in (0, 1]
@@ -502,7 +501,10 @@ def _input_rule_cases():
              for name, call in _SCALES]
     rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf, "0") + _NOT_REALS)
              for name, what, call in _NONNEGATIVE]
-    rows += [(name, what, call, (True, 1.0, 0.5, -math.inf, math.nan, math.inf, "3") + _NOT_REALS)
+    rows += [(name, f"{what} must be a positive finite real", call,
+              (True, 0.0, -math.inf, math.nan, math.inf, "3") + _NOT_REALS)
+             for name, what, call in _ABOVE]
+    rows += [(name, f"{what} must be a finite real above 1", call, (1.0, 0.5))
              for name, what, call in _ABOVE]
     rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf, "0.5")
               + _NOT_REALS) for name, call in _TOTALS]

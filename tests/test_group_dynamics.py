@@ -131,7 +131,8 @@ def test_weight_validation():
 def test_weight_base_must_be_a_finite_real_above_one(base):
     # an infinite base would make every weight inf / inf = NaN, and an embed
     # check on that metric would pass with a NaN worst margin
-    with pytest.raises(ValueError, match=f"decay base must be a finite real above 1, got {base}"):
+    rule = "a finite real above 1" if base == 0.5 else "a positive finite real"
+    with pytest.raises(ValueError, match=f"decay base must be {rule}, got {base}"):
         geometric_weight_metric(base=base)
 
 
@@ -412,12 +413,14 @@ def test_embedding_check_validation():
 def test_embedding_check_window_guard():
     # a probe set larger than the cap is refused before it is listed
     M = geometric_weight_metric(dim_d=4)
-    omega = LatticeBox((0,) * 4, 30)
-    assert len(omega) > MAX_CELLS
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=f"probe set: {len(omega)} x 1 = "):
-        embedding_check(M, omega, 1.0, 0.5, 1)
-    assert time.perf_counter() - t0 < 5.0
+    # or whose weight table, of at least |omega|^2 cells, could never fit
+    for radius in (30, 12):
+        omega = LatticeBox((0,) * 4, radius)
+        assert len(omega) ** 2 > MAX_CELLS
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=f"probe set: {len(omega)} x {len(omega)} = "):
+            embedding_check(M, omega, 1.0, 0.5, 1)
+        assert time.perf_counter() - t0 < 5.0
 
 
 # SHA-256 of embedding_report_to_json. Re-recorded when blocks grew from 64
