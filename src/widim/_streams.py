@@ -13,6 +13,9 @@ Index i is placed in the high counter word, giving consecutive indices a
 stride of 2^192 draw blocks; no realistic draw volume can make two streams
 overlap. Distinct drivers use distinct domain constants in the key so that
 equal indices never collide across drivers.
+
+Every random sign in the package is read from raw generator words by
+:func:`_sign_halves`, bit for bit the draw ``rng.integers(0, 2, count)``.
 """
 
 from __future__ import annotations
@@ -51,3 +54,31 @@ def fresh_stream(seed: int, domain: int, index: int) -> np.random.Generator:
     key = np.array([_check_seed(seed), _check_seed(domain, "stream domain")], dtype=np.uint64)
     counter = np.array([0, 0, 0, _check_seed(index, "stream index")], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def _sign_halves(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` signs as 32-bit halves of raw words, sign i plus iff bit 31 of
+    half i is set: bit for bit ``rng.integers(0, 2, count) == 1``, which turns
+    each half into one value by a Lemire step that never rejects, and leaving
+    the generator in that call's state. A 64-bit word gives its low half
+    first; a half that numpy holds back is read first, and an odd count holds
+    back its spare half. The words are not unpacked, so a caller reads only
+    the signs it uses."""
+    bg = rng.bit_generator  # generators named here: numpy loads numpy.random on first use
+    if isinstance(bg, np.random.MT19937):  # 32-bit words, none held back
+        return bg.random_raw(count).astype(np.uint32)
+    if not isinstance(bg, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
+                           np.random.SFC64)):
+        raise TypeError(f"signs need a Generator on one of numpy's Philox, PCG64, PCG64DXSM, "
+                        f"SFC64 or MT19937, got {type(bg).__name__}")
+    held = bg.state["has_uint32"]
+    words = bg.random_raw((count - held + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    state = bg.state
+    if held:
+        halves = np.concatenate((np.full(1, state["uinteger"], "<u4"), halves))
+    state["has_uint32"] = len(halves) - count
+    if len(words):  # numpy keeps the last word's high half, held or not
+        state["uinteger"] = int(words[-1] >> 32)
+    bg.state = state
+    return halves[:count]

@@ -28,10 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, fresh_stream
+from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
+                       fresh_stream)
 from ._output import csv_row, json_exponent, report_fields
 from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_int,
-                   _check_nonnegative, _check_pair, _check_row_sizes, _check_seed, as_vector)
+                   _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
+                   _check_sparsity, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -97,14 +99,18 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     With ``sizes``, one integer in [0, n] per row, row r is uniform in the
     ball of its first sizes[r] coordinates and zero beyond: unused
     coordinates are drawn but masked before the normalizing sum.
+
+    ``rng`` is a Generator on Philox, PCG64, PCG64DXSM, SFC64 or MT19937,
+    the bit generators whose raw words the sign draw reads.
     """
     rows, n = _check_int(rows, "rows", 1), _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
     unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
     X, S = np.empty((rows, n)), np.empty((rows, n))
-    bits = _fill_ball_rows(X, S, p, rng, unused)
-    if bits is not None:  # signs +-1.0 as a product, faster than a masked negate
-        X *= np.subtract(np.multiply(bits, 2.0, out=S), 1.0, out=S)
+    halves = _fill_ball_rows(X, S, p, rng, unused)
+    if halves is not None:  # signs +-1.0 as a product, faster than a masked negate
+        np.right_shift(halves, 31, out=S)
+        X *= np.subtract(np.multiply(S, 2.0, out=S), 1.0, out=S)
     if unused is not None:
         X[unused] = 0.0
     return X
@@ -115,10 +121,13 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
     """Unchecked kernel of :func:`sample_lp_ball_rows`: fill the C-contiguous
     float batch X in the documented draw order, unused cells not yet zeroed,
     with the points at p = 2 and p = inf (returning None) and elsewhere with
-    their magnitudes ``w^(1/p) / scale``, returning the integer sign draw, 1
-    for plus: for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit.
-    S is scratch for p = 2's squares; all runs in place, with fresh arrays' bits."""
-    bits = None
+    their magnitudes ``w^(1/p) / scale``, returning the sign draw of
+    :func:`_sign_halves` in X's shape, a cell plus iff bit 31 of its half is
+    set: for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit. The
+    halves stay packed in the raw words, so a caller reads only the signs it
+    uses. S is scratch for p = 2's squares; all runs in place, with fresh
+    arrays' bits."""
+    halves = None
     if math.isinf(p):
         rng.random(out=X)  # uniform(-1, 1) is -1 + 2u, and 2u is exact
         X *= 2.0
@@ -135,7 +144,7 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
             w = rng.standard_exponential(out=X)
         else:
             w = rng.gamma(1.0 / p, 1.0, X.shape)
-        bits = rng.integers(0, 2, X.shape)
+        halves = _sign_halves(rng, X.size).reshape(X.shape)
         y = rng.standard_exponential(len(X))
         if unused is not None:
             w[unused] = 0.0
@@ -143,7 +152,7 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
         if p != 1.0:
             np.power(w, 1.0 / p, out=X)
         X /= scale[:, None]
-    return bits
+    return halves
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ def report_to_csv_row(report: CertificationReport) -> str:
 def _validate_run(n, m, e, count, count_name, workers, seed):
     """The checked (n, m, count, seed) of a run."""
     _check_pair(e)
-    n, m = _check_int(n, "dimension n", 1), _check_int(m, "sparsity m", 0)
+    n, m = _check_int(n, "dimension n", 1), _check_sparsity(m)
     count = _check_int(count, count_name, 1)
     _check_int(workers, "workers", 1)
     seed = _check_seed(seed)
@@ -225,18 +234,18 @@ def _sample_block(seed, b, n, p):
     rows, signed, as a fresh array. Every chunk is drawn into one workspace
     allocated per call, so the magnitudes are a view that is valid only until
     the next chunk is drawn: |X| written into the scratch at p = 2 and p = inf,
-    the drawn batch itself elsewhere, whose integer sign draw is applied only
-    to a row that is asked for."""
+    the drawn batch itself elsewhere, whose sign halves stay packed until a
+    row is asked for, and then only that row's n bits are read."""
     rng = fresh_stream(seed, DOMAIN_BALL, b)
     rows = max(1, _CHUNK_CELLS // n)
     X, S = np.empty((2, min(rows, BLOCK), n))
     for lo in range(0, BLOCK, rows):
         k = min(rows, BLOCK - lo)
-        bits = _fill_ball_rows(X[:k], S[:k], p, rng, None)
-        if bits is None:
+        halves = _fill_ball_rows(X[:k], S[:k], p, rng, None)
+        if halves is None:
             yield np.abs(X[:k], out=S[:k]), lambda r: X[r].copy()
         else:
-            yield X[:k], lambda r, bits=bits: np.where(bits[r] == 1, X[r], -X[r])
+            yield X[:k], lambda r, h=halves: np.where(h[r] >> 31 == 1, X[r], -X[r])
 
 
 def monte_carlo_certify(

@@ -81,6 +81,19 @@ def _check_seed(value, what: str = "seed") -> int:
     return value
 
 
+def _check_sparsity(value) -> int:
+    """A sparsity m whose distortion ceiling (m+1)^-(1/p-1/q) can be computed:
+    an integer of at least 0 with m + 1 inside the float range."""
+    value = _check_int(value, "sparsity m", 0)
+    try:
+        float(value + 1)
+    except OverflowError:
+        raise ValueError("sparsity m must be an integer of at least 0 with m + 1 below about "
+                         "1.8e308, the float range of the bound (m+1)^-(1/p-1/q); got "
+                         f"{value.bit_length()} bits") from None
+    return value
+
+
 def _check_cells(rows: int, n: int, what: str) -> None:
     """The run-size rule: ``what``, a table of ``rows`` x ``n`` cells, fits in MAX_CELLS."""
     if rows * n > MAX_CELLS:

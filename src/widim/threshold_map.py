@@ -27,10 +27,12 @@ as positive, and outputs are normalized so every zero is +0.0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import (Exponents, _check_exponent, _check_int, _check_pair, _check_reals, _lq_rows,
-                   as_vector)
+from .core import (Exponents, _check_exponent, _check_int, _check_pair, _check_reals,
+                   _check_sparsity, _lq_rows, as_vector)
 from .signed_perm import ConePoint, _in_cone
 
 __all__ = [
@@ -144,11 +146,21 @@ def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
     from its magnitudes ``A = |X|``, which it leaves unchanged. The moved
     amounts ``A - max(A - tau, 0)`` are built in :func:`_shrink`'s copy, and
     :func:`_lq_rows` powers that copy in place, so a call holds one batch
-    beside A."""
+    beside A.
+
+    At q = inf the row maximum is taken over the partition's top m + 1
+    columns only, with the same bits: every value a before column k = n-1-m
+    is at most tau, so it moves by ``a - max(a - tau, 0) = a`` exactly, never
+    above the amount tau that column k itself moves."""
     if m >= A.shape[1]:
         return np.zeros(A.shape[0])
     if m == 0:  # m = 0 shrinks every entry to 0
         return _lq_rows(A, q)
+    if math.isinf(q):
+        k = A.shape[1] - 1 - m
+        top = np.partition(A, k, axis=1)[:, k:]
+        D = np.subtract(top, top[:, :1])
+        return np.subtract(top, np.maximum(D, 0.0, out=D), out=D).max(axis=1)
     D = _shrink(A, m)
     return _lq_rows(np.subtract(A, D, out=D), q, lambda rows: A[rows] - _shrink(A[rows], m))
 
@@ -157,9 +169,10 @@ def distortion_bound(m: int, e: Exponents) -> float:
     """The dimension-free distortion ceiling (m+1)^-(1/p - 1/q).
 
     Computed from p and q directly rather than through r, matching the
-    arithmetic of the extremal configuration as closely as possible.
+    arithmetic of the extremal configuration as closely as possible. m + 1
+    must lie in the float range.
     """
-    m = _check_int(m, "sparsity m", 0)
+    m = _check_sparsity(m)
     return float((m + 1) ** (-_check_pair(e).inverse_rate))
 
 

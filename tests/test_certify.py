@@ -149,9 +149,11 @@ def reference_chunk(g, rows, n, p):
 def test_block_matches_fresh_stream_reference():
     # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn in order
     # as chunks of max(1, _CHUNK_CELLS // n) rows, each chunk drawn whole; a
-    # chunk's magnitudes are |R| and its signed rows R, bit for bit
+    # chunk's magnitudes are |R| and its signed rows R, bit for bit. At n = 11
+    # (1489 x 11 cells) and n = 17 (963 x 17) a chunk's sign count is odd, so
+    # its spare half is carried into the next chunk's signs
     for p in (1.0, 2.0, 3.5, math.inf):
-        for n, b in ((1, 0), (5, 7), (8, 3), (64, 2**40)):
+        for n, b in ((1, 0), (5, 7), (8, 3), (11, 5), (17, 1), (64, 2**40)):
             g = fresh_stream(9, DOMAIN_BALL, b)
             rows = max(1, certify._CHUNK_CELLS // n)
             ref = [reference_chunk(g, min(rows, BLOCK - lo), n, p)

@@ -626,6 +626,23 @@ def test_oracle_beyond_the_float_range_names_n_and_t(capsys):
     assert json.loads(out)["rows"][0]["observed_max"] == sys.float_info.max * 5e-324
 
 
+def test_certify_sparsity_beyond_the_float_range_exits_2_before_drawing(capsys, monkeypatch):
+    # the bound (m+1)^-(1/p-1/q) overflowed converting m + 1 to a float, after
+    # every sample had been drawn, and printed "int too large to convert to float"
+    import widim.certify
+
+    def no_draw(*args):
+        raise AssertionError("drew a sample before refusing m")
+    monkeypatch.setattr(widim.certify, "fresh_stream", no_draw)
+    for method in ("mc", "adversarial"):
+        code, out, err = run_cli(capsys, "certify", "--method", method, "--p", "1", "--q", "2",
+                                 "--n", "64", "--m", str(10**400), "--samples", "1000000",
+                                 "--restarts", "8")
+        assert code == 2 and out == ""
+        assert err == ("error: sparsity m must be an integer of at least 0 with m + 1 below about "
+                       "1.8e308, the float range of the bound (m+1)^-(1/p-1/q); got 1329 bits\n")
+
+
 def test_failed_cross_check_exits_3(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ArithmeticError("sampled objective exceeds the vertex maximum")

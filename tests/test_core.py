@@ -327,6 +327,17 @@ _COUNTS = [
 # the counts that are 64-bit words of a stream key or counter, below 2^64
 _WORDS = {"seed", "stream domain", "stream index"}
 
+# (entry point and argument, the call with v there): a sparsity m whose bound
+# (m+1)^-(1/p-1/q) is computed has m + 1 inside the float range, so the runs
+# refuse it before drawing rather than with a bare OverflowError at the end
+_SPARSITIES = [
+    ("distortion_bound m", lambda v: distortion_bound(v, _E)),
+    ("monte_carlo_certify m", lambda v: monte_carlo_certify(4, v, _E, 10)),
+    ("adversarial_certify m", lambda v: adversarial_certify(4, v, _E, 2)),
+]
+# the least m whose m + 1 rounds past the largest double
+_M_OVER = 2**1024 - 2**970 - 1
+
 # (entry point and argument, the call with v there): lattice coordinates are
 # integers of any sign, never truncated
 _POINT = FinitelySupportedPoint(((0,),), (0.5,), 1.0)
@@ -492,6 +503,8 @@ def _input_rule_cases():
             for name, what, least, call in _COUNTS]
     rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
              for name, call in _COORDINATES]
+    rows += [(name, re.escape("sparsity m must be an integer of at least 0 with m + 1 below"),
+              call, (_M_OVER, 10**400)) for name, call in _SPARSITIES]
     rows += [(name, what, call, ([0.7, 1.2], [1.9, 0.2], [1.0, 0.0], [True, False], [True, 0],
                                  np.array([True, False]), np.array([1.0, 0.0])))
              for name, what, call in _INT_ARRAYS]
@@ -555,6 +568,8 @@ def test_input_rule_table_covers_valid_values():
         if what in _WORDS:
             call(2**64 - 1)
             call(np.uint64(2**64 - 1))
+    for _, call in _SPARSITIES:
+        call(_M_OVER - 1)
     for _, call in _COORDINATES:
         call(-3)
         call(np.int64(2))

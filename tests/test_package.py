@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,15 @@ def _probe_imports():
 def test_probed_names_import(module, name):
     # the benchmark's kernel probe times these names on one block
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; naming a bit generator at import
+    # time loaded it for every run, about 6 MiB of peak RSS and a slower
+    # start even for `widim bounds`, which draws nothing
+    code = "import sys, widim.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(widim.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

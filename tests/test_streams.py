@@ -1,5 +1,7 @@
 """Per-index stream derivation: factory vs reference construction."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from widim._streams import (
     DOMAIN_BALL,
     DOMAIN_CLIMB,
     StreamFactory,
+    _sign_halves,
     fresh_stream,
 )
 
@@ -70,3 +73,45 @@ def test_numpy_generator_draws_are_stable():
     # that changes them must be caught loudly, not absorbed silently
     g = fresh_stream(DEFAULT_SEED, DOMAIN_BALL, 0)
     assert g.uniform() == 0.13251119731759053
+
+
+def _state(g):
+    """The full state of g's bit generator, arrays as lists, for ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(w) for k, w in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(g.bit_generator.state)
+
+
+_SIGN_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+                    np.random.MT19937)
+
+
+@pytest.mark.parametrize("count", (1, 2, 333, 16379, 16384))
+@pytest.mark.parametrize("before", (None, (0, 5, 3), (0, 5, 4)),
+                         ids=("fresh", "half-held", "none-held"))
+@pytest.mark.parametrize("bits", _SIGN_GENERATORS, ids=lambda b: b.__name__)
+def test_sign_halves_are_numpys_integers_draw(bits, before, count):
+    # every random sign in the package is bit 31 of a raw 32-bit half; this
+    # rests on numpy's bounded-integer algorithm (one Lemire step per half for
+    # a range of 2), which numpy does not document, so a numpy release that
+    # changes it fails here rather than moving every stream. integers(0, 5, 3)
+    # leaves a half held back in a 64-bit generator, integers(0, 5, 4) none
+    a, b = np.random.Generator(bits(2026)), np.random.Generator(bits(2026))
+    if before is not None:
+        a.integers(*before)
+        b.integers(*before)
+    want = a.integers(0, 2, count)
+    halves = _sign_halves(b, count)
+    assert halves.shape == (count,)
+    assert np.array_equal(halves >> 31, want)
+    assert _state(b) == _state(a)
+    assert np.array_equal(_sign_halves(b, 3) >> 31, a.integers(0, 2, 3))  # a held half carries
+    assert b.random() == a.random()
+
+
+def test_sign_halves_refuse_other_bit_generators():
+    # an unknown bit generator's word width and held half are not known
+    with pytest.raises(TypeError, match="Philox, PCG64, PCG64DXSM, SFC64 or MT19937"):
+        _sign_halves(SimpleNamespace(bit_generator=object()), 4)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -179,6 +179,34 @@ def test_distortion_kernel_matches_the_group_route_oracle(data, n, q):
             want = [lq_distance(x, f_equivariant(x, m), q) for x in X]
         assert hexes(got) == hexes(want), m
         assert np.array_equal(A.view(np.uint64), before.view(np.uint64)), m
+
+
+@st.composite
+def top_block_batches(draw):
+    """Magnitude rows around a threshold tau: entries far above 2 tau, where
+    a - (a - tau) can differ from tau, entries tied with tau, entries below
+    it and zeros; with n and an m in {1, n - 2, n - 1}."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.sampled_from(sorted({1, max(n - 2, 1), n - 1})))
+    tau = draw(st.sampled_from((0.1, 1 / 3, 0.7, 1.0, 1e-300, 0.0)))
+    entry = st.one_of(st.just(0.0), st.just(tau), st.floats(0.0, 1.0).map(lambda u: u * tau),
+                      st.floats(2.0, 1e6).map(lambda u: u * tau), st.floats(0.0, 1e3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    return np.array(rows), m
+
+
+@settings(max_examples=300, deadline=None)
+@example(batch=(np.array([[3.0, 0.1, 0.05], [0.1, 0.1, 0.0]]), 1))
+@given(batch=top_block_batches())
+def test_infinite_q_kernel_matches_the_full_row_maximum(batch):
+    # at q = inf the kernel reads only the partition's top m + 1 columns; the
+    # maximum of the moved amounts over the whole row has the same bits,
+    # and it is not tau itself: 3 - (3 - 0.1) is 0.10000000000000009
+    A, m = batch
+    k = A.shape[1] - 1 - m
+    tau = np.partition(A, k, axis=1)[:, k, None]
+    want = (A - np.maximum(A - tau, 0.0)).max(axis=1)
+    assert hexes(_distortion_rows(A, m, math.inf)) == hexes(want)
 
 
 @st.composite
