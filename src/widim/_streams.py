@@ -14,8 +14,8 @@ stride of 2^192 draw blocks; no realistic draw volume can make two streams
 overlap. Distinct drivers use distinct domain constants in the key so that
 equal indices never collide across drivers.
 
-Every random sign in the package is read from raw generator words by
-:func:`_sign_halves`, bit for bit the draw ``rng.integers(0, 2, count)``.
+Every random sign in the package comes from :func:`_sign_halves`, bit for
+bit the draw ``rng.integers(0, 2, count)``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,12 @@ def _sign_halves(rng: np.random.Generator, count: int) -> np.ndarray:
     the generator in that call's state. A 64-bit word gives its low half
     first; a half that numpy holds back is read first, and an odd count holds
     back its spare half. The words are not unpacked, so a caller reads only
-    the signs it uses."""
+    the signs it uses. A bit generator other than numpy's four 64-bit ones
+    takes numpy's own draw, shifted to bit 31."""
     bg = rng.bit_generator  # generators named here: numpy loads numpy.random on first use
-    if isinstance(bg, np.random.MT19937):  # 32-bit words, none held back
-        return bg.random_raw(count).astype(np.uint32)
     if not isinstance(bg, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
                            np.random.SFC64)):
-        raise TypeError(f"signs need a Generator on one of numpy's Philox, PCG64, PCG64DXSM, "
-                        f"SFC64 or MT19937, got {type(bg).__name__}")
+        return rng.integers(0, 2, count, dtype=np.uint32) << 31
     held = bg.state["has_uint32"]
     words = bg.random_raw((count - held + 1) // 2)
     halves = words.astype("<u8", copy=False).view("<u4")

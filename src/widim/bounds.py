@@ -25,7 +25,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Exponents, _check_exponent, _check_int, _check_pair, _check_scale
+from .core import (Exponents, _check_exponent, _check_float_int, _check_int, _check_pair,
+                   _check_scale)
 
 __all__ = [
     "guarded_count",
@@ -213,4 +214,4 @@ def ball_inclusion_max_radius(m: int, e: Exponents) -> float:
     The norm comparison ||x||_p <= m^(1/r) ||x||_q on m coordinates gives
     rho = m^(-1/r), attained by the constant-coordinate corner vector.
     """
-    return float(_check_int(m, "coordinate count m", 1) ** (-_check_pair(e).inverse_rate))
+    return float(_check_float_int(m, "coordinate count m", 1) ** (-_check_pair(e).inverse_rate))

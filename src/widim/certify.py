@@ -31,9 +31,9 @@ import numpy as np
 from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
                        fresh_stream)
 from ._output import csv_row, json_exponent, report_fields
-from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_int,
-                   _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
-                   _check_sparsity, as_vector)
+from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_float_int,
+                   _check_int, _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
+                   as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -213,7 +213,7 @@ def report_to_csv_row(report: CertificationReport) -> str:
 def _validate_run(n, m, e, count, count_name, workers, seed):
     """The checked (n, m, count, seed) of a run."""
     _check_pair(e)
-    n, m = _check_int(n, "dimension n", 1), _check_sparsity(m)
+    n, m = _check_int(n, "dimension n", 1), _check_float_int(m, "sparsity m", 0)
     count = _check_int(count, count_name, 1)
     _check_int(workers, "workers", 1)
     seed = _check_seed(seed)
@@ -449,15 +449,10 @@ def key_lemma_oracle_max(
     """
     s = _check_exponent(s, "power s")
     c, t = _check_nonnegative(c, "budget c"), _check_nonnegative(t, "cap t")
-    n = _check_int(n, "coordinate count n", 1)
+    n = _check_float_int(n, "coordinate count n", 1)  # the vertex test k * t <= c
     samples = _check_int(samples, "samples", 0)
     seed = _check_seed(seed)
     _check_cells(samples, n, "oracle sample set")
-    try:
-        float(n)
-    except OverflowError:
-        raise ValueError(f"coordinate count n must be below about 1.8e308 for the vertex test "
-                         f"k * t <= c with the cap t = {t}; got {n.bit_length()} bits") from None
 
     # Vertex k scores k t^s + min(t, c - k t)^s, which rises with k up to the
     # last k with k * t <= c (that float test, bisected); rounding may favour

@@ -81,16 +81,16 @@ def _check_seed(value, what: str = "seed") -> int:
     return value
 
 
-def _check_sparsity(value) -> int:
-    """A sparsity m whose distortion ceiling (m+1)^-(1/p-1/q) can be computed:
-    an integer of at least 0 with m + 1 inside the float range."""
-    value = _check_int(value, "sparsity m", 0)
+def _check_float_int(value, what: str, least: int) -> int:
+    """An integer that a formula turns into a float, such as the sparsity m of
+    the bound (m+1)^-(1/p-1/q): at least ``least``, with value + 1 inside the
+    float range, so the value and its successor both convert."""
+    value = _check_int(value, what, least)
     try:
         float(value + 1)
     except OverflowError:
-        raise ValueError("sparsity m must be an integer of at least 0 with m + 1 below about "
-                         "1.8e308, the float range of the bound (m+1)^-(1/p-1/q); got "
-                         f"{value.bit_length()} bits") from None
+        raise ValueError(f"{what} must be an integer of at least {least} below about 1.8e308, "
+                         f"the float range; got {value.bit_length()} bits") from None
     return value
 
 

@@ -139,6 +139,20 @@ class WeightedGroupMetric:
             raise ValueError(f"total weight bound must lie in (0, 1], got {total}")
         object.__setattr__(self, "total_bound", total)
 
+    def _tail_exceeds(self, radius: int, target: float) -> bool:
+        """Whether the certified mass outside the box of this radius exceeds target."""
+        return self.tail_bound(radius) > target
+
+    def _weight_table(self, offsets: np.ndarray) -> np.ndarray:
+        """w(o) for every offset o along the last axis of an integer array: one
+        weight call per distinct offset, whose key reads its coordinates as
+        digits in [-L, L] of base 2L + 1."""
+        flat = offsets.reshape(-1, self.dim_d)
+        key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(self.dim_d)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        table = np.array([self.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
+        return table[inverse].reshape(offsets.shape[:-1])
+
 
 def geometric_weight_metric(
     dim_d: int = 1, base: float = 2.0, total: float = 0.75
@@ -189,14 +203,27 @@ class _GeometricWeight(WeightedGroupMetric):
 
     base: float = 2.0
 
-    def tail_exceeds(self, radius: int, target: float) -> bool:
-        """Whether total * (1 - (1 - 2 base^-R / (base + 1))^d) > target,
-        decided in exact rationals from the float parameters."""
+    def _tail_exceeds(self, radius: int, target: float) -> bool:
+        """Whether total * (1 - (1 - 2 base^-R / (base + 1))^d) > target. A tail
+        bound within a relative 1e-9 of target is replaced by the exact rational
+        tail, so a tie is decided by the weight's float parameters rather than
+        by the rounding of its closed form."""
+        tail = self.tail_bound(radius)
+        if abs(tail - target) > 1e-9 * target:
+            return tail > target
         from fractions import Fraction  # imported here: only ties need it
 
         b = Fraction(self.base)
         inside = 1 - 2 / ((b + 1) * b**radius)
         return Fraction(self.total_bound) * (1 - inside**self.dim_d) > Fraction(target)
+
+    def _weight_table(self, offsets: np.ndarray) -> np.ndarray:
+        """The weight depends only on |gamma|_1: one weight call per norm k, at
+        the axis point (k, 0, ..., 0), so every entry is the closure's own
+        Python float (numpy's vector power can differ from it in the last bit)."""
+        norms = np.abs(offsets).sum(axis=-1)
+        rest = (0,) * (self.dim_d - 1)
+        return np.array([self.weight((k,) + rest) for k in range(int(norms.max()) + 1)])[norms]
 
 
 @dataclass(frozen=True)
@@ -280,24 +307,14 @@ def omega_distance(
 
 
 def tail_set(M: WeightedGroupMetric, delta, eps: float) -> LatticeBox:
-    """Smallest certified box around delta whose complement weighs at most eps/4.
-
-    For the geometric family, a tail bound within a relative 1e-9 of eps/4
-    is replaced by the exact rational tail, so a tie is decided by the
-    weight's float parameters rather than by the rounding of its closed form.
+    """Smallest certified box around delta whose complement weighs at most eps/4,
+    as the weight's own tail test decides it: the geometric family decides a
+    near tie in exact rationals.
     """
     eps = _check_scale(eps)
     center = _as_point(delta, M.dim_d)
-    target = eps / 4.0
-
-    def too_heavy(radius):
-        tail = M.tail_bound(radius)
-        if isinstance(M, _GeometricWeight) and abs(tail - target) <= 1e-9 * target:
-            return M.tail_exceeds(radius, target)
-        return tail > target
-
     radius = 0
-    while too_heavy(radius):
+    while M._tail_exceeds(radius, eps / 4.0):
         radius += 1
         if radius > 100_000:
             raise ValueError("weight tail decays too slowly for this scale")
@@ -412,23 +429,7 @@ class _Window:
         grid = np.meshgrid(*[side] * M.dim_d, indexing="ij")
         self.points = np.stack(grid, axis=-1).reshape(-1, M.dim_d)
         offsets = self.points[None] - np.array(deltas)[:, None]
-        if isinstance(M, _GeometricWeight):
-            # A geometric weight depends only on |gamma|_1: one M.weight call
-            # per norm k, at the axis point (k, 0, ..., 0), so every entry is
-            # the closure's own Python float (numpy's vector power can differ
-            # from it in the last bit).
-            norms = np.abs(offsets).sum(axis=2)
-            rest = (0,) * (M.dim_d - 1)
-            table = np.array([M.weight((k,) + rest) for k in range(int(norms.max()) + 1)])
-            self.weights = table[norms]
-        else:
-            # One M.weight call per distinct offset. An offset's key reads its
-            # coordinates as digits in [-L, L] of base 2L + 1.
-            flat = offsets.reshape(-1, M.dim_d)
-            key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(M.dim_d)
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            table = np.array([M.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
-            self.weights = table[inverse].reshape(len(deltas), len(self.points))
+        self.weights = M._weight_table(offsets)
         # The union box: the points within tail_radius of some delta.
         self.inside = (np.abs(offsets).max(axis=2) <= tail_radius).any(axis=0)
         self.outside_columns = np.flatnonzero(~self.inside)
@@ -595,8 +596,8 @@ def embedding_report_to_json(report: EmbeddingReport) -> str:
 def embedding_report_from_json(text: str) -> EmbeddingReport:
     doc = json.loads(text)
     doc.pop("elapsed", None)
-    return EmbeddingReport(**{**doc, "p": float(doc["p"]),
-                              "omega": tuple(map(tuple, doc["omega"]))})
+    p = math.inf if doc["p"] == "inf" else _check_exponent(doc["p"], "ball exponent p")
+    return EmbeddingReport(**{**doc, "p": p, "omega": tuple(map(tuple, doc["omega"]))})
 
 
 def embedding_csv_header() -> str:

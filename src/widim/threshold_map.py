@@ -31,8 +31,8 @@ import math
 
 import numpy as np
 
-from .core import (Exponents, _check_exponent, _check_int, _check_pair, _check_reals,
-                   _check_sparsity, _lq_rows, as_vector)
+from .core import (Exponents, _check_exponent, _check_float_int, _check_int, _check_pair,
+                   _check_reals, _lq_rows, as_vector)
 from .signed_perm import ConePoint, _in_cone
 
 __all__ = [
@@ -154,8 +154,6 @@ def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
     above the amount tau that column k itself moves."""
     if m >= A.shape[1]:
         return np.zeros(A.shape[0])
-    if m == 0:  # m = 0 shrinks every entry to 0
-        return _lq_rows(A, q)
     if math.isinf(q):
         k = A.shape[1] - 1 - m
         top = np.partition(A, k, axis=1)[:, k:]
@@ -172,7 +170,7 @@ def distortion_bound(m: int, e: Exponents) -> float:
     arithmetic of the extremal configuration as closely as possible. m + 1
     must lie in the float range.
     """
-    m = _check_sparsity(m)
+    m = _check_float_int(m, "sparsity m", 0)
     return float((m + 1) ** (-_check_pair(e).inverse_rate))
 
 

@@ -611,17 +611,19 @@ def test_oracle_returns_the_closed_form_at_huge_n(argv, closed_form):
     assert row["passed"]
 
 
-def test_oracle_beyond_the_float_range_names_n_and_t(capsys):
+def test_oracle_beyond_the_float_range_exits_2_with_cores_message(capsys):
     # k * t overflowed converting k to a float and printed the bare
-    # "int too large to convert to float"
-    code, out, err = run_cli(capsys, "oracle", "--s", "1", "--c", "1", "--t", "5e-324",
-                             "--n", str(10**400), "--samples", "0")
-    assert code == 2 and out == ""
-    assert err == ("error: coordinate count n must be below about 1.8e308 for the vertex test "
-                   "k * t <= c with the cap t = 5e-324; got 1329 bits\n")
-    # the largest n that still converts keeps its result, the vertex k = n
+    # "int too large to convert to float"; n is refused by core's float-range
+    # rule before the sample set is counted, whatever --samples is
+    for samples in ("0", "4096"):
+        code, out, err = run_cli(capsys, "oracle", "--s", "1", "--c", "1", "--t", "5e-324",
+                                 "--n", str(10**400), "--samples", samples)
+        assert code == 2 and out == ""
+        assert err == ("error: coordinate count n must be an integer of at least 1 below about "
+                       "1.8e308, the float range; got 1329 bits\n")
+    # the largest n admitted keeps its result, the vertex k = n
     code, out, _ = run_cli(capsys, "oracle", "--s", "1", "--c", "1", "--t", "5e-324",
-                           "--n", str(2**1024 - 2**970 - 1), "--samples", "0", "--format", "json")
+                           "--n", str(2**1024 - 2**970 - 2), "--samples", "0", "--format", "json")
     assert code == 0
     assert json.loads(out)["rows"][0]["observed_max"] == sys.float_info.max * 5e-324
 
@@ -639,8 +641,8 @@ def test_certify_sparsity_beyond_the_float_range_exits_2_before_drawing(capsys, 
                                  "--n", "64", "--m", str(10**400), "--samples", "1000000",
                                  "--restarts", "8")
         assert code == 2 and out == ""
-        assert err == ("error: sparsity m must be an integer of at least 0 with m + 1 below about "
-                       "1.8e308, the float range of the bound (m+1)^-(1/p-1/q); got 1329 bits\n")
+        assert err == ("error: sparsity m must be an integer of at least 0 below about 1.8e308, "
+                       "the float range; got 1329 bits\n")
 
 
 def test_failed_cross_check_exits_3(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Distance, norm, and exponent-triple primitives, and the input rules."""
 
+import ast
 import math
 import re
 import warnings
@@ -327,15 +328,20 @@ _COUNTS = [
 # the counts that are 64-bit words of a stream key or counter, below 2^64
 _WORDS = {"seed", "stream domain", "stream index"}
 
-# (entry point and argument, the call with v there): a sparsity m whose bound
-# (m+1)^-(1/p-1/q) is computed has m + 1 inside the float range, so the runs
-# refuse it before drawing rather than with a bare OverflowError at the end
-_SPARSITIES = [
-    ("distortion_bound m", lambda v: distortion_bound(v, _E)),
-    ("monte_carlo_certify m", lambda v: monte_carlo_certify(4, v, _E, 10)),
-    ("adversarial_certify m", lambda v: adversarial_certify(4, v, _E, 2)),
+# (entry point and argument, message name, least value, the call with v there):
+# an integer that a formula turns into a float, such as the sparsity m of the
+# bound (m+1)^-(1/p-1/q), has v + 1 inside the float range, so the runs refuse
+# it before drawing rather than with a bare OverflowError at the end
+_FLOAT_INTS = [
+    ("distortion_bound m", "sparsity m", 0, lambda v: distortion_bound(v, _E)),
+    ("monte_carlo_certify m", "sparsity m", 0, lambda v: monte_carlo_certify(4, v, _E, 10)),
+    ("adversarial_certify m", "sparsity m", 0, lambda v: adversarial_certify(4, v, _E, 2)),
+    ("key_lemma_oracle_max n", "coordinate count n", 1,
+     lambda v: key_lemma_oracle_max(2, 1, 0.5, v, samples=0)),
+    ("ball_inclusion_max_radius m", "coordinate count m", 1,
+     lambda v: ball_inclusion_max_radius(v, _E)),
 ]
-# the least m whose m + 1 rounds past the largest double
+# the least v whose v + 1 rounds past the largest double
 _M_OVER = 2**1024 - 2**970 - 1
 
 # (entry point and argument, the call with v there): lattice coordinates are
@@ -503,8 +509,9 @@ def _input_rule_cases():
             for name, what, least, call in _COUNTS]
     rows += [(name, "lattice coordinate", call, (True, 0.7, 2.9, -1.5, 2.0, math.nan, math.inf))
              for name, call in _COORDINATES]
-    rows += [(name, re.escape("sparsity m must be an integer of at least 0 with m + 1 below"),
-              call, (_M_OVER, 10**400)) for name, call in _SPARSITIES]
+    rows += [(name, re.escape(f"{what} must be an integer of at least {least} below about "
+                              "1.8e308, the float range; got"),
+              call, (_M_OVER, 10**400)) for name, what, least, call in _FLOAT_INTS]
     rows += [(name, what, call, ([0.7, 1.2], [1.9, 0.2], [1.0, 0.0], [True, False], [True, 0],
                                  np.array([True, False]), np.array([1.0, 0.0])))
              for name, what, call in _INT_ARRAYS]
@@ -568,7 +575,7 @@ def test_input_rule_table_covers_valid_values():
         if what in _WORDS:
             call(2**64 - 1)
             call(np.uint64(2**64 - 1))
-    for _, call in _SPARSITIES:
+    for _, _, _, call in _FLOAT_INTS:
         call(_M_OVER - 1)
     for _, call in _COORDINATES:
         call(-3)
@@ -619,6 +626,29 @@ def test_bool_checks_live_in_core():
     pattern = re.compile(r"isinstance\([^()]*\bbool\b")
     holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
     assert holders == ["_output.py", "core.py"]
+
+
+def test_the_geometric_weight_answers_its_own_tail_and_table():
+    # tail_set and the embedding window call the weight's methods, which the
+    # geometric family overrides; a type test on the weight elsewhere would
+    # be a second owner of what only that family knows
+    src = Path(widim.__file__).parent
+    pattern = re.compile(r"isinstance\(\s*M\b|isinstance\([^()]*_GeometricWeight")
+    assert sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text())) == []
+
+
+def test_the_float_range_rule_lives_in_core():
+    # an integer that a formula turns into a float is refused by core's one
+    # rule: a float() call inside a try elsewhere would be a second copy of it
+    src = Path(widim.__file__).parent
+    holders = []
+    for path in sorted(src.glob("*.py")):
+        tries = [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Try)]
+        if any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == "float" for node in tries for stmt in node.body
+               for call in ast.walk(stmt)):
+            holders.append(path.name)
+    assert holders == ["core.py"]
 
 
 def test_real_casts_and_the_ball_rule_live_in_core():

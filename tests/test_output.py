@@ -147,6 +147,16 @@ def test_embedding_report_round_trip(report):
     assert row.endswith(",")
 
 
+@pytest.mark.parametrize("p", ["nan", True, " 2 ", "Infinity", "1e400"])
+def test_embedding_report_from_json_reads_p_by_the_exponent_rule(p):
+    # only the JSON spelling "inf" of p is decoded, as report_from_json reads
+    # q; float() read these as nan, 1.0, 2.0, inf and inf
+    doc = json.loads(embedding_report_to_json(_EXAMPLE_EMBEDDING))
+    doc["p"] = p
+    with pytest.raises(ValueError, match="ball exponent p must be at least 1 or inf"):
+        embedding_report_from_json(json.dumps(doc))
+
+
 def test_report_fields_spells_and_drops_fields():
     @dataclasses.dataclass
     class Report:

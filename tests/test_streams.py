@@ -1,7 +1,5 @@
 """Per-index stream derivation: factory vs reference construction."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -109,9 +107,3 @@ def test_sign_halves_are_numpys_integers_draw(bits, before, count):
     assert _state(b) == _state(a)
     assert np.array_equal(_sign_halves(b, 3) >> 31, a.integers(0, 2, 3))  # a held half carries
     assert b.random() == a.random()
-
-
-def test_sign_halves_refuse_other_bit_generators():
-    # an unknown bit generator's word width and held half are not known
-    with pytest.raises(TypeError, match="Philox, PCG64, PCG64DXSM, SFC64 or MT19937"):
-        _sign_halves(SimpleNamespace(bit_generator=object()), 4)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from widim.core import lq_distance, make_exponents
+from widim.core import _lq_rows, lq_distance, make_exponents
 from widim.signed_perm import ConePoint, SignedPermutation, act, canonicalize, in_cone, inverse
 from widim.threshold_map import (
     _distortion_rows,
@@ -207,6 +207,33 @@ def test_infinite_q_kernel_matches_the_full_row_maximum(batch):
     tau = np.partition(A, k, axis=1)[:, k, None]
     want = (A - np.maximum(A - tau, 0.0)).max(axis=1)
     assert hexes(_distortion_rows(A, m, math.inf)) == hexes(want)
+
+
+@st.composite
+def zero_sparsity_batches(draw):
+    """Magnitude rows scaled by 1, 1e200, 1e-200 or 1e-310 (subnormal), with
+    ties and zeros, and a q."""
+    n = draw(st.sampled_from((1, 2, 3, 8, 64)))
+    scale = draw(st.sampled_from((1.0, 1e200, 1e-200, 1e-310)))
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=6))
+    q = draw(st.sampled_from((1.0, 1.5, 2.0, 3.7, 10000.0, math.inf)))
+    return np.array(rows) * scale, q
+
+
+@settings(max_examples=150, deadline=None)
+@example(batch=(np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1e-310, 0.0, 2e-310]]), 2.0))
+@given(batch=zero_sparsity_batches())
+def test_zero_sparsity_kernel_is_the_row_q_norm(batch):
+    # at m = 0 tau is the row maximum, so every moved amount is the magnitude
+    # itself, and at q = inf the top block is that maximum: the general path
+    # gives the row q-norm of A bit for bit, and leaves A unchanged
+    A, q = batch
+    before = A.copy()
+    with np.errstate(over="ignore"):  # _lq_rows recomputes an overflowed row
+        got, want = _distortion_rows(A, 0, q), _lq_rows(A.copy(), q)
+    assert hexes(got) == hexes(want)
+    assert np.array_equal(A.view(np.uint64), before.view(np.uint64))
 
 
 @st.composite
