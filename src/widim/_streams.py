@@ -14,8 +14,8 @@ stride of 2^192 draw blocks; no realistic draw volume can make two streams
 overlap. Distinct drivers use distinct domain constants in the key so that
 equal indices never collide across drivers.
 
-Every random sign in the package comes from :func:`_sign_halves`, bit for
-bit the draw ``rng.integers(0, 2, count)``.
+Every random sign comes from :func:`_sign_halves`, bit for bit the draw
+``rng.integers(0, 2, count)``, and is read as +-1.0 by :func:`_signs`.
 """
 
 from __future__ import annotations
@@ -80,3 +80,9 @@ def _sign_halves(rng: np.random.Generator, count: int) -> np.ndarray:
         state["uinteger"] = int(words[-1] >> 32)
     bg.state = state
     return halves[:count]
+
+
+def _signs(halves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The signs of :func:`_sign_halves` as +-1.0, plus iff bit 31 is set, in ``out`` if given."""
+    S = np.right_shift(halves, 31, out=np.empty(halves.shape) if out is None else out)
+    return np.subtract(np.multiply(S, 2.0, out=S), 1.0, out=S)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
-                       fresh_stream)
+                       _signs, fresh_stream)
 from ._output import csv_row, json_exponent, report_fields
 from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_float_int,
                    _check_int, _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
@@ -99,9 +99,6 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     With ``sizes``, one integer in [0, n] per row, row r is uniform in the
     ball of its first sizes[r] coordinates and zero beyond: unused
     coordinates are drawn but masked before the normalizing sum.
-
-    ``rng`` is a Generator on Philox, PCG64, PCG64DXSM, SFC64 or MT19937,
-    the bit generators whose raw words the sign draw reads.
     """
     rows, n = _check_int(rows, "rows", 1), _check_int(n, "dimension n", 1)
     p = _check_exponent(p, "ball exponent p")
@@ -109,8 +106,7 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     X, S = np.empty((rows, n)), np.empty((rows, n))
     halves = _fill_ball_rows(X, S, p, rng, unused)
     if halves is not None:  # signs +-1.0 as a product, faster than a masked negate
-        np.right_shift(halves, 31, out=S)
-        X *= np.subtract(np.multiply(S, 2.0, out=S), 1.0, out=S)
+        X *= _signs(halves, out=S)
     if unused is not None:
         X[unused] = 0.0
     return X
@@ -122,8 +118,8 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
     float batch X in the documented draw order, unused cells not yet zeroed,
     with the points at p = 2 and p = inf (returning None) and elsewhere with
     their magnitudes ``w^(1/p) / scale``, returning the sign draw of
-    :func:`_sign_halves` in X's shape, a cell plus iff bit 31 of its half is
-    set: for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit. The
+    :func:`_sign_halves` in X's shape, which :func:`_signs` reads as +-1.0:
+    for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit. The
     halves stay packed in the raw words, so a caller reads only the signs it
     uses. S is scratch for p = 2's squares; all runs in place, with fresh
     arrays' bits."""
@@ -245,7 +241,7 @@ def _sample_block(seed, b, n, p):
         if halves is None:
             yield np.abs(X[:k], out=S[:k]), lambda r: X[r].copy()
         else:
-            yield X[:k], lambda r, h=halves: np.where(h[r] >> 31 == 1, X[r], -X[r])
+            yield X[:k], lambda r, h=halves: X[r] * _signs(h[r])
 
 
 def monte_carlo_certify(

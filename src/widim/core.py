@@ -35,13 +35,16 @@ _NORMAL_MIN = np.finfo(np.float64).tiny
 #: largest table it would allocate, and larger runs are refused before allocating.
 MAX_CELLS = 1 << 22
 
-#: What no real rule admits, though float() would read it: a bool or a string.
-_NOT_REAL = (bool, np.bool_, str, bytes)
-
 
 # The input rules every public entry point applies, and the one place they
 # are written down. Each helper returns the value in its working type, and
 # builds its message only when it raises, so hot paths can call it per call.
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real: an ``int``, ``float``, numpy integer or numpy
+    floating scalar, never a ``bool``; the real rules read anything else as NaN."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
 
 
 def _check_int(value, what: str, least: int | None) -> int:
@@ -102,7 +105,7 @@ def _check_cells(rows: int, n: int, what: str) -> None:
 
 def _check_exponent(value, what: str, finite: bool = False) -> float:
     """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
-    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
+    x = float(value) if _is_real(value) else math.nan
     if not x >= 1.0 or (finite and x == math.inf):
         rule = "a finite real of at least 1" if finite else "at least 1 or inf"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
@@ -111,7 +114,7 @@ def _check_exponent(value, what: str, finite: bool = False) -> float:
 
 def _check_scale(value, what: str = "scale eps") -> float:
     """A positive finite real."""
-    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
+    x = float(value) if _is_real(value) else math.nan
     if not 0.0 < x < math.inf:
         raise ValueError(f"{what} must be a positive finite real, got {value!r}")
     return x
@@ -119,7 +122,7 @@ def _check_scale(value, what: str = "scale eps") -> float:
 
 def _check_nonnegative(value, what: str) -> float:
     """A nonnegative finite real."""
-    x = math.nan if isinstance(value, _NOT_REAL) else float(value)
+    x = float(value) if _is_real(value) else math.nan
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{what} must be a nonnegative finite real, got {value!r}")
     return x
@@ -134,14 +137,13 @@ def _check_pair(e) -> Exponents:
 
 def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarray, bool]:
     """``x`` as a float64 batch of row vectors, and whether it was one vector
-    (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. A bool
-    array is refused as a bool scalar is; an empty vector and a non-finite value
-    are refused too, and so is a list or object array that holds a bool
-    anywhere, which numpy would read as a number; strings are refused the same
-    way. The batch may share memory with ``x``."""
-    X = np.asarray(x)
-    if X.dtype.kind in "bSU" or ((X.dtype == object or not isinstance(x, np.ndarray)) and any(
-            isinstance(v, _NOT_REAL) for v in np.array(x, dtype=object).flat)):
+    (read as a one-row batch); a 2-D ``x`` is a batch only with ``rows``. An
+    integer or float array is read on its dtype alone, and any other input (a
+    list, or a bool, string, complex or object array) entry by entry under
+    :func:`_is_real`, so numpy's cast never decides what a real is. An empty
+    vector and a non-finite value are refused. The batch may share memory with x."""
+    X = x if isinstance(x, np.ndarray) and x.dtype.kind in "iuf" else np.array(x, dtype=object)
+    if X.dtype == object and not all(_is_real(v) for v in X.flat):
         raise ValueError(f"{what} must hold reals, not bools or strings")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 1 and not (rows and X.ndim == 2):

@@ -35,7 +35,7 @@ from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
 from .core import (_ball_mass, _check_cells, _check_exponent, _check_in_ball, _check_int,
-                   _check_reals, _check_scale, _check_seed, _lq_rows)
+                   _check_nonnegative, _check_reals, _check_scale, _check_seed, _lq_rows)
 
 __all__ = [
     "LatticeBox",
@@ -122,8 +122,8 @@ class WeightedGroupMetric:
 
     ``weight`` maps a lattice point to its mass. ``total_bound`` is a closed
     form upper bound (at most 1) on the full sum, and ``tail_bound(K)``
-    certifies the mass outside the centered box of radius K. Both are exact
-    for the built-in geometric family.
+    certifies the mass outside the centered box of radius K, exactly for the
+    built-in geometric family. Weights and tails are nonnegative finite reals.
     """
 
     dim_d: int
@@ -141,7 +141,7 @@ class WeightedGroupMetric:
 
     def _tail_exceeds(self, radius: int, target: float) -> bool:
         """Whether the certified mass outside the box of this radius exceeds target."""
-        return self.tail_bound(radius) > target
+        return _check_nonnegative(self.tail_bound(radius), "weight tail") > target
 
     def _weight_table(self, offsets: np.ndarray) -> np.ndarray:
         """w(o) for every offset o along the last axis of an integer array: one
@@ -150,7 +150,8 @@ class WeightedGroupMetric:
         flat = offsets.reshape(-1, self.dim_d)
         key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(self.dim_d)
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        table = np.array([self.weight(tuple(o)) for o in flat[first].tolist()], dtype=np.float64)
+        table = np.array([_check_nonnegative(self.weight(tuple(o)), "weight")
+                          for o in flat[first].tolist()])
         return table[inverse].reshape(offsets.shape[:-1])
 
 
@@ -291,7 +292,8 @@ def weighted_distance(
         raise ValueError(f"points use different ball exponents: {x.p} vs {y.p}")
     total = 0.0
     for gamma in sorted(set(x.support) | set(y.support)):
-        total += M.weight(gamma) * abs(x.value_at(gamma) - y.value_at(gamma))
+        w = _check_nonnegative(M.weight(gamma), "weight")
+        total += w * abs(x.value_at(gamma) - y.value_at(gamma))
     return total
 
 

@@ -4,6 +4,7 @@ import ast
 import math
 import re
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from widim import (
     sample_lp_ball,
     tail_set,
     translate,
+    weighted_distance,
     widim_constant,
     widim_equal_case,
     widim_lower,
@@ -498,8 +500,29 @@ _NONNEGATIVE = [
 ]
 
 
-# a real is never a string, even one that float() would read, nor a numpy bool
-_NOT_REALS = ("2", b"2", "abc", np.True_)
+# a real is an int, a float or a numpy integer or floating scalar: never a
+# string, even one that float() would read, nor a numpy bool, a container, a
+# complex, a 1-element array or a Decimal (1, which every real rule here admits)
+_NOT_REALS = ("2", b"2", "abc", np.True_, None, [2], {}, 1 + 0j, np.array([1.0]), Decimal("1"))
+
+# (entry point and the number it reads, the call with v as that number): the
+# weights and tail of a custom metric are nonnegative finite reals
+_PAIR = (FinitelySupportedPoint(((0,),), (0.5,), 1.0), FinitelySupportedPoint(((1,),), (0.5,), 1.0))
+_WEIGHTS = [
+    ("embedding_check weight", "weight",
+     lambda v: embedding_check(WeightedGroupMetric(1, lambda g: v, lambda k: 0.0, 0.5),
+                               [(0,)], 1.0, 0.5, 50)),
+    ("weighted_distance weight", "weight",
+     lambda v: weighted_distance(*_PAIR, WeightedGroupMetric(1, lambda g: v, lambda k: 0.0, 0.5))),
+    ("omega_distance weight", "weight",
+     lambda v: omega_distance(*_PAIR, WeightedGroupMetric(1, lambda g: v, lambda k: 0.0, 0.5),
+                              [(0,)])),
+    ("tail_set tail", "weight tail",
+     lambda v: tail_set(WeightedGroupMetric(1, lambda g: 0.5, lambda k: v, 0.5), (0,), 0.5)),
+    ("embedding_check tail", "weight tail",
+     lambda v: embedding_check(WeightedGroupMetric(1, lambda g: 0.25, lambda k: v, 0.5),
+                               [(0,)], 1.0, 0.5, 50)),
+]
 
 
 def _input_rule_cases():
@@ -528,6 +551,9 @@ def _input_rule_cases():
              for name, what, call in _ABOVE]
     rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf, "0.5")
               + _NOT_REALS) for name, call in _TOTALS]
+    rows += [(name, f"{what} must be a nonnegative finite real", call,
+              (math.nan, -0.5, -math.inf, math.inf, True, None, "0.25"))
+             for name, what, call in _WEIGHTS]
     for name, what, call, bads in rows:
         for bad in bads:
             yield pytest.param(call, bad, what, id=f"{name.replace(' ', '.')}={bad!r}")
@@ -542,6 +568,9 @@ def _input_rule_cases():
         texts = [np.array(["1", "2"]), ["1", "2"], np.array([b"1", b"2"]), ["0.5", 0.25],
                  [0.5, b"0.25"], np.array([0.5, "0.25"], dtype=object)]
         texts += [[_HALVES, ["0.5", 0.25]]] if batch else []
+        # complex entries, whose imaginary part numpy's cast would drop, and
+        # entries that are no numbers at all
+        texts += [[1 + 1j, 0.5], np.array([1 + 1j, 0.5]), [{}, 0.5], [None, 0.5]]
         rows += [(name, f"{what} must hold reals, not bools or strings", call, bad)
                  for bad in [np.array([True, False]), [True, False]] + mixed + texts]
         rows += [(name, "values must be finite", call, [0.5, math.nan]),
@@ -598,6 +627,9 @@ def test_input_rule_table_covers_valid_values():
     for _, call in _TOTALS:
         call(0.25)
         call(1.0)
+    for _, _, call in _WEIGHTS:
+        call(0.0)
+        call(np.float64(0.0625))  # a tail below eps/4 at radius 0
     for _, call in _PROBE_SETS:
         call([(0,)])
         call([(1,), (-1,)])
@@ -626,6 +658,17 @@ def test_bool_checks_live_in_core():
     pattern = re.compile(r"isinstance\([^()]*\bbool\b")
     holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
     assert holders == ["_output.py", "core.py"]
+
+
+def test_the_real_predicate_lives_in_core():
+    # what a real is, is decided by core's one predicate: a second type tuple
+    # of reals, or a call of the predicate from another module, would be a
+    # second copy of the rule, and the old blacklist is gone
+    src = Path(widim.__file__).parent
+    for rule in (r"\b_is_real\b", r"\bnp\.floating\b", r"\b_NOT_REAL"):
+        pattern = re.compile(rule)
+        holders = sorted(path.name for path in src.glob("*.py") if pattern.search(path.read_text()))
+        assert holders == ([] if "NOT" in rule else ["core.py"]), rule
 
 
 def test_the_geometric_weight_answers_its_own_tail_and_table():

@@ -147,10 +147,21 @@ def test_embedding_report_round_trip(report):
     assert row.endswith(",")
 
 
-@pytest.mark.parametrize("p", ["nan", True, " 2 ", "Infinity", "1e400"])
+@pytest.mark.parametrize("q", [None, [2], {}])
+def test_report_from_json_reads_q_by_the_exponent_rule(q):
+    # a null or a container is no exponent: the rule refuses it as it refuses
+    # any other non-real, not with a TypeError from float()
+    doc = json.loads(report_to_json(_EXAMPLE_CERTIFICATION))
+    doc["exponents"]["q"] = q
+    with pytest.raises(ValueError, match="distance exponent q must be at least 1 or inf"):
+        report_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("p", ["nan", True, " 2 ", "Infinity", "1e400", None, [2]])
 def test_embedding_report_from_json_reads_p_by_the_exponent_rule(p):
     # only the JSON spelling "inf" of p is decoded, as report_from_json reads
-    # q; float() read these as nan, 1.0, 2.0, inf and inf
+    # q; float() read the first five as nan, 1.0, 2.0, inf and inf, and
+    # raised TypeError on a null or a list
     doc = json.loads(embedding_report_to_json(_EXAMPLE_EMBEDDING))
     doc["p"] = p
     with pytest.raises(ValueError, match="ball exponent p must be at least 1 or inf"):

@@ -9,6 +9,7 @@ from widim._streams import (
     DOMAIN_CLIMB,
     StreamFactory,
     _sign_halves,
+    _signs,
     fresh_stream,
 )
 
@@ -107,3 +108,16 @@ def test_sign_halves_are_numpys_integers_draw(bits, before, count):
     assert _state(b) == _state(a)
     assert np.array_equal(_sign_halves(b, 3) >> 31, a.integers(0, 2, 3))  # a held half carries
     assert b.random() == a.random()
+
+
+@pytest.mark.parametrize("shape", ((1,), (7,), (4, 5)))
+def test_signs_read_bit_31_as_plus_one(shape):
+    # +1.0 iff bit 31 of a half is set, whatever the other bits, fresh or into
+    # a float workspace, so x * sign is x or exactly -x
+    halves = np.random.default_rng(3).integers(0, 2**32, shape, dtype=np.uint32)
+    want = np.where(halves >> 31 == 1, 1.0, -1.0)
+    assert np.array_equal(_signs(halves), want)
+    out = np.full(shape, 9.0)
+    assert _signs(halves, out=out) is out and np.array_equal(out, want)
+    x = np.random.default_rng(4).standard_normal(shape)
+    assert np.array_equal(x * _signs(halves), np.where(halves >> 31 == 1, x, -x))
