@@ -9,14 +9,13 @@ compared against the closed-form worst case. The run is reproducible from
 
 import json
 
+from widim import csv_lines, from_json, to_json
 from widim.certify import (
+    CertificationReport,
     adversarial_certify,
     check_lemma_swap,
     key_lemma_oracle_max,
     monte_carlo_certify,
-    report_csv_header,
-    report_to_csv_row,
-    report_to_json,
 )
 from widim.core import make_exponents
 
@@ -31,13 +30,14 @@ print("hill climb    max", adv.max_observed_distortion, "margin", adv.margin)
 
 # worker count never changes the answer, only the wall clock
 again = monte_carlo_certify(n=16, m=3, e=e, samples=50_000, seed=0x5EED, workers=4)
-assert report_to_json(again) == report_to_json(mc)
+assert to_json(again) == to_json(mc)
 print("workers=4 run is byte-identical")
 
-# report serialization round trips; see the header for the column order
-print(report_csv_header())
-print(report_to_csv_row(mc))
-print(json.dumps(json.loads(report_to_json(mc))["exponents"]))
+# report serialization round trips; the header gives the column order
+for line in csv_lines(mc):
+    print(line)
+print(json.dumps(json.loads(to_json(mc))["exponents"]))
+assert from_json(CertificationReport, to_json(mc)) == mc
 
 # the scalar inequalities backing the proof hold on a dense grid
 violations = 0

@@ -7,13 +7,14 @@ system. The script prints the per-box count table whose size/volume ratios
 sink below any fixed level, then spot checks the epsilon embedding.
 """
 
+from widim import from_json, table_csv_lines, to_json
 from widim.group_dynamics import (
+    EmbeddingReport,
     LatticeBox,
+    MeanDimensionTable,
     embedding_check,
     geometric_weight_metric,
     mean_dimension_table,
-    table_csv_header,
-    table_to_csv_rows,
     tail_set,
     widim_constant,
 )
@@ -34,12 +35,13 @@ for radius, size, ratio in table.rows:
     print(f"radius {radius}: box size {size}, count {table.constant}, ratio {ratio:.4f}")
 assert table.rows[-1][2] < 0.5  # sinks below one half by radius 7
 
-print(table_csv_header())
-for row in table_to_csv_rows(table):
-    print(row)
+for line in table_csv_lines(table):
+    print(line)
+assert from_json(MeanDimensionTable, to_json(table)) == table
 
 # embedding spot check: windows project to within eps/2 of the originals
 report = embedding_check(M, LatticeBox((0,), 2), p=1.0, eps=0.5, samples=5000, seed=3)
 print("pairs checked:", report.checked_count, "failures:", report.failure_count)
 print("worst margin:", report.worst_margin)
 assert report.failure_count == 0
+assert from_json(EmbeddingReport, to_json(report)) == report

@@ -23,9 +23,11 @@ from .threshold_map import *
 from .bounds import *
 from .certify import *
 from .group_dynamics import *
+from ._output import *
 
 __version__ = "0.1.0"
 
 # Each module's __all__ lists the names it defines; the package exports them all.
 __all__ = (_streams.__all__ + core.__all__ + signed_perm.__all__ + threshold_map.__all__
-           + bounds.__all__ + certify.__all__ + group_dynamics.__all__ + ["__version__"])
+           + bounds.__all__ + certify.__all__ + group_dynamics.__all__ + _output.__all__
+           + ["__version__"])

@@ -4,18 +4,21 @@ CSV cells use '.' decimals and 17 significant digits, so doubles
 round-trip losslessly, and an infinite value prints as ``inf``. JSON
 heads spell an infinite exponent ``"inf"`` (``bounds`` rows: ``Infinity``). A CSV
 document opens with ``# widim <command>`` and one ``# key=value`` line per
-echoed parameter, then the column header and the rows. A certify or embed
-report is written from its dataclass fields in declaration order
-(:func:`report_fields`), with an ``elapsed`` column that is always null in
-JSON and empty in CSV.
+echoed parameter, then the column header and the rows. A report dataclass
+declares its spelling once, on its fields (:func:`spelled`): one walk over them
+in declaration order writes its JSON and CSV, and :func:`from_json` reads the
+JSON back, decoding ``"inf"`` only for a declared exponent.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
-__all__ = ["cell", "csv_row", "json_exponent", "csv_document", "report_fields"]
+from .core import Exponents, _check_exponent
+
+__all__ = ["to_json", "from_json", "csv_lines", "table_csv_lines"]
 
 
 def cell(v) -> str:
@@ -39,27 +42,84 @@ def json_exponent(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def report_fields(report, **spelled) -> dict:
-    """The fields of a report dataclass in declaration order, then ``elapsed``
-    (None); a field named in ``spelled`` is replaced by the entries of the
-    dict given for it, so an empty dict drops it."""
+def csv_document(command: str, params: dict, lines) -> str:
+    """The whole CSV text: the parameters (a list one ,-joined), then ``lines``."""
+    out = [f"# widim {command}"]
+    for key, value in params.items():
+        text = ",".join(map(cell, value)) if isinstance(value, list) else cell(value)
+        out.append(f"# {key}={text}")
+    out.extend(lines)
+    return "\n".join(out) + "\n"
+
+
+def spelled(key=None, json=None, csv=None, read=None) -> dataclasses.Field:
+    """A report field with a declared spelling: its JSON entry is named ``key``
+    (the field's name by default) and holds ``json(value)``, which ``read`` turns
+    back into the value; ``csv(value)`` gives its CSV cells as a dict ({} drops
+    the field), by default the JSON entry. An omitted function is the identity."""
+    return dataclasses.field(metadata={"key": key, "json": json, "csv": csv, "read": read})
+
+
+def _decoded(value):
+    """A JSON exponent as core's rules read it: "inf" is the one spelling decoded."""
+    return math.inf if value == "inf" else value
+
+
+def exponent(what: str) -> dataclasses.Field:
+    """A float exponent field, spelled "inf" when infinite and read back under
+    core's exponent rule, whose message names it ``what``."""
+    return spelled(json=json_exponent, read=lambda value: _check_exponent(_decoded(value), what))
+
+
+def pair_entries(e: Exponents) -> dict:
+    """An exponent pair's entries: {p, q, r}, an object in JSON and three CSV columns."""
+    return {"p": e.p, "q": json_exponent(e.q), "r": e.r}
+
+
+def read_pair(doc: dict) -> Exponents:
+    """The pair built from p and q; refused when the document's r is not their rate."""
+    e = Exponents(_decoded(doc["p"]), _decoded(doc["q"]))
+    if doc["r"] != e.r:
+        raise ValueError(f"r={doc['r']!r} is not the rate {e.r!r} of p={e.p}, q={e.q}")
+    return e
+
+
+def _entries(report, csv: bool) -> dict:
+    """A report's JSON entries, or with ``csv`` its CSV cells, in field order."""
     doc = {}
     for f in dataclasses.fields(report):
-        if f.name in spelled:
-            doc.update(spelled[f.name])
+        spelling, value = f.metadata, getattr(report, f.name)
+        if csv and spelling.get("csv"):
+            doc.update(spelling["csv"](value))
         else:
-            doc[f.name] = getattr(report, f.name)
-    doc["elapsed"] = None
+            write = spelling.get("json")
+            doc[spelling.get("key") or f.name] = write(value) if write else value
     return doc
 
 
-def csv_document(command: str, params: dict, header, rows) -> str:
-    """The whole CSV text; a list parameter is ,-joined, ``header`` may be None."""
-    lines = [f"# widim {command}"]
-    for key, value in params.items():
-        text = ",".join(map(cell, value)) if isinstance(value, list) else cell(value)
-        lines.append(f"# {key}={text}")
-    if header is not None:
-        lines.append(header)
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def to_json(report) -> str:
+    """A certify, embed or table report as one line of JSON."""
+    return json.dumps(_entries(report, csv=False))
+
+
+def from_json(cls, text: str):
+    """The report of class ``cls`` that :func:`to_json` wrote as ``text``. Each
+    declared reader applies core's rules, so a bad value raises ``ValueError``."""
+    doc, values = json.loads(text), {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            read, value = f.metadata.get("read"), doc[f.metadata.get("key") or f.name]
+            values[f.name] = read(value) if read else value
+    return cls(**values)
+
+
+def csv_lines(report) -> list:
+    """A certify or embed report's CSV header and its one row."""
+    cells = _entries(report, csv=True)
+    return [",".join(cells), csv_row(cells.values())]
+
+
+def table_csv_lines(table) -> list:
+    """A count table's CSV header, then one row per box."""
+    return ["radius,omega_size,widim_constant,ratio"] + [
+        csv_row([r, size, table.constant, ratio]) for r, size, ratio in table.rows]

@@ -20,17 +20,16 @@ draws from the isolated stream (seed, domain, k).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
                        _signs, fresh_stream)
-from ._output import csv_row, json_exponent, report_fields
+from ._output import pair_entries, read_pair, spelled
 from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_float_int,
                    _check_int, _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
                    as_vector)
@@ -45,10 +44,6 @@ __all__ = [
     "check_lemma_swap",
     "check_key_lemma",
     "key_lemma_oracle_max",
-    "report_to_json",
-    "report_from_json",
-    "report_csv_header",
-    "report_to_csv_row",
 ]
 
 #: Success threshold on the margin, absolute.
@@ -156,54 +151,24 @@ class CertificationReport:
     """Outcome of one certification run.
 
     ``margin = bound - max_observed_distortion``; the run certifies the
-    bound iff ``margin >= -1e-9``. Serialized documents keep an ``elapsed``
-    column that is always null (JSON) or empty (CSV).
+    bound iff ``margin >= -1e-9``. ``elapsed`` is always None, so the report
+    texts keep a null (JSON) or empty (CSV) ``elapsed`` column.
     """
 
     n: int
     m: int
-    exponents: Exponents
+    exponents: Exponents = spelled(json=pair_entries, csv=pair_entries, read=read_pair)
     sample_count: int
     seed: int
     max_observed_distortion: float
     bound: float
     margin: float
-    argmax_vector: tuple
+    argmax_vector: tuple = spelled(read=tuple)
+    elapsed: float | None = field(default=None, init=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.margin >= -BOUND_TOLERANCE
-
-
-def _exponents(report: CertificationReport) -> dict:
-    e = report.exponents
-    return {"p": e.p, "q": json_exponent(e.q), "r": e.r}
-
-
-def report_to_json(report: CertificationReport) -> str:
-    """One-line JSON document; infinite q spelled "inf", elapsed nulled."""
-    return json.dumps(report_fields(report, exponents={"exponents": _exponents(report)}))
-
-
-def report_from_json(text: str) -> CertificationReport:
-    """Read a report back; refuses one whose r is not the rate of its p and q."""
-    doc = json.loads(text)
-    doc.pop("elapsed", None)
-    r = doc["exponents"].pop("r")
-    e = Exponents(**{k: math.inf if v == "inf" else v for k, v in doc["exponents"].items()})
-    if r != e.r:
-        raise ValueError(f"r={r!r} is not the rate {e.r!r} of p={e.p}, q={e.q}")
-    return CertificationReport(**{**doc, "exponents": e,
-                                  "argmax_vector": tuple(doc["argmax_vector"])})
-
-
-def report_csv_header() -> str:
-    return "n,m,p,q,r,sample_count,seed,max_observed_distortion,bound,margin,argmax_vector,elapsed"
-
-
-def report_to_csv_row(report: CertificationReport) -> str:
-    """One CSV row, 17 significant digits, vector ;-joined, elapsed empty."""
-    return csv_row(report_fields(report, exponents=_exponents(report)).values())
 
 
 def _validate_run(n, m, e, count, count_name, workers, seed):

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from ._output import cell, csv_document, csv_row, json_exponent
+from ._output import cell, csv_document, csv_lines, csv_row, json_exponent, table_csv_lines, to_json
 from ._streams import DEFAULT_SEED
 from .bounds import EqualCase, _caps, bracket, widim_equal_case  # noqa: F401 (traced by perfbench)
 from .certify import (
@@ -35,23 +35,10 @@ from .certify import (
     adversarial_certify,
     key_lemma_oracle_max,
     monte_carlo_certify,
-    report_csv_header,
-    report_to_csv_row,
-    report_to_json,
 )
 from .core import _check_exponent, _check_int, _check_scale, _check_seed, make_exponents
-from .group_dynamics import (
-    LatticeBox,
-    embedding_check,
-    embedding_csv_header,
-    embedding_report_to_json,
-    embedding_to_csv_row,
-    geometric_weight_metric,
-    mean_dimension_table,
-    table_csv_header,
-    table_to_csv_rows,
-    table_to_json,
-)
+from .group_dynamics import (LatticeBox, embedding_check, geometric_weight_metric,
+                             mean_dimension_table)
 from .threshold_map import distortion, f_closed
 
 __all__ = ["main"]
@@ -72,17 +59,17 @@ def _parse_ints(text: str) -> list:
     return _parse_floats(text, int)
 
 
-def _write(args, command, params, doc, header, rows) -> None:
+def _write(args, command, params, doc, lines) -> None:
     """Write one command's output in the requested format.
 
     ``doc`` returns the JSON text (written before its newline, not copied
-    with it) and ``rows`` the CSV data lines below ``header``; only the one
-    the format asks for is called.
+    with it) and ``lines`` the CSV lines below the parameters, header first;
+    only the one the format asks for is called.
     """
     if args.format == "json":
         parts = (doc(), "\n")
     else:
-        parts = (csv_document(command, params, header, rows()),)
+        parts = (csv_document(command, params, lines()),)
     if args.out == "-":
         sys.stdout.writelines(parts)
     else:
@@ -135,12 +122,13 @@ def _run_bounds(args) -> int:
                                  f'{"true" if lower == upper else "false"}, "status": "ok"}}',
             '"lower": null, "upper": null, "exact": false, "status": "out_of_range"}')) + "]}"
 
-    def csv_rows():
-        return lines(lambda n: f"{n},", lambda eps: f"{cell(eps)},",
-                     lambda lower, upper: csv_row([lower, upper, lower == upper]),
-                     csv_row(["out_of_range", "out_of_range", False]))
+    def csv_doc():
+        return itertools.chain(["n,epsilon,lower,upper,exact"], lines(
+            lambda n: f"{n},", lambda eps: f"{cell(eps)},",
+            lambda lower, upper: csv_row([lower, upper, lower == upper]),
+            csv_row(["out_of_range", "out_of_range", False])))
 
-    _write(args, "bounds", params, json_doc, "n,epsilon,lower,upper,exact", csv_rows)
+    _write(args, "bounds", params, json_doc, csv_doc)
     return 0
 
 
@@ -170,7 +158,7 @@ def _run_map(args) -> int:
         "nonzero_count": int(np.count_nonzero(y)),
         "distortion": dist,
     }
-    _write(args, "map", params, lambda: json.dumps(doc), None, lambda: [csv_row(y)])
+    _write(args, "map", params, lambda: json.dumps(doc), lambda: [csv_row(y)])
     return 0
 
 
@@ -192,8 +180,7 @@ def _run_certify(args) -> int:
         budget = {"restarts": args.restarts}
     params = {"method": args.method, "n": args.n, "m": args.m, "p": args.p, "q": args.q,
               **budget, "seed": args.seed}
-    _write(args, "certify", params, lambda: report_to_json(report), report_csv_header(),
-           lambda: [report_to_csv_row(report)])
+    _write(args, "certify", params, lambda: to_json(report), lambda: csv_lines(report))
     return 0 if report.passed else 1
 
 
@@ -211,8 +198,8 @@ def _run_oracle(args) -> int:
     doc = {"command": "oracle", "samples": args.samples, "seed": args.seed, "rows": rows}
     params = {"s": args.s, "c": args.c, "t": args.t, "n": args.n,
               "samples": args.samples, "seed": args.seed}
-    _write(args, "oracle", params, lambda: json.dumps(doc), "s,c,t,n,observed_max,bound,passed",
-           lambda: (csv_row(row.values()) for row in rows))
+    _write(args, "oracle", params, lambda: json.dumps(doc), lambda: [
+        "s,c,t,n,observed_max,bound,passed", *(csv_row(row.values()) for row in rows)])
     return 0 if all(row["passed"] for row in rows) else 1
 
 
@@ -229,8 +216,7 @@ def _run_group(args) -> int:
     if args.task == "table":
         table = mean_dimension_table(metric, args.p, args.eps, args.n)
         params.update(n=args.n, seed=args.seed)
-        _write(args, "group", params, lambda: table_to_json(table), table_csv_header(),
-               lambda: table_to_csv_rows(table))
+        _write(args, "group", params, lambda: to_json(table), lambda: table_csv_lines(table))
         return 0
     # embedding check over the box [-radius, radius]^d
     if len(args.n) != 1:
@@ -246,8 +232,7 @@ def _run_group(args) -> int:
         workers=args.workers,
     )
     params.update(n=args.n[0], samples=args.samples, seed=args.seed)
-    _write(args, "group", params, lambda: embedding_report_to_json(report),
-           embedding_csv_header(), lambda: [embedding_to_csv_row(report)])
+    _write(args, "group", params, lambda: to_json(report), lambda: csv_lines(report))
     return 0 if report.passed else 1
 
 

@@ -43,8 +43,15 @@ MAX_CELLS = 1 << 22
 
 def _is_real(value) -> bool:
     """Whether ``value`` is a real: an ``int``, ``float``, numpy integer or numpy
-    floating scalar, never a ``bool``; the real rules read anything else as NaN."""
+    floating scalar, never a ``bool``; :func:`_real` reads anything else as NaN."""
     return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _real(value) -> float:
+    try:  # NaN, which every real rule refuses, also for an int beyond the float range
+        return float(value) if _is_real(value) else math.nan
+    except OverflowError:
+        return math.nan
 
 
 def _check_int(value, what: str, least: int | None) -> int:
@@ -89,11 +96,9 @@ def _check_float_int(value, what: str, least: int) -> int:
     the bound (m+1)^-(1/p-1/q): at least ``least``, with value + 1 inside the
     float range, so the value and its successor both convert."""
     value = _check_int(value, what, least)
-    try:
-        float(value + 1)
-    except OverflowError:
+    if math.isnan(_real(value + 1)):
         raise ValueError(f"{what} must be an integer of at least {least} below about 1.8e308, "
-                         f"the float range; got {value.bit_length()} bits") from None
+                         f"the float range; got {value.bit_length()} bits")
     return value
 
 
@@ -105,7 +110,7 @@ def _check_cells(rows: int, n: int, what: str) -> None:
 
 def _check_exponent(value, what: str, finite: bool = False) -> float:
     """A real of at least 1, not NaN; inf is allowed unless ``finite``."""
-    x = float(value) if _is_real(value) else math.nan
+    x = _real(value)
     if not x >= 1.0 or (finite and x == math.inf):
         rule = "a finite real of at least 1" if finite else "at least 1 or inf"
         raise ValueError(f"{what} must be {rule}, got {value!r}")
@@ -114,7 +119,7 @@ def _check_exponent(value, what: str, finite: bool = False) -> float:
 
 def _check_scale(value, what: str = "scale eps") -> float:
     """A positive finite real."""
-    x = float(value) if _is_real(value) else math.nan
+    x = _real(value)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{what} must be a positive finite real, got {value!r}")
     return x
@@ -122,7 +127,7 @@ def _check_scale(value, what: str = "scale eps") -> float:
 
 def _check_nonnegative(value, what: str) -> float:
     """A nonnegative finite real."""
-    x = float(value) if _is_real(value) else math.nan
+    x = _real(value)
     if not 0.0 <= x < math.inf:
         raise ValueError(f"{what} must be a nonnegative finite real, got {value!r}")
     return x
@@ -145,7 +150,7 @@ def _check_reals(x, what: str = "vector", rows: bool = False) -> tuple[np.ndarra
     X = x if isinstance(x, np.ndarray) and x.dtype.kind in "iuf" else np.array(x, dtype=object)
     if X.dtype == object and not all(_is_real(v) for v in X.flat):
         raise ValueError(f"{what} must hold reals, not bools or strings")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(np.frompyfunc(_real, 1, 1)(X) if X.dtype == object else X, dtype=np.float64)
     if X.ndim != 1 and not (rows and X.ndim == 2):
         shape = "a vector or a 2-D batch of row vectors" if rows else "a 1-D vector"
         raise ValueError(f"{what} must be {shape}, got shape {X.shape}")

@@ -22,7 +22,6 @@ table is built from |gamma|_1, one weight call per norm.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -30,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, fresh_stream
-from ._output import csv_row, json_exponent, report_fields
+from ._output import exponent, spelled
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
@@ -51,13 +50,6 @@ __all__ = [
     "embedding_check",
     "MeanDimensionTable",
     "mean_dimension_table",
-    "embedding_report_to_json",
-    "embedding_report_from_json",
-    "embedding_csv_header",
-    "embedding_to_csv_row",
-    "table_to_json",
-    "table_csv_header",
-    "table_to_csv_rows",
 ]
 
 #: Cap on drawn support sizes, keeping sampled points genuinely sparse.
@@ -345,21 +337,23 @@ class EmbeddingReport:
     eps/2 in the sup norm, the dynamical distance must stay at or below eps
     (+ 1e-9). ``worst_margin`` is the largest d_Omega - eps among checked
     pairs (negative is healthy); ``witness`` carries the first violating
-    pair, if any. Serialized documents keep an ``elapsed`` column that is
-    always null (JSON) or empty (CSV).
+    pair, if any. ``elapsed`` is always None, so the report texts keep a
+    null (JSON) or empty (CSV) ``elapsed`` column.
     """
 
     dim_d: int
-    p: float
+    p: float = exponent("ball exponent p")
     eps: float
-    omega: tuple
+    omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)},
+                           read=lambda points: tuple(map(tuple, points)))
     omega_prime_size: int
     sample_count: int
     seed: int
     checked_count: int
     failure_count: int
     worst_margin: Optional[float]
-    witness: Optional[dict]
+    witness: Optional[dict] = spelled(csv=lambda witness: {})
+    elapsed: Optional[float] = field(default=None, init=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -591,29 +585,6 @@ def embedding_check(
     )
 
 
-def embedding_report_to_json(report: EmbeddingReport) -> str:
-    return json.dumps(report_fields(report, p={"p": json_exponent(report.p)}))
-
-
-def embedding_report_from_json(text: str) -> EmbeddingReport:
-    doc = json.loads(text)
-    doc.pop("elapsed", None)
-    p = math.inf if doc["p"] == "inf" else _check_exponent(doc["p"], "ball exponent p")
-    return EmbeddingReport(**{**doc, "p": p, "omega": tuple(map(tuple, doc["omega"]))})
-
-
-def embedding_csv_header() -> str:
-    return (
-        "dim_d,p,eps,omega_size,omega_prime_size,sample_count,seed,"
-        "checked_count,failure_count,worst_margin,elapsed"
-    )
-
-
-def embedding_to_csv_row(report: EmbeddingReport) -> str:
-    return csv_row(report_fields(report, omega={"omega_size": len(report.omega)},
-                                 witness={}).values())
-
-
 # --------------------------------------------------------------------------
 # Mean dimension table
 
@@ -628,10 +599,13 @@ class MeanDimensionTable:
     """
 
     dim_d: int
-    p: float
+    p: float = exponent("ball exponent p")
     eps: float
-    constant: int
-    rows: tuple  # of (radius, omega_size, ratio)
+    constant: int = spelled(key="widim_constant")
+    rows: tuple = spelled(  # of (radius, omega_size, ratio), each a JSON object
+        json=lambda rows: [{"radius": r, "omega_size": size, "ratio": ratio}
+                           for r, size, ratio in rows],
+        read=lambda rows: tuple((row["radius"], row["omega_size"], row["ratio"]) for row in rows))
 
 
 def mean_dimension_table(
@@ -651,25 +625,3 @@ def mean_dimension_table(
     sizes = [(2 * r + 1) ** M.dim_d for r in radii]
     rows = tuple((r, size, constant / size) for r, size in zip(radii, sizes))
     return MeanDimensionTable(M.dim_d, float(p), float(eps), constant, rows)
-
-
-def table_to_json(table: MeanDimensionTable) -> str:
-    doc = {
-        "dim_d": table.dim_d,
-        "p": json_exponent(table.p),
-        "eps": table.eps,
-        "widim_constant": table.constant,
-        "rows": [
-            {"radius": r, "omega_size": size, "ratio": ratio}
-            for r, size, ratio in table.rows
-        ],
-    }
-    return json.dumps(doc)
-
-
-def table_csv_header() -> str:
-    return "radius,omega_size,widim_constant,ratio"
-
-
-def table_to_csv_rows(table: MeanDimensionTable) -> list:
-    return [csv_row([r, size, table.constant, ratio]) for r, size, ratio in table.rows]

@@ -25,15 +25,12 @@ from widim.certify import (
     check_lemma_swap,
     key_lemma_oracle_max,
     monte_carlo_certify,
-    report_to_csv_row,
-    report_to_json,
 )
+from widim._output import csv_lines, to_json
 from widim.core import make_exponents
 from widim.group_dynamics import (
     LatticeBox,
     embedding_check,
-    embedding_report_to_json,
-    embedding_to_csv_row,
     geometric_weight_metric,
     mean_dimension_table,
     tail_set,
@@ -317,19 +314,19 @@ def test_criterion_8_worker_byte_identity(capfd):
             e = make_exponents(p, q)
             mc2 = monte_carlo_certify(n, m, e, MC_SAMPLES, seed=SEED, workers=workers)
             adv2 = adversarial_certify(n, m, e, ADV_RESTARTS, seed=SEED, workers=workers)
-            if report_to_json(mc2) != report_to_json(mc):
+            if to_json(mc2) != to_json(mc):
                 diffs += 1
-            if report_to_csv_row(mc2) != report_to_csv_row(mc):
+            if csv_lines(mc2) != csv_lines(mc):
                 diffs += 1
-            if report_to_json(adv2) != report_to_json(adv):
+            if to_json(adv2) != to_json(adv):
                 diffs += 1
         M = geometric_weight_metric()
         rep = embedding_check(
             M, LatticeBox((0,), 2), 1.0, 0.5, 10_000, seed=SEED, workers=workers
         )
-        if embedding_report_to_json(rep) != embedding_report_to_json(base7):
+        if to_json(rep) != to_json(base7):
             diffs += 1
-        if embedding_to_csv_row(rep) != embedding_to_csv_row(base7):
+        if csv_lines(rep) != csv_lines(base7):
             diffs += 1
 
     # spot check the installed command line surface as well

@@ -24,13 +24,10 @@ from widim.certify import (
     check_lemma_swap,
     key_lemma_oracle_max,
     monte_carlo_certify,
-    report_csv_header,
-    report_from_json,
-    report_to_csv_row,
-    report_to_json,
     sample_lp_ball,
     sample_lp_ball_rows,
 )
+from widim._output import csv_lines, from_json, to_json
 from widim.core import MAX_CELLS, in_lp_ball, lp_norm_power, make_exponents
 from widim.group_dynamics import LatticeBox, embedding_check, geometric_weight_metric, tail_set
 from widim._streams import DOMAIN_BALL, DOMAIN_CLIMB, StreamFactory, fresh_stream
@@ -390,7 +387,7 @@ def reference_climb(n, m, e, restarts, seed):
                                bound - float(best[at]), tuple(float(v) for v in X[at]))
 
 
-# SHA-256 of report_to_json(adversarial_certify(n, m, make_exponents(p, q),
+# SHA-256 of to_json(adversarial_certify(n, m, make_exponents(p, q),
 # restarts, seed)), keyed by (p, q, n, m, restarts, seed), recorded before
 # the climb scored its moves in windows: the 16 criterion-2 configurations
 # at n = 8, two at n = 64, and edge cases (n = 1, m = 0, m >= n).
@@ -425,7 +422,7 @@ ADVERSARIAL_GOLDEN = {
 def test_adversarial_golden_bytes(config):
     p, q, n, m, restarts, seed = config
     rep = adversarial_certify(n, m, make_exponents(p, q), restarts, seed=seed)
-    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == ADVERSARIAL_GOLDEN[config]
+    assert hashlib.sha256(to_json(rep).encode()).hexdigest() == ADVERSARIAL_GOLDEN[config]
 
 
 @settings(max_examples=40, deadline=None)
@@ -441,7 +438,7 @@ def test_climb_matches_reference(nm, p, q_kind, restarts, seed):
     q = {"2p": 2.0 * p, "7.25": 7.25, "inf": math.inf}[q_kind]
     e = make_exponents(p, q)
     got = adversarial_certify(n, m, e, restarts, seed=seed)
-    assert report_to_json(got) == report_to_json(reference_climb(n, m, e, restarts, seed))
+    assert to_json(got) == to_json(reference_climb(n, m, e, restarts, seed))
     # The extremal chain attains the bound and wins ties, so it is usually
     # the reported argmax and hides the other chains' paths. Started at half
     # its scale it has to climb, and the best climbed point is reported.
@@ -451,7 +448,7 @@ def test_climb_matches_reference(nm, p, q_kind, restarts, seed):
     with mock.patch.object(certify, "extremal_vector", half):
         got = adversarial_certify(n, m, e, restarts, seed=seed)
         want = reference_climb(n, m, e, restarts, seed)
-    assert report_to_json(got) == report_to_json(want)
+    assert to_json(got) == to_json(want)
 
 
 def test_climb_batches_its_moves(monkeypatch):
@@ -487,8 +484,8 @@ def test_determinism_across_workers_and_reruns():
     for workers in (2, 5):
         other = monte_carlo_certify(16, 3, e, 6000, seed=5, workers=workers)
         assert other == base
-        assert report_to_json(other) == report_to_json(base)
-        assert report_to_csv_row(other) == report_to_csv_row(base)
+        assert to_json(other) == to_json(base)
+        assert csv_lines(other) == csv_lines(base)
     assert adversarial_certify(6, 1, e, 8, seed=5, workers=3) == adversarial_certify(
         6, 1, e, 8, seed=5
     )
@@ -519,8 +516,8 @@ def test_monte_carlo_pool_is_capped_by_cores_and_blocks(cores, threads):
             mock.patch.object(certify.os, "cpu_count", return_value=cores):
         report = monte_carlo_certify(4, 1, e, 3 * certify.BLOCK - 1, seed=5, workers=10**6)
     assert made == [threads]
-    assert report_to_json(report) == report_to_json(base)
-    assert report_to_csv_row(report) == report_to_csv_row(base)
+    assert to_json(report) == to_json(base)
+    assert csv_lines(report) == csv_lines(base)
 
 
 def test_seed_changes_the_run():
@@ -675,8 +672,8 @@ def test_report_json_round_trip():
     for q in (2.0, math.inf):
         e = make_exponents(1, q)
         rep = monte_carlo_certify(5, 1, e, 200, seed=13)
-        text = report_to_json(rep)
-        back = report_from_json(text)
+        text = to_json(rep)
+        back = from_json(CertificationReport, text)
         assert back == rep
         if math.isinf(q):
             assert '"q": "inf"' in text
@@ -687,17 +684,16 @@ def test_report_json_round_trip():
 def test_report_from_json_refuses_non_real_exponents(p):
     # only the JSON spelling "inf" of q is decoded; a bool or another string
     # still meets the exponent rule
-    doc = json.loads(report_to_json(monte_carlo_certify(3, 1, make_exponents(1, 2), 10)))
+    doc = json.loads(to_json(monte_carlo_certify(3, 1, make_exponents(1, 2), 10)))
     doc["exponents"]["p"] = p
     with pytest.raises(ValueError, match="ball exponent p must be a finite real of at least 1"):
-        report_from_json(json.dumps(doc))
+        from_json(CertificationReport, json.dumps(doc))
 
 
 def test_report_csv_shape():
     e = make_exponents(1, 2)
     rep = monte_carlo_certify(3, 1, e, 100)
-    header = report_csv_header()
-    row = report_to_csv_row(rep)
+    header, row = csv_lines(rep)
     assert header.count(",") == row.count(",")
     assert row.endswith(",")  # elapsed column stays empty
     cells = row.split(",")

@@ -17,11 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widim import bounds, certify, core
-from widim._output import csv_document, csv_row, json_exponent
+from widim._output import csv_document, csv_row, from_json, json_exponent, to_json
 from widim.bounds import bracket, widim_equal_case
-from widim.certify import monte_carlo_certify, report_from_json, report_to_json
+from widim.certify import CertificationReport, monte_carlo_certify
 from widim.cli import build_parser, main
-from widim.group_dynamics import embedding_report_from_json
+from widim.group_dynamics import EmbeddingReport
 from widim.core import make_exponents
 
 
@@ -128,8 +128,8 @@ def test_certify_json_equals_library_report(capsys):
                            "--format", "json")
     assert code == 0
     expected = monte_carlo_certify(6, 1, make_exponents(1, 2), 400)
-    assert out == report_to_json(expected) + "\n"
-    assert report_from_json(out) == expected
+    assert out == to_json(expected) + "\n"
+    assert from_json(CertificationReport, out) == expected
 
 
 def test_certify_csv_and_seed_flag(capsys):
@@ -475,7 +475,7 @@ def _assert_bounds_grid_equals_the_oracle(p, q, ns, grid):
     want_doc = json.dumps({"command": "bounds", "p": json_exponent(p), "q": json_exponent(q),
                            "seed": 0x5EED, "reports": reports})
     params = {"p": p, "q": q, "eps": grid, "n": ns, "seed": 0x5EED}
-    want_csv = csv_document("bounds", params, "n,epsilon,lower,upper,exact", lines)
+    want_csv = csv_document("bounds", params, ["n,epsilon,lower,upper,exact"] + lines)
     # compared row by row (a split is undone by its join, so this is text
     # equality): pytest's diff of two whole long documents takes minutes
     assert doc.split("}, {") == want_doc.split("}, {")
@@ -795,10 +795,10 @@ _VECTOR = _pick(["-3 1 2", "0.5 -0.25"], ["", "1 nan", "1e400 2", "abc"])
 
 def _failed_bound(command, out) -> bool:
     if command == "certify":
-        return not report_from_json(out).passed
+        return not from_json(CertificationReport, out).passed
     if command == "oracle":
         return not all(row["passed"] for row in json.loads(out)["rows"])
-    return command == "group" and not embedding_report_from_json(out).passed
+    return command == "group" and not from_json(EmbeddingReport, out).passed
 
 
 @settings(max_examples=500, deadline=None)

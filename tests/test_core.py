@@ -505,6 +505,10 @@ _NONNEGATIVE = [
 # complex, a 1-element array or a Decimal (1, which every real rule here admits)
 _NOT_REALS = ("2", b"2", "abc", np.True_, None, [2], {}, 1 + 0j, np.array([1.0]), Decimal("1"))
 
+# ints beyond the float range, which float() refuses with OverflowError: every
+# real rule reads one as NaN and refuses it, in a vector too
+_HUGE = (10**400, -10**400)
+
 # (entry point and the number it reads, the call with v as that number): the
 # weights and tail of a custom metric are nonnegative finite reals
 _PAIR = (FinitelySupportedPoint(((0,),), (0.5,), 1.0), FinitelySupportedPoint(((1,),), (0.5,), 1.0))
@@ -539,20 +543,20 @@ def _input_rule_cases():
                                  np.array([True, False]), np.array([1.0, 0.0])))
              for name, what, call in _INT_ARRAYS]
     rows += [(name, what, call, (True, 0.5, -math.inf, math.nan) + ((math.inf,) if finite else ())
-              + _NOT_REALS) for name, what, finite, call in _EXPONENTS]
-    rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf, "0.5") + _NOT_REALS)
-             for name, call in _SCALES]
-    rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf, "0") + _NOT_REALS)
-             for name, what, call in _NONNEGATIVE]
+              + _NOT_REALS + _HUGE) for name, what, finite, call in _EXPONENTS]
+    rows += [(name, "scale eps", call, (True, 0.0, -0.5, math.nan, math.inf, "0.5") + _NOT_REALS
+              + _HUGE) for name, call in _SCALES]
+    rows += [(name, what, call, (True, -0.5, -math.inf, math.nan, math.inf, "0") + _NOT_REALS
+              + _HUGE) for name, what, call in _NONNEGATIVE]
     rows += [(name, f"{what} must be a positive finite real", call,
-              (True, 0.0, -math.inf, math.nan, math.inf, "3") + _NOT_REALS)
+              (True, 0.0, -math.inf, math.nan, math.inf, "3") + _NOT_REALS + _HUGE)
              for name, what, call in _ABOVE]
     rows += [(name, f"{what} must be a finite real above 1", call, (1.0, 0.5))
              for name, what, call in _ABOVE]
     rows += [(name, "total weight bound", call, (True, 0.0, -0.5, 1.5, math.nan, math.inf, "0.5")
-              + _NOT_REALS) for name, call in _TOTALS]
+              + _NOT_REALS + _HUGE) for name, call in _TOTALS]
     rows += [(name, f"{what} must be a nonnegative finite real", call,
-              (math.nan, -0.5, -math.inf, math.inf, True, None, "0.25"))
+              (math.nan, -0.5, -math.inf, math.inf, True, None, "0.25") + _HUGE)
              for name, what, call in _WEIGHTS]
     for name, what, call, bads in rows:
         for bad in bads:
@@ -574,6 +578,7 @@ def _input_rule_cases():
         rows += [(name, f"{what} must hold reals, not bools or strings", call, bad)
                  for bad in [np.array([True, False]), [True, False]] + mixed + texts]
         rows += [(name, "values must be finite", call, [0.5, math.nan]),
+                 (name, "values must be finite", call, [10**400, 0.5]),
                  (name, f"{what} must be a", call, [[[0.5, 0.25]]] if batch else [[0.5, 0.25]])]
         if what != "point values":  # a point with empty support has empty values
             rows.append((name, "at least one coordinate", call, []))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import widim.group_dynamics as group_dynamics
 from widim._streams import DOMAIN_PAIRS, fresh_stream
+from widim._output import csv_lines, from_json, table_csv_lines, to_json
 from widim.core import MAX_CELLS
 from widim.group_dynamics import (
     MAX_OUTSIDE_SUPPORT,
@@ -25,16 +26,9 @@ from widim.group_dynamics import (
     LatticeBox,
     WeightedGroupMetric,
     embedding_check,
-    embedding_csv_header,
-    embedding_report_from_json,
-    embedding_report_to_json,
-    embedding_to_csv_row,
     geometric_weight_metric,
     mean_dimension_table,
     omega_distance,
-    table_csv_header,
-    table_to_csv_rows,
-    table_to_json,
     tail_set,
     translate,
     weighted_distance,
@@ -368,16 +362,16 @@ def test_embedding_check_workers_byte_identical():
     a = embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 1500, seed=3)
     b = embedding_check(M, LatticeBox((0,), 1), 1.0, 0.5, 1500, seed=3, workers=4)
     assert a == b
-    assert embedding_report_to_json(a) == embedding_report_to_json(b)
+    assert to_json(a) == to_json(b)
 
 
 def test_embedding_report_round_trip():
     M = geometric_weight_metric()
     rep = embedding_check(M, [(0,), (1,)], 1.0, 0.5, 300, seed=9)
-    back = embedding_report_from_json(embedding_report_to_json(rep))
+    back = from_json(EmbeddingReport, to_json(rep))
     assert back == rep
-    row = embedding_to_csv_row(rep)
-    assert embedding_csv_header().count(",") == row.count(",")
+    header, row = csv_lines(rep)
+    assert header.count(",") == row.count(",")
 
 
 def test_projection_is_one_lipschitz_on_samples():
@@ -423,7 +417,7 @@ def test_embedding_check_window_guard():
         assert time.perf_counter() - t0 < 5.0
 
 
-# SHA-256 of embedding_report_to_json. Re-recorded when blocks grew from 64
+# SHA-256 of to_json(report). Re-recorded when blocks grew from 64
 # to PAIR_DRAW = 512 pairs, a declared change of the stream layout, after
 # checking that every geometric-weight run still passes, every lying-tail run
 # still fails with a witness (p = 1: 10 failures, witness at pair 6; p = 2:
@@ -487,7 +481,7 @@ def test_embedding_witness_golden_bytes(name):
     M = metric()
     rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
     assert (rep.witness is not None) == name.startswith("lying")
-    assert hashlib.sha256(embedding_report_to_json(rep).encode()).hexdigest() == digest
+    assert hashlib.sha256(to_json(rep).encode()).hexdigest() == digest
 
 
 def test_p50_golden_run_draws_an_exact_zero(monkeypatch):
@@ -611,7 +605,7 @@ def test_sliced_scoring_keeps_the_report_bytes(monkeypatch):
         for metric, radius, p, eps, samples, seed in SLICED_RUNS:
             M = metric()
             rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
-            out.append(embedding_report_to_json(rep))
+            out.append(to_json(rep))
         return out
 
     sliced = reports()
@@ -976,12 +970,12 @@ def test_table_serialization():
 
     M = geometric_weight_metric()
     table = mean_dimension_table(M, 1.0, 0.5, [1, 2, 3])
-    doc = json.loads(table_to_json(table))
+    doc = json.loads(to_json(table))
     assert doc["widim_constant"] == 7
     assert [r["omega_size"] for r in doc["rows"]] == [3, 5, 7]
-    rows = table_to_csv_rows(table)
+    header, *rows = table_csv_lines(table)
     assert len(rows) == 3
-    assert all(r.count(",") == table_csv_header().count(",") for r in rows)
+    assert all(r.count(",") == header.count(",") for r in rows)
 
 
 def test_table_validation():

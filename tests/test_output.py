@@ -1,29 +1,22 @@
-"""Report serialization: the field walk behind the certify and embed writers."""
+"""The report codec: each report declares its spelling on its fields, and one
+walk writes its JSON and CSV and reads the JSON back."""
 
+import ast
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from widim._output import csv_row, report_fields
-from widim.certify import (
-    CertificationReport,
-    report_csv_header,
-    report_from_json,
-    report_to_csv_row,
-    report_to_json,
-)
+import widim
+from widim._output import csv_lines, csv_row, from_json, spelled, table_csv_lines, to_json
+from widim.certify import CertificationReport
 from widim.core import make_exponents
-from widim.group_dynamics import (
-    EmbeddingReport,
-    embedding_csv_header,
-    embedding_report_from_json,
-    embedding_report_to_json,
-    embedding_to_csv_row,
-)
+from widim.group_dynamics import EmbeddingReport, MeanDimensionTable
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
 _counts = st.integers(min_value=0, max_value=10**9)
@@ -62,6 +55,9 @@ def _sparse_point(draw, dim):
     }
 
 
+_ball_exponents = st.one_of(st.just(math.inf), st.floats(min_value=1.0, max_value=1e6))
+
+
 @st.composite
 def _embedding_reports(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
@@ -70,7 +66,7 @@ def _embedding_reports(draw):
     })))
     return EmbeddingReport(
         dim_d=dim,
-        p=draw(st.one_of(st.just(math.inf), st.floats(min_value=1.0, max_value=1e6))),
+        p=draw(_ball_exponents),
         eps=draw(st.floats(min_value=1e-9, max_value=1e3)),
         omega=tuple(draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1,
                                   max_size=5))),
@@ -84,8 +80,24 @@ def _embedding_reports(draw):
     )
 
 
+@st.composite
+def _tables(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    radii = sorted(set(draw(st.lists(st.integers(0, 50), min_size=1, max_size=5))))
+    return MeanDimensionTable(
+        dim_d=dim,
+        p=draw(_ball_exponents),
+        eps=draw(st.floats(min_value=1e-9, max_value=1e3)),
+        constant=draw(_counts),
+        rows=tuple((r, (2 * r + 1) ** dim, draw(_reals)) for r in radii),
+    )
+
+
 def _json_keys(report) -> list:
-    return [f.name for f in dataclasses.fields(report)] + ["elapsed"]
+    # every field in declaration order, elapsed, which the report declares, last
+    names = [f.name for f in dataclasses.fields(report)]
+    assert names[-1] == "elapsed"
+    return names
 
 
 def _csv_cells(report, header: str, by_column: dict) -> str:
@@ -100,36 +112,47 @@ _EXAMPLE_EMBEDDING = EmbeddingReport(
     1, math.inf, 5.0, ((-1,), (0,), (1,)), 3, 300, 1, 12, 1, -0.0,
     {"index": 7, "margin": 0.25, "x": {"support": [[-2], [3]], "values": [-0.0, 0.5]},
      "y": {"support": [], "values": []}})
+_EXAMPLE_TABLE = MeanDimensionTable(1, math.inf, 5.0, 0, ((0, 1, -0.0), (2, 5, 0.0)))
+
+# the CSV header of each report type, pinned byte for byte
+_HEADERS = {
+    CertificationReport: "n,m,p,q,r,sample_count,seed,max_observed_distortion,bound,margin,"
+                         "argmax_vector,elapsed",
+    EmbeddingReport: "dim_d,p,eps,omega_size,omega_prime_size,sample_count,seed,checked_count,"
+                     "failure_count,worst_margin,elapsed",
+    MeanDimensionTable: "radius,omega_size,widim_constant,ratio",
+}
 
 
 @settings(max_examples=300, deadline=None)
 @given(_certification_reports)
 @example(_EXAMPLE_CERTIFICATION)
 def test_certification_report_round_trip(report):
-    text = report_to_json(report)
-    back = report_from_json(text)
-    assert back == report and report_to_json(back) == text  # the bytes keep every -0.0
+    text = to_json(report)
+    back = from_json(CertificationReport, text)
+    assert back == report and to_json(back) == text  # the bytes keep every -0.0
     assert list(json.loads(text)) == _json_keys(report)
     assert json.loads(text)["elapsed"] is None
     e = report.exponents
     assert json.loads(text)["exponents"] == {
         "p": e.p, "q": "inf" if math.isinf(e.q) else e.q, "r": e.r}
-    row = report_to_csv_row(report)
-    assert row == _csv_cells(report, report_csv_header(), {"p": e.p, "q": e.q, "r": e.r})
+    header, row = csv_lines(report)
+    assert header == _HEADERS[CertificationReport]
+    assert row == _csv_cells(report, header, {"p": e.p, "q": e.q, "r": e.r})
     assert row.endswith(",")
 
 
 def test_report_from_json_refuses_an_edited_rate():
     # r is derived from p and q, so a document whose r was edited is refused
     report = dataclasses.replace(_EXAMPLE_CERTIFICATION, exponents=make_exponents(1.5, 3.7))
-    text = report_to_json(report)
-    assert report_from_json(text) == report
+    text = to_json(report)
+    assert from_json(CertificationReport, text) == report
     r = report.exponents.r
     for edited in (math.nextafter(r, 0.0), math.nextafter(r, math.inf), 2.0, 1.5):
         doc = json.loads(text)
         doc["exponents"]["r"] = edited
         with pytest.raises(ValueError, match="is not the rate"):
-            report_from_json(json.dumps(doc))
+            from_json(CertificationReport, json.dumps(doc))
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,13 +160,14 @@ def test_report_from_json_refuses_an_edited_rate():
 @example(_EXAMPLE_EMBEDDING)
 @example(dataclasses.replace(_EXAMPLE_EMBEDDING, p=2.0, worst_margin=None, witness=None))
 def test_embedding_report_round_trip(report):
-    text = embedding_report_to_json(report)
-    back = embedding_report_from_json(text)
-    assert back == report and embedding_report_to_json(back) == text
+    text = to_json(report)
+    back = from_json(EmbeddingReport, text)
+    assert back == report and to_json(back) == text
     assert list(json.loads(text)) == _json_keys(report)
     assert json.loads(text)["p"] == ("inf" if math.isinf(report.p) else report.p)
-    row = embedding_to_csv_row(report)
-    assert row == _csv_cells(report, embedding_csv_header(), {"omega_size": len(report.omega)})
+    header, row = csv_lines(report)
+    assert header == _HEADERS[EmbeddingReport]
+    assert row == _csv_cells(report, header, {"omega_size": len(report.omega)})
     assert row.endswith(",")
 
 
@@ -151,31 +175,78 @@ def test_embedding_report_round_trip(report):
 def test_report_from_json_reads_q_by_the_exponent_rule(q):
     # a null or a container is no exponent: the rule refuses it as it refuses
     # any other non-real, not with a TypeError from float()
-    doc = json.loads(report_to_json(_EXAMPLE_CERTIFICATION))
+    doc = json.loads(to_json(_EXAMPLE_CERTIFICATION))
     doc["exponents"]["q"] = q
     with pytest.raises(ValueError, match="distance exponent q must be at least 1 or inf"):
-        report_from_json(json.dumps(doc))
+        from_json(CertificationReport, json.dumps(doc))
 
 
 @pytest.mark.parametrize("p", ["nan", True, " 2 ", "Infinity", "1e400", None, [2]])
 def test_embedding_report_from_json_reads_p_by_the_exponent_rule(p):
-    # only the JSON spelling "inf" of p is decoded, as report_from_json reads
-    # q; float() read the first five as nan, 1.0, 2.0, inf and inf, and
-    # raised TypeError on a null or a list
-    doc = json.loads(embedding_report_to_json(_EXAMPLE_EMBEDDING))
-    doc["p"] = p
-    with pytest.raises(ValueError, match="ball exponent p must be at least 1 or inf"):
-        embedding_report_from_json(json.dumps(doc))
+    # only the JSON spelling "inf" of p is decoded, as the certify pair's q is;
+    # float() read the first five as nan, 1.0, 2.0, inf and inf, and raised
+    # TypeError on a null or a list; a table's p is read by the same declaration
+    for report in (_EXAMPLE_EMBEDDING, _EXAMPLE_TABLE):
+        doc = json.loads(to_json(report))
+        doc["p"] = p
+        with pytest.raises(ValueError, match="ball exponent p must be at least 1 or inf"):
+            from_json(type(report), json.dumps(doc))
 
 
-def test_report_fields_spells_and_drops_fields():
-    @dataclasses.dataclass
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_certification_reports, _embedding_reports(), _tables()))
+@example(_EXAMPLE_CERTIFICATION)
+@example(_EXAMPLE_EMBEDDING)
+@example(_EXAMPLE_TABLE)
+def test_every_report_round_trips(report):
+    cls = type(report)
+    text = to_json(report)
+    back = from_json(cls, text)
+    assert back == report and to_json(back) == text  # the bytes keep every -0.0
+    lines = table_csv_lines(report) if cls is MeanDimensionTable else csv_lines(report)
+    assert lines[0] == _HEADERS[cls]
+    doc = json.loads(text)
+    # "inf" is decoded for a declared exponent only: an undeclared entry reads back as written
+    for f in dataclasses.fields(cls):
+        if f.init and not f.metadata:
+            assert getattr(from_json(cls, json.dumps({**doc, f.name: "inf"})), f.name) == "inf"
+    if cls is CertificationReport:
+        pair = {**doc["exponents"], "q": "inf", "r": report.exponents.p}
+        assert from_json(cls, json.dumps({**doc, "exponents": pair})).exponents.q == math.inf
+    else:
+        assert from_json(cls, json.dumps({**doc, "p": "inf"})).p == math.inf
+
+
+def test_declared_spelling_drops_renames_nests_and_flattens():
+    @dataclasses.dataclass(frozen=True)
     class Report:
         a: int
-        b: tuple
-        c: str
+        b: tuple = spelled(json=lambda b: {"x": b[0], "y": b[1]},
+                           csv=lambda b: {"b0": b[0], "b1": b[1]},
+                           read=lambda doc: (doc["x"], doc["y"]))
+        c: str = spelled(key="see")
+        d: dict = spelled(csv=lambda d: {})
+        elapsed: None = dataclasses.field(default=None, init=False, compare=False)
 
-    report = Report(1, (2, 3), "x")
-    assert report_fields(report) == {"a": 1, "b": (2, 3), "c": "x", "elapsed": None}
-    doc = report_fields(report, b={"b0": 2, "b1": 3}, c={})
-    assert list(doc.items()) == [("a", 1), ("b0", 2), ("b1", 3), ("elapsed", None)]
+    report = Report(1, (2, 3), "x", {"k": [1.5]})
+    text = to_json(report)
+    assert text == '{"a": 1, "b": {"x": 2, "y": 3}, "see": "x", "d": {"k": [1.5]}, "elapsed": null}'
+    assert csv_lines(report) == ["a,b0,b1,see,elapsed", "1,2,3,x,"]
+    assert from_json(Report, text) == report
+
+
+def test_the_report_format_lives_in_output():
+    # certify and group_dynamics declare their spelling on their report fields:
+    # a json import, a hand-written CSV header or a second "inf" decode there
+    # would be a second copy of the format
+    src = Path(widim.__file__).parent
+    for name in ("certify.py", "group_dynamics.py"):
+        tree = ast.parse((src / name).read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        assert "json" not in imported, name
+        headers = [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str) and re.fullmatch(r"\w+(,\w+)+", node.value)]
+        assert headers == [], name
+    decodes = {path.name: path.read_text().count('== "inf"') for path in src.glob("*.py")}
+    assert {name: count for name, count in decodes.items() if count} == {"_output.py": 1}

@@ -13,7 +13,7 @@ import pytest
 import widim
 
 LIBRARY = ("_streams", "core", "signed_perm", "threshold_map", "bounds", "certify",
-           "group_dynamics")
+           "group_dynamics", "_output")
 MODULES = {name: importlib.import_module(f"widim.{name}") for name in LIBRARY}
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -73,6 +73,23 @@ def test_each_width_quantity_has_one_name(name):
     # widim_upper at q = inf, bracket of an EqualCase and the inequality of
     # ball_inclusion_max_radius are the one spelling of each
     assert name not in widim.__all__ and not hasattr(MODULES["bounds"], name)
+
+
+_SERIALIZERS = {
+    "certify": ["report_to_json", "report_from_json", "report_csv_header", "report_to_csv_row"],
+    "group_dynamics": ["embedding_report_to_json", "embedding_report_from_json",
+                       "embedding_csv_header", "embedding_to_csv_row", "table_to_json",
+                       "table_csv_header", "table_to_csv_rows"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in _SERIALIZERS.items()
+                                          for name in names])
+def test_each_report_has_one_codec(module, name):
+    # to_json, from_json, csv_lines and table_csv_lines in _output are the one
+    # report codec; a per-type writer or reader would be a second spelling
+    assert name not in widim.__all__ and not hasattr(MODULES[module], name)
+    assert {"to_json", "from_json", "csv_lines", "table_csv_lines"} <= set(widim.__all__)
 
 
 # the benchmark's tracer, loaded from its file: perfbench is not a package
