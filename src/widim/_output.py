@@ -103,13 +103,17 @@ def to_json(report) -> str:
 
 
 def from_json(cls, text: str):
-    """The report of class ``cls`` that :func:`to_json` wrote as ``text``. Each
-    declared reader applies core's rules, so a bad value raises ``ValueError``."""
+    """The report of class ``cls`` that :func:`to_json` wrote as ``text``. A missing
+    or misshapen entry, or a value a declared reader's core rule refuses, raises ``ValueError``."""
     doc, values = json.loads(text), {}
-    for f in dataclasses.fields(cls):
-        if f.init:
-            read, value = f.metadata.get("read"), doc[f.metadata.get("key") or f.name]
-            values[f.name] = read(value) if read else value
+    if not isinstance(doc, dict):
+        raise ValueError(f"{cls.__name__} document must be a JSON object, not {type(doc).__name__}")
+    for f in (f for f in dataclasses.fields(cls) if f.init):
+        key, read = f.metadata.get("key") or f.name, f.metadata.get("read") or (lambda v: v)
+        try:
+            values[f.name] = read(doc[key])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{cls.__name__}: bad or missing entry {key!r}: {exc!r}") from None
     return cls(**values)
 
 

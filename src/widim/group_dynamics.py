@@ -15,8 +15,8 @@ to the size of growing boxes is the vanishing quantity the
 The embedding check draws pair i as part of fixed block i // PAIR_DRAW
 (512 pairs), one derived stream per block, scores a block's close pairs in
 slices of SCORE_ROWS (64) and merges them in index order, so a report is a
-pure function of its parameters and seed. The built-in geometric weight's
-table is built from |gamma|_1, one weight call per norm.
+pure function of its parameters and seed. Each probe's row of weights is a
+slice of one box of weights, which the geometric weight builds per norm |gamma|_1.
 """
 
 from __future__ import annotations
@@ -135,16 +135,12 @@ class WeightedGroupMetric:
         """Whether the certified mass outside the box of this radius exceeds target."""
         return _check_nonnegative(self.tail_bound(radius), "weight tail") > target
 
-    def _weight_table(self, offsets: np.ndarray) -> np.ndarray:
-        """w(o) for every offset o along the last axis of an integer array: one
-        weight call per distinct offset, whose key reads its coordinates as
-        digits in [-L, L] of base 2L + 1."""
-        flat = offsets.reshape(-1, self.dim_d)
-        key = flat @ (2 * np.abs(flat).max() + 1) ** np.arange(self.dim_d)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        table = np.array([_check_nonnegative(self.weight(tuple(o)), "weight")
-                          for o in flat[first].tolist()])
-        return table[inverse].reshape(offsets.shape[:-1])
+    def _box_weights(self, reach: int) -> np.ndarray:
+        """w(o) at index o + reach for every offset o in the box [-reach, reach]^d:
+        one weight call per box point, in :class:`LatticeBox` order."""
+        box = LatticeBox((0,) * self.dim_d, reach)
+        return np.array([_check_nonnegative(self.weight(o), "weight")
+                         for o in box]).reshape((2 * reach + 1,) * self.dim_d)
 
 
 def geometric_weight_metric(
@@ -210,13 +206,13 @@ class _GeometricWeight(WeightedGroupMetric):
         inside = 1 - 2 / ((b + 1) * b**radius)
         return Fraction(self.total_bound) * (1 - inside**self.dim_d) > Fraction(target)
 
-    def _weight_table(self, offsets: np.ndarray) -> np.ndarray:
+    def _box_weights(self, reach: int) -> np.ndarray:
         """The weight depends only on |gamma|_1: one weight call per norm k, at
         the axis point (k, 0, ..., 0), so every entry is the closure's own
         Python float (numpy's vector power can differ from it in the last bit)."""
-        norms = np.abs(offsets).sum(axis=-1)
-        rest = (0,) * (self.dim_d - 1)
-        return np.array([self.weight((k,) + rest) for k in range(int(norms.max()) + 1)])[norms]
+        rest, axis = (0,) * (self.dim_d - 1), np.abs(np.arange(-reach, reach + 1))
+        norms = sum(np.ix_(*[axis] * self.dim_d))  # |o|_1 at index o + reach
+        return np.array([self.weight((k,) + rest) for k in range(self.dim_d * reach + 1)])[norms]
 
 
 @dataclass(frozen=True)
@@ -363,10 +359,9 @@ class EmbeddingReport:
 #: Pairs drawn from one stream in one pass.
 PAIR_DRAW = 512
 
-#: Close pairs of a block scored together, so that a block's d_Omega
-#: temporaries stay those of a 64-pair block: |Omega| * SCORE_ROWS * 22
-#: doubles whatever the window, at most 23 MiB, as core.MAX_CELLS caps
-#: |Omega| * |window| and the window contains Omega, so |Omega| <= 2^11.
+#: Close pairs of a block scored together, so that a block's one d_Omega temporary stays that
+#: of a 64-pair block: |Omega| * SCORE_ROWS * 22 doubles whatever the window, at most 23 MiB,
+#: as core.MAX_CELLS caps |Omega| * |window| and the window contains Omega, so |Omega| <= 2^11.
 SCORE_ROWS = 64
 
 
@@ -406,28 +401,32 @@ def _union(xc, xv, yc, yv) -> tuple:
 
 
 class _Window:
-    """Pairs as sparse rows over the lexicographic window.
+    """Pairs as sparse rows over the window [-R, R]^d in lexicographic order.
 
     Row k of the weight table holds w(gamma - delta_k) for the window points
-    gamma, so translating both points by delta_k only selects a row. A pair's
-    products are folded left to right in ascending column order, which is
-    the sorted order :func:`weighted_distance` sums in (translation preserves
-    lexicographic order), and a zeroed or unused slot adds exactly +0.0. So
+    gamma, a slice of the weights on [-reach, reach]^d (reach = R + max
+    |delta|_inf), so translating both points by delta_k only selects a row. A
+    pair's products are folded left to right in ascending column order, the
+    order :func:`weighted_distance` sums in (translation keeps lexicographic
+    order), and a zeroed or unused slot adds exactly +0.0. So
     :meth:`omega_distances` equals the sparse :func:`omega_distance` bit for
-    bit; ``np.sum`` or a matrix product would sum in another order and could
-    move the last bit.
+    bit, which ``np.sum`` or a matrix product, summing in another order, need not.
     """
 
     def __init__(self, M, deltas, tail_radius: int, window_radius: int):
-        # The box [-window_radius, window_radius]^d in lexicographic order,
-        # one point per row, and every offset gamma - delta_k.
-        side = np.arange(-window_radius, window_radius + 1)
-        grid = np.meshgrid(*[side] * M.dim_d, indexing="ij")
-        self.points = np.stack(grid, axis=-1).reshape(-1, M.dim_d)
-        offsets = self.points[None] - np.array(deltas)[:, None]
-        self.weights = M._weight_table(offsets)
-        # The union box: the points within tail_radius of some delta.
-        self.inside = (np.abs(offsets).max(axis=2) <= tail_radius).any(axis=0)
+        shift = max(max(abs(c) for c in delta) for delta in deltas)
+        side, reach = 2 * window_radius + 1, window_radius + shift
+        _check_cells(len(deltas), side**M.dim_d, "weight table |omega| x |window|")
+        _check_cells(1, (2 * reach + 1) ** M.dim_d, "weight box")
+        box, self.radius, self.shape = M._box_weights(reach), window_radius, (side,) * M.dim_d
+        self.weights, inside = np.empty((len(deltas), side**M.dim_d)), np.zeros(self.shape, bool)
+        lo, hi = window_radius - tail_radius, window_radius + tail_radius + 1
+        for row, delta in zip(self.weights, deltas):
+            # window index gamma + R holds w(gamma - delta), at box index gamma - delta + reach;
+            # a union-box slice clamps both ends at 0, as a probe may lie past the window edge
+            row[:] = box[tuple(slice(shift - c, shift - c + side) for c in delta)].ravel()
+            inside[tuple(slice(max(c + lo, 0), max(c + hi, 0)) for c in delta)] = True
+        self.inside = inside.ravel()
         self.outside_columns = np.flatnonzero(~self.inside)
 
     def draw_block(self, gen, first: int, p: float, eps: float) -> tuple:
@@ -443,7 +442,7 @@ class _Window:
         Kind 2 adds noise in [-eps/8, eps/8) where x is nonzero and scales
         the row back into the ball if it left it.
         """
-        ncol, outside = len(self.points), self.outside_columns
+        ncol, outside = self.weights.shape[1], self.outside_columns
         kinds = (first + np.arange(PAIR_DRAW)) % 3
         own, tail, jitter = (np.flatnonzero(kinds == k) for k in range(3))
         width, cap = min(ncol, MAX_SUPPORT), min(outside.size, MAX_OUTSIDE_SUPPORT)
@@ -476,9 +475,8 @@ class _Window:
     def payload(self, cols, vals, p) -> dict:
         """The witness form of one sparse row, checked as a point."""
         used = cols >= 0
-        x = FinitelySupportedPoint(
-            tuple(map(tuple, self.points[cols[used]].tolist())), tuple(vals[used].tolist()), p
-        )
+        support = np.stack(np.unravel_index(cols[used], self.shape), axis=-1) - self.radius
+        x = FinitelySupportedPoint(tuple(map(tuple, support.tolist())), vals[used].tolist(), p)
         return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
 
     def gaps(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -488,7 +486,8 @@ class _Window:
 
     def omega_distances(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Per pair of :func:`_union`: d_Omega, every probe row in one pass."""
-        return np.cumsum(D * self.weights[:, C], axis=2)[..., -1].max(axis=0)
+        W = self.weights[:, C]  # the one temporary: the products, then their running sums
+        return np.cumsum(np.multiply(W, D, out=W), axis=2, out=W)[..., -1].max(axis=0)
 
 
 def embedding_check(
@@ -509,8 +508,8 @@ def embedding_check(
     most eps + 1e-9. Pair kinds cycle through independent draws, pairs
     differing only outside the union box, and small perturbations, so both
     halves of the estimate (projection term and tail term) are exercised.
-    Runs whose weight table, |Omega| times the window size, would exceed
-    :data:`core.MAX_CELLS` entries are refused with ``ValueError``.
+    Runs whose weight table (|Omega| times the window size) or box of weights
+    would exceed :data:`core.MAX_CELLS` entries are refused with ``ValueError``.
 
     Pair i belongs to block b = i // :data:`PAIR_DRAW` (512 pairs), drawn in
     full from stream (seed, b) in one pass, so pair i never depends on
@@ -538,12 +537,10 @@ def embedding_check(
     # Every tail box has the same radius; only its center moves with delta.
     tail_radius = tail_set(M, deltas[0], eps).radius
     window_radius = 2 * (max(max(abs(c) for c in delta) for delta in deltas) + tail_radius)
-    _check_cells(len(deltas), (2 * window_radius + 1) ** M.dim_d, "weight table |omega| x |window|")
     window = _Window(M, deltas, tail_radius, window_radius)
 
     checked = failures = 0
-    worst = None
-    witness = None
+    worst = witness = None
     for first in range(0, samples, PAIR_DRAW):
         gen = fresh_stream(seed, DOMAIN_PAIRS, first // PAIR_DRAW)
         xc, xv, yc, yv = (a[: samples - first] for a in window.draw_block(gen, first, p, eps))
@@ -557,8 +554,7 @@ def embedding_check(
         margins = np.concatenate([window.omega_distances(C[s], D[s]) for s in slices]) - eps
         checked += close.size
         top = float(margins.max())
-        if worst is None or top > worst:
-            worst = top
+        worst = top if worst is None else max(worst, top)
         bad = np.flatnonzero(margins > BOUND_TOLERANCE)
         failures += bad.size
         if bad.size and witness is None:

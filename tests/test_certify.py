@@ -584,8 +584,12 @@ _M4 = geometric_weight_metric(dim_d=4)
      f"probe set: {(2 * 10**5 + 1)**4} x {(2 * 10**5 + 1)**4}"),
     (lambda e: embedding_check(_M4, [(0,) * 4], 1.0, 1e-3, 1),
      "weight table |omega| x |window|: 1 x 7890481"),
+    # one probe far from the origin: its table of 1613^2 cells fits, but the
+    # box that holds its offsets, [-1206, 1206]^2, does not
+    (lambda e: embedding_check(geometric_weight_metric(dim_d=2), [(400, 0)], 1.0, 0.5, 1),
+     "weight box: 1 x 5822569"),
 ], ids=["mc", "mc-edge", "climb", "climb-edge", "oracle", "oracle-edge", "embed-probe",
-        "embed-probe-edge", "embed-probe-past-maxsize", "embed-table"])
+        "embed-probe-edge", "embed-probe-past-maxsize", "embed-table", "embed-box"])
 def test_oversized_runs_are_refused_before_allocating(run, what, monkeypatch):
     # MC always draws a whole BLOCK x n block, the climb scores
     # CLIMB_WINDOW x (restarts + 1) x n moves at once, the oracle draws
@@ -633,6 +637,13 @@ def test_runs_at_the_cell_cap_are_admitted(monkeypatch):
     monkeypatch.setattr(core, "MAX_CELLS", window - 1)
     with pytest.raises(ValueError, match=rf"weight table \|omega\| x \|window\|: 1 x {window} "):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
+    # one probe at (1,): a table of 4t + 5 cells, sliced from a box of 4t + 7 weights
+    box = 4 * tail_set(M, (1,), 0.5).radius + 7
+    monkeypatch.setattr(core, "MAX_CELLS", box)
+    assert embedding_check(M, [(1,)], 1.0, 0.5, 10).passed
+    monkeypatch.setattr(core, "MAX_CELLS", box - 1)
+    with pytest.raises(ValueError, match=f"weight box: 1 x {box} = {box} cells"):
+        embedding_check(M, [(1,)], 1.0, 0.5, 10)
     # a probe set counted at exactly the cap, |Omega|^2 cells, passes its own
     # count and meets the table's, which holds at least as many
     monkeypatch.setattr(core, "MAX_CELLS", 9)

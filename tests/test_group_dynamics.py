@@ -484,6 +484,38 @@ def test_embedding_witness_golden_bytes(name):
     assert hashlib.sha256(to_json(rep).encode()).hexdigest() == digest
 
 
+def _lying_asymmetric_metric():
+    # decays slowly for gamma < 0 and fast for gamma > 0, so a table row read
+    # at the mirrored offset, or shifted the wrong way, moves the report
+    return WeightedGroupMetric(
+        dim_d=1,
+        weight=lambda g: 0.5 * 2.0 ** (0.1 * g[0] if g[0] <= 0 else -0.3 * g[0]),
+        tail_bound=lambda radius: 0.0 if radius >= 1 else 1.0,
+        total_bound=1.0,
+        description="asymmetric lying tail",
+    )
+
+
+# SHA-256 of to_json(report) on sparse probe sets off the origin, so that each
+# weight-table row is a slice of the weights shifted by its own probe, and the
+# witness columns decode to points on both sides of the origin.
+EMBED_PROBE_GOLDEN = {
+    # name: (metric, omega, p, eps, samples, seed, digest)
+    "geometric d=2": (lambda: geometric_weight_metric(dim_d=2), [(0, 0), (3, -2)], 1.5, 0.5,
+                      300, 7, "b70b4efa155ec7c906cbf7c8170092fe83a167fc194f40ee96110a3c45f2a5ed"),
+    "lying asymmetric d=1": (_lying_asymmetric_metric, [(-4,), (5,)], 1.0, 0.3, 300, 3,
+                             "a6d20ee32e05a17e78c89d91f94ba5404b0b453bb335dfe229cc3f9790f3a1a2"),
+}
+
+
+@pytest.mark.parametrize("name", list(EMBED_PROBE_GOLDEN))
+def test_embedding_probe_set_golden_bytes(name):
+    metric, omega, p, eps, samples, seed, digest = EMBED_PROBE_GOLDEN[name]
+    rep = embedding_check(metric(), omega, p, eps, samples, seed=seed)
+    assert (rep.witness is not None) == name.startswith("lying")
+    assert hashlib.sha256(to_json(rep).encode()).hexdigest() == digest
+
+
 def test_p50_golden_run_draws_an_exact_zero(monkeypatch):
     # the "d=1 p=50" run draws x_17 = y_17 = 0 in one slot of pair 17, a
     # perturbed pair: a Gamma(1/50) magnitude that underflows to 0
@@ -542,7 +574,8 @@ def test_weight_table_calls_weight_once_per_offset():
     M = WeightedGroupMetric(2, weight, base.tail_bound, base.total_bound)
     assert tail_set(M, (0, 0), 0.5).radius == 3  # window radius 2 * (1 + 3) = 8
     embedding_check(M, LatticeBox((0, 0), 1), 1.0, 0.5, 10)
-    # 9 probes x 289 window cells share the 19^2 offsets in [-9, 9]^2
+    # 9 probes x 289 window cells read the box of their 19^2 offsets, [-9, 9]^2,
+    # which is weighed once per point
     assert len(calls) == 19**2
     assert set(calls.values()) == {1}
 
@@ -568,14 +601,19 @@ def test_geometric_weight_table_matches_per_offset_weights(d, base, total, data)
     else:
         radius = data.draw(st.integers(0, top))
         tail = data.draw(st.integers(0, radius))
-        coord = st.integers(-radius, radius)
+        # probes may lie past the window edge, further than the tail radius
+        coord = st.integers(-2 * radius - 2, 2 * radius + 2)
         omega = sorted(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=4,
                                           unique=True)))
     custom = WeightedGroupMetric(d, M.weight, M.tail_bound, M.total_bound)
     fast, slow = _Window(M, omega, tail, radius), _Window(custom, omega, tail, radius)
     assert fast.weights.shape == slow.weights.shape == (len(omega), (2 * radius + 1) ** d)
     assert np.array_equal(_bits(fast.weights), _bits(slow.weights))
-    assert np.array_equal(fast.inside, slow.inside)
+    window = list(LatticeBox((0,) * d, radius))
+    offsets = [[tuple(a - b for a, b in zip(g, delta)) for g in window] for delta in omega]
+    assert slow.weights.tolist() == [[M.weight(o) for o in row] for row in offsets]
+    prime = set(_union_box(omega, tail, window))
+    assert fast.inside.tolist() == slow.inside.tolist() == [g in prime for g in window]
     if data is None:
         assert (fast.weights == 0.0).any()
 
@@ -619,6 +657,23 @@ def test_sliced_scoring_keeps_the_report_bytes(monkeypatch):
         rows.clear()
         assert reports() == sliced
         assert max(rows) == size
+
+
+def test_window_build_peak_memory():
+    # the table is 125 x 29^3 doubles (23.3 MiB), the box of weights 33^3
+    # (0.3 MiB); the (|Omega|, |window|, d) offsets array and its np.abs copy
+    # that the table used to be built from peaked at 187 MiB
+    M = geometric_weight_metric(dim_d=3)
+    tracemalloc.start()
+    try:
+        rep = embedding_check(M, LatticeBox((0, 0, 0), 2), 1.0, 0.2, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tail_set(M, (0, 0, 0), 0.2).radius == 5  # window radius 2 * (2 + 5) = 14
+    assert rep.passed and len(rep.omega) == 125
+    table, box = 125 * 29**3 * 8, 33**3 * 8
+    assert peak < 2 * table + box
 
 
 def test_wide_probe_set_peak_memory():
@@ -738,18 +793,21 @@ def _draw_windows(draw):
     d = draw(st.sampled_from((1, 2)))
     radius = draw(st.integers(0, 4 if d == 1 else 2))
     window = tuple(sorted(LatticeBox((0,) * d, radius)))
-    coord = st.integers(-radius, radius)
+    # probes may lie past the window edge, further than the tail radius
+    coord = st.integers(-2 * radius - 2, 2 * radius + 2)
     omega = sorted(draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=3, unique=True)))
     tail = draw(st.integers(0, radius))
     win = _Window(geometric_weight_metric(dim_d=d), omega, tail, radius)
-    assert list(map(tuple, win.points.tolist())) == list(window)
+    # column j decodes to point j of the window in LatticeBox order
+    assert [win.payload(np.array([j]), np.array([0.5]), 1.0)["support"]
+            for j in range(len(window))] == [[list(g)] for g in window]
     return window, _union_box(omega, tail, window), win
 
 
 def _drawn_rows(window, gen, b, p, eps):
     """draw_block's sparse rows of x and y, scattered into dense window rows."""
     xc, xv, yc, yv = window.draw_block(gen, b * PAIR_DRAW, p, eps)
-    X, Y = np.zeros((PAIR_DRAW, len(window.points))), np.zeros((PAIR_DRAW, len(window.points)))
+    X, Y = np.zeros((PAIR_DRAW, window.inside.size)), np.zeros((PAIR_DRAW, window.inside.size))
     for out, cols, vals in ((X, xc, xv), (Y, yc, yv)):
         assert not vals[cols < 0].any()  # _union relies on unused slots holding 0
         r, s = np.nonzero(cols >= 0)

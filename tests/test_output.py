@@ -193,6 +193,37 @@ def test_embedding_report_from_json_reads_p_by_the_exponent_rule(p):
             from_json(type(report), json.dumps(doc))
 
 
+def _edited(report, **entries):
+    return json.dumps({**json.loads(to_json(report)), **entries})
+
+
+def _without(report, key):
+    doc = json.loads(to_json(report))
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("cls, text, message", [
+    # a document that is not an object
+    (EmbeddingReport, "[]", "EmbeddingReport document must be a JSON object, not list"),
+    (EmbeddingReport, "5", "EmbeddingReport document must be a JSON object, not int"),
+    # a missing key
+    (EmbeddingReport, "{}", "EmbeddingReport: bad or missing entry 'dim_d': KeyError('dim_d')"),
+    (CertificationReport, _without(_EXAMPLE_CERTIFICATION, "m"),
+     "CertificationReport: bad or missing entry 'm': KeyError('m')"),
+    # a declared reader's TypeError on a misshapen entry
+    (EmbeddingReport, _edited(_EXAMPLE_EMBEDDING, omega=5),
+     "EmbeddingReport: bad or missing entry 'omega': TypeError("),
+    (MeanDimensionTable, _edited(_EXAMPLE_TABLE, rows=[5]),
+     "MeanDimensionTable: bad or missing entry 'rows': TypeError("),
+], ids=["list", "number", "empty", "certify-without-m", "omega-number", "table-row-number"])
+def test_from_json_refuses_a_malformed_document_with_value_error(cls, text, message):
+    # these used to escape as KeyError or TypeError, not the ValueError of bad input
+    with pytest.raises(ValueError) as info:
+        from_json(cls, text)
+    assert str(info.value).startswith(message)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_certification_reports, _embedding_reports(), _tables()))
 @example(_EXAMPLE_CERTIFICATION)
