@@ -60,14 +60,18 @@ def spelled(key=None, json=None, csv=None, read=None) -> dataclasses.Field:
     return dataclasses.field(metadata={"key": key, "json": json, "csv": csv, "read": read})
 
 
+def checked(rule, *args, null=False, **spelling) -> dataclasses.Field:
+    """A field read back as ``rule(value, *args)``; with ``null``, a JSON null reads as None."""
+    return spelled(**spelling, read=lambda v: None if null and v is None else rule(v, *args))
+
+
 def _decoded(value):
     """A JSON exponent as core's rules read it: "inf" is the one spelling decoded."""
     return math.inf if value == "inf" else value
 
 
 def exponent(what: str) -> dataclasses.Field:
-    """A float exponent field, spelled "inf" when infinite and read back under
-    core's exponent rule, whose message names it ``what``."""
+    """A float exponent field, spelled "inf" when infinite, read back by core's rule as ``what``."""
     return spelled(json=json_exponent, read=lambda value: _check_exponent(_decoded(value), what))
 
 

@@ -29,10 +29,10 @@ import numpy as np
 
 from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
                        _signs, fresh_stream)
-from ._output import pair_entries, read_pair, spelled
+from ._output import checked, pair_entries, read_pair, spelled
 from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_float_int,
                    _check_int, _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
-                   as_vector)
+                   _lq_rows, _lq_slack, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
@@ -155,11 +155,11 @@ class CertificationReport:
     texts keep a null (JSON) or empty (CSV) ``elapsed`` column.
     """
 
-    n: int
-    m: int
+    n: int = checked(_check_int, "dimension n", 1)
+    m: int = checked(_check_float_int, "sparsity m", 0)
     exponents: Exponents = spelled(json=pair_entries, csv=pair_entries, read=read_pair)
-    sample_count: int
-    seed: int
+    sample_count: int = checked(_check_int, "sample count", 1)
+    seed: int = checked(_check_seed)
     max_observed_distortion: float
     bound: float
     margin: float
@@ -175,10 +175,8 @@ def _validate_run(n, m, e, count, count_name, workers, seed):
     """The checked (n, m, count, seed) of a run."""
     _check_pair(e)
     n, m = _check_int(n, "dimension n", 1), _check_float_int(m, "sparsity m", 0)
-    count = _check_int(count, count_name, 1)
-    _check_int(workers, "workers", 1)
-    seed = _check_seed(seed)
-    return n, m, count, seed
+    count, _ = _check_int(count, count_name, 1), _check_int(workers, "workers", 1)
+    return n, m, count, _check_seed(seed)
 
 
 def _report(n, m, e, count, seed, value, x) -> CertificationReport:
@@ -219,23 +217,29 @@ def monte_carlo_certify(
 ) -> CertificationReport:
     """Evaluate the distortion on uniform ball samples plus the extremal point.
 
-    The analytic extremal configuration participates as pseudo-index -1, so
-    it wins ties and the reported maximum can never undershoot the known
-    equality case. Chunks are scored on their magnitudes by the unchecked row
-    kernel, and only a winning row is signed. Deterministic for a fixed seed,
-    independent of workers.
+    The analytic extremal configuration participates as pseudo-index -1, so it wins
+    ties and the reported maximum can never undershoot the known equality case. The
+    map moves no coordinate by more than its magnitude, so a block scores, with the
+    unchecked row kernel, only the chunk rows whose q-norm times
+    :func:`~widim.core._lq_slack` beats its best so far, which starts at the extremal
+    distortion (m < n): a row left out can neither beat the best nor win a tie. Only
+    a winning row is signed. Deterministic for a fixed seed, independent of workers.
     """
     n, m, samples, seed = _validate_run(n, m, e, samples, "samples", workers, seed)
     _check_cells(BLOCK, n, "Monte Carlo block")  # counted whole, though drawn in chunks
+    ext = extremal_vector(m, e.p, n) if m < n else None
+    start = (-math.inf, None, None) if ext is None else (float(distortion(ext, m, e.q)), -1, ext)
 
     def eval_block(b):
-        lo, best = b * BLOCK, None
+        lo, best = b * BLOCK, start
         for A, signed in _sample_block(seed, b, n, e.p):
             A = A[: samples - lo]
-            d = _distortion_rows(A, m, e.q)
-            off = int(np.argmax(d))  # first occurrence: smallest index wins ties
-            if best is None or d[off] > best[0]:  # an earlier chunk wins ties
-                best = float(d[off]), lo + off, signed(off)
+            rows = np.flatnonzero(_lq_rows(A, e.q) * _lq_slack(n) > best[0])
+            if rows.size:
+                d = _distortion_rows(A.take(rows, axis=0), m, e.q)
+                off = int(np.argmax(d))  # first occurrence: smallest index wins ties
+                if d[off] > best[0]:  # the extremal point and earlier chunks win ties
+                    best = float(d[off]), lo + int(rows[off]), signed(rows[off])
             lo += len(A)
             if lo >= samples:
                 break
@@ -249,13 +253,7 @@ def monte_carlo_certify(
     else:
         results = [eval_block(b) for b in blocks]
 
-    candidates = []
-    if m < n:
-        ext = extremal_vector(m, e.p, n)
-        candidates.append((float(distortion(ext, m, e.q)), -1, ext))
-    candidates.extend(results)
-
-    value, _, x = max(candidates, key=lambda cand: cand[0])  # ties keep the earlier index
+    value, _, x = max([start, *results], key=lambda cand: cand[0])  # ties keep the earlier index
     return _report(n, m, e, samples, seed, value, x)
 
 

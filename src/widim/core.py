@@ -125,6 +125,14 @@ def _check_scale(value, what: str = "scale eps") -> float:
     return x
 
 
+def _check_finite(value, what: str) -> float:
+    """A finite real."""
+    x = _real(value)
+    if not abs(x) < math.inf:
+        raise ValueError(f"{what} must be a finite real, got {value!r}")
+    return x
+
+
 def _check_nonnegative(value, what: str) -> float:
     """A nonnegative finite real."""
     x = _real(value)
@@ -193,7 +201,7 @@ def _lq_rows(A: np.ndarray, q: float, redo=None) -> np.ndarray:
     that is raised to the power q in place, and ``redo(rows)`` rebuilds the
     magnitudes of the rows to recompute. Checked callers mute overflow."""
     if math.isinf(q):
-        return A.max(axis=1)
+        return _row_max(A)
     if redo is None:
         sums, redo = (A**q).sum(axis=1), A.__getitem__
     else:
@@ -203,16 +211,30 @@ def _lq_rows(A: np.ndarray, q: float, redo=None) -> np.ndarray:
     if not (sums.min() >= _NORMAL_MIN and sums.max() < math.inf):
         rows = np.flatnonzero(~(sums >= _NORMAL_MIN) | (sums == math.inf))
         B = redo(rows)
-        top = B.max(axis=1)
+        top = _row_max(B)
         scaled = B / np.where(top > 0.0, top, 1.0)[:, None]  # an all-zero row stays 0
         out[rows] = top * (scaled**q).sum(axis=1) ** (1.0 / q)
     return out
 
 
+def _lq_slack(n: int) -> float:
+    """1 + (n + 4) 2^-50: for rows of n entries with 0 <= B <= A, :func:`_lq_rows` of B is at
+    most this times that of A. Exactly |b|_q <= |a|_q, and with u = 2^-53 a norm errs by at most
+    (3n + 15) u: n powers of 4 ulp (8u), or 2^-1074 (2u of a normal sum) if subnormal, n - 1
+    adds and a root of 4 ulp; a rescaled row errs less. Two errors and a rounding fit 8(n + 4) u."""
+    return 1.0 + (n + 4) * 2.0**-50
+
+
 def _ball_mass(A: np.ndarray, p: float) -> np.ndarray:
     """Per row of magnitudes A: sum_k a_k^p, or max_k a_k at p = inf (0 for an
     empty row); signed callers pass ``np.abs`` of their rows."""
-    return A.max(axis=1, initial=0.0) if math.isinf(p) else (A**p).sum(axis=1)
+    return _row_max(A) if math.isinf(p) else (A**p).sum(axis=1)
+
+
+def _row_max(A: np.ndarray) -> np.ndarray:
+    """Per row: ``A.max(axis=1)`` bit for bit, by a faster segmented reduce; 0.0 if empty."""
+    n = A.shape[1]
+    return np.maximum.reduceat(A.ravel(), np.arange(0, A.size, n)) if n else np.zeros(len(A))
 
 
 def lp_norm_power(x, p: float) -> float:

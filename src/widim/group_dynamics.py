@@ -29,12 +29,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, fresh_stream
-from ._output import exponent, spelled
+from ._output import checked, exponent, spelled
 from .bounds import _power, guarded_count
 from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
 from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import (_ball_mass, _check_cells, _check_exponent, _check_in_ball, _check_int,
-                   _check_nonnegative, _check_reals, _check_scale, _check_seed, _lq_rows)
+from .core import (_ball_mass, _check_cells, _check_exponent, _check_finite, _check_in_ball,
+                   _check_int, _check_nonnegative, _check_reals, _check_scale, _check_seed,
+                   _lq_rows)
 
 __all__ = [
     "LatticeBox",
@@ -337,18 +338,18 @@ class EmbeddingReport:
     null (JSON) or empty (CSV) ``elapsed`` column.
     """
 
-    dim_d: int
+    dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
     eps: float
     omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)},
                            read=lambda points: tuple(map(tuple, points)))
-    omega_prime_size: int
-    sample_count: int
-    seed: int
-    checked_count: int
-    failure_count: int
-    worst_margin: Optional[float]
-    witness: Optional[dict] = spelled(csv=lambda witness: {})
+    omega_prime_size: int = checked(_check_int, "omega_prime_size", 0)
+    sample_count: int = checked(_check_int, "sample count", 1)
+    seed: int = checked(_check_seed)
+    checked_count: int = checked(_check_int, "checked count", 0)
+    failure_count: int = checked(_check_int, "failure count", 0)
+    worst_margin: Optional[float] = checked(_check_finite, "worst margin", null=True)
+    witness: Optional[dict] = checked(dict.copy, null=True, csv=lambda witness: {})
     elapsed: Optional[float] = field(default=None, init=False, compare=False)
 
     @property
@@ -482,7 +483,7 @@ class _Window:
     def gaps(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Per pair of :func:`_union`: the sup-norm distance of the
         projections to the union box."""
-        return np.where((C >= 0) & self.inside[C], D, 0.0).max(axis=1)
+        return _lq_rows(np.where((C >= 0) & self.inside[C], D, 0.0), math.inf)
 
     def omega_distances(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Per pair of :func:`_union`: d_Omega, every probe row in one pass."""
@@ -594,10 +595,10 @@ class MeanDimensionTable:
     ball vanishes.
     """
 
-    dim_d: int
+    dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
     eps: float
-    constant: int = spelled(key="widim_constant")
+    constant: int = checked(_check_int, "widim constant", 0, key="widim_constant")
     rows: tuple = spelled(  # of (radius, omega_size, ratio), each a JSON object
         json=lambda rows: [{"radius": r, "omega_size": size, "ratio": ratio}
                            for r, size, ratio in rows],

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .core import (Exponents, _check_exponent, _check_float_int, _check_int, _check_pair,
-                   _check_reals, _lq_rows, as_vector)
+                   _check_reals, _lq_rows, _row_max, as_vector)
 from .signed_perm import ConePoint, _in_cone
 
 __all__ = [
@@ -158,7 +158,7 @@ def _distortion_rows(A: np.ndarray, m: int, q: float) -> np.ndarray:
         k = A.shape[1] - 1 - m
         top = np.partition(A, k, axis=1)[:, k:]
         D = np.subtract(top, top[:, :1])
-        return np.subtract(top, np.maximum(D, 0.0, out=D), out=D).max(axis=1)
+        return _row_max(np.subtract(top, np.maximum(D, 0.0, out=D), out=D))
     D = _shrink(A, m)
     return _lq_rows(np.subtract(A, D, out=D), q, lambda rows: A[rows] - _shrink(A[rows], m))
 

@@ -208,17 +208,17 @@ def test_sampler_golden_bytes(p, with_sizes):
 
 def test_monte_carlo_samples_are_prefix_stable(monkeypatch):
     # sample i is the same whatever the sample count: a run of k samples
-    # scores exactly the magnitudes of the first k rows of the full blocks,
-    # one kernel call per chunk, and draws no chunk past the one that holds
-    # sample k - 1
+    # filters exactly the magnitudes of the first k rows of the full blocks,
+    # one row-norm pass per chunk, which every drawn row goes through, and
+    # draws no chunk past the one that holds sample k - 1
     seen = []
-    real = certify._distortion_rows
+    real = certify._lq_rows
 
-    def spy(A, m, q):
+    def spy(A, q):
         seen.append(A.copy())
-        return real(A, m, q)
+        return real(A, q)
 
-    monkeypatch.setattr(certify, "_distortion_rows", spy)
+    monkeypatch.setattr(certify, "_lq_rows", spy)
     e = make_exponents(1.5, 3)
     rows = certify._CHUNK_CELLS // 5  # 3276: chunks of 3276 and 820 rows
     full = [[A for A, _ in block_chunks(21, b, 5, e.p)] for b in (0, 1)]
@@ -261,14 +261,19 @@ def monte_carlo_oracle(n, m, e, samples, seed):
     at = int(np.argmax(d))
     value, x = float(d[at]), X[at]
     if m < n:
-        ext = extremal_vector(m, e.p, n)
+        ext = certify.extremal_vector(m, e.p, n)
         d_ext = float(threshold_map.distortion(ext, m, e.q))
         if d_ext >= value:
             value, x = d_ext, ext
     return value, x
 
 
-_PQ = [(1.0, 2.0), (1.0, math.inf), (1.5, 4.0), (2.0, 3.0), (2.0, math.inf), (3.0, 5.0)]
+_PQ = [(1.0, 1.05), (1.0, 2.0), (1.0, math.inf), (1.5, 4.0), (2.0, 3.0), (2.0, 10000.0),
+       (2.0, math.inf), (3.0, 5.0)]
+
+
+def _half_extremal(m, p, n):
+    return 0.5 * extremal_vector(m, p, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,19 +287,40 @@ _PQ = [(1.0, 2.0), (1.0, math.inf), (1.5, 4.0), (2.0, 3.0), (2.0, math.inf), (3.
 @example(nm=(5, 6), pq=(2.0, math.inf), samples=BLOCK + 1, seed=0)
 @example(nm=(80, 3), pq=(1.5, 4.0), samples=BLOCK - 1, seed=1)
 @example(nm=(5, 2), pq=(1.0, 2.0), samples=3277, seed=4)  # one row past the first chunk
+@example(nm=(64, 1), pq=(1.0, 1.05), samples=2 * BLOCK + 5, seed=1)  # winners near the best
 def test_monte_carlo_matches_the_whole_block_oracle(nm, pq, samples, seed):
-    # scoring chunk by chunk and reducing in chunk order gives the maximum
-    # and the first argmax of one distortion call on the whole sample set
+    # filtering and scoring chunk by chunk and reducing in chunk order gives
+    # the maximum and the first argmax of one distortion call on the whole
+    # sample set. The extremal point attains the bound, so samples rarely beat
+    # it; started from half its scale, samples win and the filter decides
     n, m = nm
     e = make_exponents(*pq)
-    rep = monte_carlo_certify(n, m, e, samples, seed=seed)
-    value, x = monte_carlo_oracle(n, m, e, samples, seed)
-    assert rep.max_observed_distortion == value
-    assert np.array_equal(np.asarray(rep.argmax_vector).view(np.uint64),
-                          np.asarray(x).view(np.uint64))
+    for extremal in (extremal_vector, _half_extremal):
+        with mock.patch.object(certify, "extremal_vector", extremal):
+            rep = monte_carlo_certify(n, m, e, samples, seed=seed)
+            value, x = monte_carlo_oracle(n, m, e, samples, seed)
+        assert rep.max_observed_distortion == value
+        assert np.array_equal(np.asarray(rep.argmax_vector).view(np.uint64),
+                              np.asarray(x).view(np.uint64))
     if m >= n:  # every sample ties at 0: sample 0 wins
         assert value == 0.0
         assert rep.argmax_vector == tuple(block_chunks(seed, 0, n, e.p)[0][1][0])
+
+
+@pytest.mark.parametrize("p, q, n, m, limit", [(1.0, 2.0, 64, 1, 100), (1.0, 2.0, 64, 3, 100),
+                                               (2.0, math.inf, 8, 3, 2 * BLOCK)])
+def test_monte_carlo_scores_only_the_rows_that_can_win(monkeypatch, p, q, n, m, limit):
+    # a row whose q-norm cannot beat the best so far is never scored: at n = 64
+    # almost no sample comes near the extremal distortion, while at n = 8 and
+    # q = inf most rows still pass; the report is the oracle's either way
+    scored = []
+    real = certify._distortion_rows
+    monkeypatch.setattr(certify, "_distortion_rows",
+                        lambda A, m, q: scored.append(len(A)) or real(A, m, q))
+    e = make_exponents(p, q)
+    rep = monte_carlo_certify(n, m, e, 2 * BLOCK, seed=1)
+    assert sum(scored) < limit
+    assert rep.max_observed_distortion == monte_carlo_oracle(n, m, e, 2 * BLOCK, 1)[0]
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])

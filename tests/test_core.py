@@ -54,7 +54,9 @@ from widim import (
 from widim.certify import sample_lp_ball_rows
 from widim.core import (
     Exponents,
+    _ball_mass,
     _lq_rows,
+    _row_max,
     as_vector,
     in_lp_ball,
     lp_norm_power,
@@ -125,6 +127,26 @@ def test_lq_rows_keeps_normal_rows_and_scales(A, q, k):
     assert np.array_equal(scaled == 0.0, expect == 0.0)
     v, w = scaled[expect > 0.0], expect[expect > 0.0]
     assert np.all(np.abs(v - w) <= 2.0**-52 * w * (4.0 + np.abs(np.log(w)) + np.abs(np.log(w / 10.0**k))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    A=arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(3, 82)),
+             elements=st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 1.0)))),
+    width=st.integers(1, 80), start=st.integers(0, 2), step=st.integers(1, 2),
+    row_kind=st.sampled_from(("drawn", "nan", "equal")),
+)
+def test_row_max_is_max_bit_for_bit(A, width, start, step, row_kind):
+    # one segmented reduce gives each row's maximum with the bits of
+    # max(axis=1), also on a strided slice, a NaN row and an all-equal row
+    B = A[::step, start:start + width]
+    if len(B) and row_kind == "nan":
+        B[0, -1] = math.nan
+    elif len(B) and row_kind == "equal":
+        B[0] = B[0, 0]
+    assert _row_max(B).tobytes() == B.max(axis=1).tobytes()
+    # a row with no entries has mass 0, as the p = inf ball mass reads it
+    assert _ball_mass(np.empty((3, 0)), math.inf).tobytes() == np.zeros(3).tobytes()
 
 
 def test_lp_norm_power_pinned_values():

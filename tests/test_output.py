@@ -20,6 +20,7 @@ from widim.group_dynamics import EmbeddingReport, MeanDimensionTable
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
 _counts = st.integers(min_value=0, max_value=10**9)
+_sample_counts = st.integers(min_value=1, max_value=10**9)  # a run draws at least one
 _seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
@@ -35,7 +36,7 @@ _certification_reports = st.builds(
     n=st.integers(min_value=1, max_value=10**6),
     m=_counts,
     exponents=_exponents(),
-    sample_count=_counts,
+    sample_count=_sample_counts,
     seed=_seeds,
     max_observed_distortion=_reals,
     bound=_reals,
@@ -71,7 +72,7 @@ def _embedding_reports(draw):
         omega=tuple(draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1,
                                   max_size=5))),
         omega_prime_size=draw(_counts),
-        sample_count=draw(_counts),
+        sample_count=draw(_sample_counts),
         seed=draw(_seeds),
         checked_count=draw(_counts),
         failure_count=draw(_counts),
@@ -221,6 +222,37 @@ def test_from_json_refuses_a_malformed_document_with_value_error(cls, text, mess
     # these used to escape as KeyError or TypeError, not the ValueError of bad input
     with pytest.raises(ValueError) as info:
         from_json(cls, text)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("report, entries, message", [
+    (_EXAMPLE_CERTIFICATION, {"seed": -1}, "seed must be an integer of at least 0, got -1"),
+    (_EXAMPLE_CERTIFICATION, {"seed": 2**64}, "seed must be an integer of at least 0 and below"),
+    (_EXAMPLE_CERTIFICATION, {"n": "x"}, "dimension n must be an integer of at least 1, got 'x'"),
+    (_EXAMPLE_CERTIFICATION, {"m": 1.0}, "sparsity m must be an integer of at least 0, got 1.0"),
+    (_EXAMPLE_CERTIFICATION, {"sample_count": 2.5},
+     "sample count must be an integer of at least 1, got 2.5"),
+    (_EXAMPLE_EMBEDDING, {"dim_d": "x"}, "dimension d must be an integer of at least 1, got 'x'"),
+    (_EXAMPLE_EMBEDDING, {"failure_count": "many"},
+     "failure count must be an integer of at least 0, got 'many'"),
+    (_EXAMPLE_EMBEDDING, {"checked_count": True},
+     "checked count must be an integer of at least 0, got True"),
+    (_EXAMPLE_EMBEDDING, {"worst_margin": "0.5"}, "worst margin must be a finite real, got '0.5'"),
+    (_EXAMPLE_EMBEDDING, {"worst_margin": math.nan}, "worst margin must be a finite real, got nan"),
+    (_EXAMPLE_EMBEDDING, {"witness": 5}, "EmbeddingReport: bad or missing entry 'witness': "
+                                         "TypeError("),
+    (_EXAMPLE_EMBEDDING, {"witness": [["index", 7]]}, "EmbeddingReport: bad or missing entry "
+                                                      "'witness': TypeError("),
+    (_EXAMPLE_TABLE, {"widim_constant": -1},
+     "widim constant must be an integer of at least 0, got -1"),
+], ids=["seed-negative", "seed-wide", "n-string", "m-float", "samples-fraction", "dim-string",
+        "failures-string", "checked-bool", "margin-string", "margin-nan", "witness-number",
+        "witness-pairs", "constant-negative"])
+def test_from_json_reads_every_declared_entry_by_core_rules(report, entries, message):
+    # these documents round-tripped as written before the integer, seed, margin
+    # and witness entries declared their readers
+    with pytest.raises(ValueError) as info:
+        from_json(type(report), _edited(report, **entries))
     assert str(info.value).startswith(message)
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from widim.core import _lq_rows, lq_distance, make_exponents
+from widim.core import _lq_rows, _lq_slack, lq_distance, make_exponents
 from widim.signed_perm import ConePoint, SignedPermutation, act, canonicalize, in_cone, inverse
 from widim.threshold_map import (
     _distortion_rows,
@@ -234,6 +234,39 @@ def test_zero_sparsity_kernel_is_the_row_q_norm(batch):
         got, want = _distortion_rows(A, 0, q), _lq_rows(A.copy(), q)
     assert hexes(got) == hexes(want)
     assert np.array_equal(A.view(np.uint64), before.view(np.uint64))
+
+
+@st.composite
+def near_tied_batches(draw):
+    """Magnitude rows whose entries mostly sit within 3 ulps of one value, so
+    the threshold ties or nearly ties the kept entries, mixed with free
+    entries, scaled down by up to 1e-200 (power sums that underflow), with an
+    m in {0, 1, n - 1} and a q."""
+    n = draw(st.integers(1, 64))
+    rows = draw(st.integers(1, 6))
+    base = draw(st.floats(1e-3, 1.0))
+    ulps = draw(arrays(np.int64, (rows, n), elements=st.integers(-3, 3)))
+    free = draw(arrays(np.float64, (rows, n), elements=st.floats(0.0, 1.0)))
+    tied = draw(arrays(np.bool_, (rows, n), elements=st.booleans()))
+    A = np.where(tied, base * (1.0 + ulps * 2.0**-52), free)
+    A *= 10.0 ** -draw(st.integers(0, 200))
+    m = draw(st.sampled_from(sorted({0, 1, n - 1})))
+    return A, m, draw(st.sampled_from((1.05, 2.0, 3.7, 10000.0, math.inf)))
+
+
+@settings(max_examples=400, deadline=None)
+@example(batch=(np.array([[0.5, 0.5, 0.5], [1e-160, 1e-160, 3e-161]]), 1, 2.0))
+@example(batch=(np.array([[0.10000000000000007, 0.10000000000000003, 0.09999999999999996]]),
+                1, 10000.0))
+@given(batch=near_tied_batches())
+def test_distortion_is_at_most_the_q_norm_within_the_slack(batch):
+    # the map moves each coordinate by at most its magnitude, so a row's
+    # distortion is at most its q-norm up to rounding: the bound the Monte
+    # Carlo filter relies on to skip rows that cannot beat the best. In the
+    # second example the distortion exceeds the plain q-norm by one ulp
+    A, m, q = batch
+    d, norm = _distortion_rows(A, m, q), _lq_rows(A, q)
+    assert np.all(d <= norm * _lq_slack(A.shape[1])), (d, norm)
 
 
 @st.composite
