@@ -8,14 +8,14 @@ exhaustive grid oracles for the two scalar inequalities the bound rests on.
 
 Determinism contract: a report is a pure function of its parameters and
 seed. Monte Carlo samples come in blocks of a fixed size independent of the
-worker count; block b draws its rows from the isolated stream
-(seed, domain, b) as consecutive chunks of a fixed row count that depends
-only on n, each drawn whole and scored before the next is drawn. A run stops
-after the chunk that holds its last sample, so sample i is the same whatever
-the requested sample count. The maximum is reduced in chunk and block order
-with ties broken toward the smallest sample index, so the same seed yields
-bit-identical reports for any ``workers`` value. Hill-climbing start k
-draws from the isolated stream (seed, domain, k).
+worker count; block b draws its rows from the isolated stream (seed, domain, b)
+as consecutive chunks of a fixed row count that depends only on n, each drawn
+whole and scored before the next is drawn. A run stops after the chunk that
+holds its last sample, so sample i is the same whatever the requested sample
+count. The maximum is reduced in chunk and block order with ties broken toward
+the smallest sample index, so the same seed yields bit-identical reports for any
+``workers`` value. Hill-climbing start k draws from the isolated stream (seed,
+domain, k). These are the schedules; every draw is made in :mod:`widim._streams`.
 """
 
 from __future__ import annotations
@@ -27,17 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE, _sign_halves,
-                       _signs, fresh_stream)
+from ._streams import (DEFAULT_SEED, DOMAIN_BALL, DOMAIN_CLIMB, DOMAIN_POLYTOPE,
+                       _fill_ball_rows, _signs, fresh_stream, sample_lp_ball)
 from ._output import checked, pair_entries, read_pair, spelled
-from .core import (Exponents, _ball_mass, _check_cells, _check_exponent, _check_float_int,
-                   _check_int, _check_nonnegative, _check_pair, _check_row_sizes, _check_seed,
-                   _lq_rows, _lq_slack, as_vector)
+from .core import (BOUND_TOLERANCE, Exponents, _ball_mass, _check_cells, _check_exponent,
+                   _check_finite, _check_float_int, _check_int, _check_nonnegative, _check_pair,
+                   _check_seed, _lq_rows, _lq_slack, as_vector)
 from .threshold_map import _distortion_rows, distortion, distortion_bound, extremal_vector
 
 __all__ = [
-    "sample_lp_ball",
-    "sample_lp_ball_rows",
     "CertificationReport",
     "monte_carlo_certify",
     "adversarial_certify",
@@ -45,9 +43,6 @@ __all__ = [
     "check_key_lemma",
     "key_lemma_oracle_max",
 ]
-
-#: Success threshold on the margin, absolute.
-BOUND_TOLERANCE = 1e-9
 
 #: Samples per evaluation block and per random stream. Fixed, so the block
 #: layout (and therefore the reduced maximum) never depends on the worker
@@ -70,82 +65,6 @@ CLIMB_MIN_STEP = 1e-12
 CLIMB_WINDOW = 8
 
 
-def sample_lp_ball(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """One point uniform in the unit p-ball of dimension n: the one-row batch."""
-    return sample_lp_ball_rows(1, n, p, rng)[0]
-
-
-def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
-                        sizes=None) -> np.ndarray:
-    """``rows`` points uniform in the unit p-ball of dimension n, one per row.
-
-    Finite p uses the construction of Barthe, Guedon, Mendelson and Naor:
-    coordinates with density proportional to exp(-|t|^p) (a signed
-    Gamma(1/p) power), one auxiliary exponential variate per row, and a
-    joint normalization, exact for every finite p >= 1 with no rejection
-    step. Draw order for the whole batch is fixed: every magnitude (row by
-    row), then every sign, then one exponential per row; at p = 1 the
-    magnitudes are standard exponentials, Gamma(1)'s values draw for draw.
-    At p = 2 the coordinates are standard normals Z (Z / sqrt 2 has that
-    density, and sign(Z) is a fair sign), so a row is Z / sqrt(|Z|^2 + 2E),
-    drawn as every normal, then one exponential per row. ``p = inf`` draws
-    coordinates independently uniform on [-1, 1].
-
-    With ``sizes``, one integer in [0, n] per row, row r is uniform in the
-    ball of its first sizes[r] coordinates and zero beyond: unused
-    coordinates are drawn but masked before the normalizing sum.
-    """
-    rows, n = _check_int(rows, "rows", 1), _check_int(n, "dimension n", 1)
-    p = _check_exponent(p, "ball exponent p")
-    unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
-    X, S = np.empty((rows, n)), np.empty((rows, n))
-    halves = _fill_ball_rows(X, S, p, rng, unused)
-    if halves is not None:  # signs +-1.0 as a product, faster than a masked negate
-        X *= _signs(halves, out=S)
-    if unused is not None:
-        X[unused] = 0.0
-    return X
-
-
-def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Generator,
-                    unused) -> np.ndarray | None:
-    """Unchecked kernel of :func:`sample_lp_ball_rows`: fill the C-contiguous
-    float batch X in the documented draw order, unused cells not yet zeroed,
-    with the points at p = 2 and p = inf (returning None) and elsewhere with
-    their magnitudes ``w^(1/p) / scale``, returning the sign draw of
-    :func:`_sign_halves` in X's shape, which :func:`_signs` reads as +-1.0:
-    for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit. The
-    halves stay packed in the raw words, so a caller reads only the signs it
-    uses. S is scratch for p = 2's squares; all runs in place, with fresh
-    arrays' bits."""
-    halves = None
-    if math.isinf(p):
-        rng.random(out=X)  # uniform(-1, 1) is -1 + 2u, and 2u is exact
-        X *= 2.0
-        X -= 1.0
-    elif p == 2.0:
-        rng.standard_normal(out=X)
-        y = rng.standard_exponential(len(X))
-        if unused is not None:
-            X[unused] = 0.0
-        np.multiply(X, X, out=S)
-        X /= np.sqrt(S.sum(axis=1) + 2.0 * y)[:, None]
-    else:
-        if p == 1.0:  # |g_ij|^p: Gamma(1) is the standard exponential, draw for draw
-            w = rng.standard_exponential(out=X)
-        else:
-            w = rng.gamma(1.0 / p, 1.0, X.shape)
-        halves = _sign_halves(rng, X.size).reshape(X.shape)
-        y = rng.standard_exponential(len(X))
-        if unused is not None:
-            w[unused] = 0.0
-        scale = (w.sum(axis=1) + y) ** (1.0 / p)
-        if p != 1.0:
-            np.power(w, 1.0 / p, out=X)
-        X /= scale[:, None]
-    return halves
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     """Outcome of one certification run.
@@ -160,10 +79,10 @@ class CertificationReport:
     exponents: Exponents = spelled(json=pair_entries, csv=pair_entries, read=read_pair)
     sample_count: int = checked(_check_int, "sample count", 1)
     seed: int = checked(_check_seed)
-    max_observed_distortion: float
-    bound: float
-    margin: float
-    argmax_vector: tuple = spelled(read=tuple)
+    max_observed_distortion: float = checked(_check_nonnegative, "max observed distortion")
+    bound: float = checked(_check_nonnegative, "bound")
+    margin: float = checked(_check_finite, "margin")
+    argmax_vector: tuple = spelled(read=lambda x: tuple(as_vector(x).tolist()))
     elapsed: float | None = field(default=None, init=False, compare=False)
 
     @property

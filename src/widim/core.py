@@ -28,6 +28,9 @@ __all__ = [
 #: reject them on rounding noise alone.
 BALL_TOLERANCE = 1e-12
 
+#: Absolute slack on the margin of both drivers' verdicts, certify's and embed's.
+BOUND_TOLERANCE = 1e-9
+
 #: The least normal double: a row's power sum below it has lost precision.
 _NORMAL_MIN = np.finfo(np.float64).tiny
 

@@ -12,11 +12,11 @@ coordinate count that does not grow with Omega. The ratio of that constant
 to the size of growing boxes is the vanishing quantity the
 :func:`mean_dimension_table` tabulates.
 
-The embedding check draws pair i as part of fixed block i // PAIR_DRAW
-(512 pairs), one derived stream per block, scores a block's close pairs in
-slices of SCORE_ROWS (64) and merges them in index order, so a report is a
-pure function of its parameters and seed. Each probe's row of weights is a
-slice of one box of weights, which the geometric weight builds per norm |gamma|_1.
+The embedding check draws pair i in fixed block i // PAIR_DRAW (512 pairs), one
+stream per block, by the sparse ball draw of :mod:`widim._streams`, scores a block's
+close pairs in slices of SCORE_ROWS (64) and merges them in index order, so a report
+is a pure function of its parameters and seed. Each probe's weights are a slice of one
+box of weights, which the geometric weight builds per norm |gamma|_1.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, fresh_stream
+from ._streams import DEFAULT_SEED, DOMAIN_PAIRS, _sparse_ball_rows, fresh_stream
+from ._streams import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
 from ._output import checked, exponent, spelled
 from .bounds import _power, guarded_count
-from .certify import BOUND_TOLERANCE, sample_lp_ball_rows
-from .certify import sample_lp_ball  # noqa: F401 (perfbench/tracing.py wraps this name)
-from .core import (_ball_mass, _check_cells, _check_exponent, _check_finite, _check_in_ball,
-                   _check_int, _check_nonnegative, _check_reals, _check_scale, _check_seed,
-                   _lq_rows)
+from .core import (BOUND_TOLERANCE, _ball_mass, _check_cells, _check_exponent, _check_finite,
+                   _check_in_ball, _check_int, _check_nonnegative, _check_reals, _check_scale,
+                   _check_seed, _lq_rows)
 
 __all__ = [
     "LatticeBox",
@@ -340,7 +339,7 @@ class EmbeddingReport:
 
     dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
-    eps: float
+    eps: float = checked(_check_scale)
     omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)},
                            read=lambda points: tuple(map(tuple, points)))
     omega_prime_size: int = checked(_check_int, "omega_prime_size", 0)
@@ -364,22 +363,6 @@ PAIR_DRAW = 512
 #: of a 64-pair block: |Omega| * SCORE_ROWS * 22 doubles whatever the window, at most 23 MiB,
 #: as core.MAX_CELLS caps |Omega| * |window| and the window contains Omega, so |Omega| <= 2^11.
 SCORE_ROWS = 64
-
-
-def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
-    """Uniform subsets of range(n), sizes[r] <= width of them in row r (-1 pads).
-
-    Floyd's algorithm in O(rows * width^2), whatever n: step s of a row of
-    size k takes t uniform in [0, n - k + s] (one ``integers`` call for all
-    steps; unused ones draw from [0, 0]), or n - k + s if t is taken.
-    """
-    used = np.arange(width) < sizes[:, None]
-    top = n - sizes[:, None] + np.arange(width)
-    t = gen.integers(0, np.where(used, top, 0), endpoint=True).T.copy()  # step-major
-    for s in range(1, width):
-        np.copyto(t[s], top[:, s], where=(t[:s] == t[s]).any(axis=0))
-    t[~used.T] = -1
-    return t.T
 
 
 def _union(xc, xv, yc, yv) -> tuple:
@@ -414,8 +397,9 @@ class _Window:
     bit, which ``np.sum`` or a matrix product, summing in another order, need not.
     """
 
-    def __init__(self, M, deltas, tail_radius: int, window_radius: int):
-        shift = max(max(abs(c) for c in delta) for delta in deltas)
+    def __init__(self, M, deltas, tail_radius: int, window_radius: int | None = None):
+        shift = max(max(abs(c) for c in delta) for delta in deltas)  # max |delta|_inf
+        window_radius = 2 * (shift + tail_radius) if window_radius is None else window_radius
         side, reach = 2 * window_radius + 1, window_radius + shift
         _check_cells(len(deltas), side**M.dim_d, "weight table |omega| x |window|")
         _check_cells(1, (2 * reach + 1) ** M.dim_d, "weight box")
@@ -435,11 +419,10 @@ class _Window:
         y_cols, y_vals, where column -1 and value 0 mark an unused slot.
 
         Kinds cycle with the index: independent, tail-only, perturbed. Points
-        (every x, then the y of each kind-0 pair) draw support sizes in [1,
-        min(window, MAX_SUPPORT)], column subsets and ball values. Kind 1
-        keeps x inside the union box, then draws outside counts in [0,
-        min(outside, MAX_OUTSIDE_SUPPORT)], subsets and ball values scaled by
-        the budget (1 - inside mass)^(1/p), unless no column is outside.
+        (every x, then the y of each kind-0 pair) are sparse ball draws on 1 to
+        min(window, MAX_SUPPORT) columns. Kind 1 keeps x inside the union box,
+        then draws on 0 to min(outside, MAX_OUTSIDE_SUPPORT) outside columns,
+        scaled by the budget (1 - inside mass)^(1/p), unless none is outside.
         Kind 2 adds noise in [-eps/8, eps/8) where x is nonzero and scales
         the row back into the ball if it left it.
         """
@@ -447,9 +430,7 @@ class _Window:
         kinds = (first + np.arange(PAIR_DRAW)) % 3
         own, tail, jitter = (np.flatnonzero(kinds == k) for k in range(3))
         width, cap = min(ncol, MAX_SUPPORT), min(outside.size, MAX_OUTSIDE_SUPPORT)
-        sizes = gen.integers(1, width, size=PAIR_DRAW + own.size, endpoint=True)
-        cols = _subsets(gen, sizes, width, ncol)
-        vals = sample_lp_ball_rows(sizes.size, width, p, gen, sizes)
+        cols, vals = _sparse_ball_rows(PAIR_DRAW + own.size, 1, width, ncol, p, gen)
         xc, xv = cols[:PAIR_DRAW], vals[:PAIR_DRAW]
         yc, yv = np.full((PAIR_DRAW, width + cap), -1), np.zeros((PAIR_DRAW, width + cap))
         yc[own, :width], yv[own, :width] = cols[PAIR_DRAW:], vals[PAIR_DRAW:]
@@ -458,9 +439,7 @@ class _Window:
         yc[tail, :width] = np.where(inside, xc[tail], -1)
         yv[tail, :width] = np.where(inside, xv[tail], 0.0)
         if cap:
-            counts = gen.integers(0, cap, size=tail.size, endpoint=True)
-            picks = _subsets(gen, counts, cap, outside.size)
-            fresh = sample_lp_ball_rows(tail.size, cap, p, gen, counts)
+            picks, fresh = _sparse_ball_rows(tail.size, 0, cap, outside.size, p, gen)
             if not math.isinf(p):
                 mass_in = _ball_mass(np.abs(yv[tail, :width]), p)
                 fresh *= (np.maximum(1.0 - mass_in, 0.0) ** (1.0 / p))[:, None]
@@ -536,9 +515,7 @@ def embedding_check(
     deltas = _probe_set(omega, M.dim_d)
 
     # Every tail box has the same radius; only its center moves with delta.
-    tail_radius = tail_set(M, deltas[0], eps).radius
-    window_radius = 2 * (max(max(abs(c) for c in delta) for delta in deltas) + tail_radius)
-    window = _Window(M, deltas, tail_radius, window_radius)
+    window = _Window(M, deltas, tail_set(M, deltas[0], eps).radius)
 
     checked = failures = 0
     worst = witness = None
@@ -597,12 +574,14 @@ class MeanDimensionTable:
 
     dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
-    eps: float
+    eps: float = checked(_check_scale)
     constant: int = checked(_check_int, "widim constant", 0, key="widim_constant")
     rows: tuple = spelled(  # of (radius, omega_size, ratio), each a JSON object
         json=lambda rows: [{"radius": r, "omega_size": size, "ratio": ratio}
                            for r, size, ratio in rows],
-        read=lambda rows: tuple((row["radius"], row["omega_size"], row["ratio"]) for row in rows))
+        read=lambda rows: tuple((_check_int(row["radius"], "box radius", 0),
+                                 _check_int(row["omega_size"], "omega size", 1),
+                                 _check_nonnegative(row["ratio"], "ratio")) for row in rows))
 
 
 def mean_dimension_table(

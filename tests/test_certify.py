@@ -24,13 +24,12 @@ from widim.certify import (
     check_lemma_swap,
     key_lemma_oracle_max,
     monte_carlo_certify,
-    sample_lp_ball,
-    sample_lp_ball_rows,
 )
 from widim._output import csv_lines, from_json, to_json
 from widim.core import MAX_CELLS, in_lp_ball, lp_norm_power, make_exponents
 from widim.group_dynamics import LatticeBox, embedding_check, geometric_weight_metric, tail_set
-from widim._streams import DOMAIN_BALL, DOMAIN_CLIMB, StreamFactory, fresh_stream
+from widim._streams import (DOMAIN_BALL, DOMAIN_CLIMB, StreamFactory, fresh_stream,
+                            sample_lp_ball, sample_lp_ball_rows)
 from widim.threshold_map import distortion_bound, extremal_vector
 
 

@@ -51,7 +51,7 @@ from widim import (
     widim_upper,
     widim_upper_plateau,
 )
-from widim.certify import sample_lp_ball_rows
+from widim._streams import sample_lp_ball_rows
 from widim.core import (
     Exponents,
     _ball_mass,

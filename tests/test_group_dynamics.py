@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import widim._streams as _streams
 import widim.group_dynamics as group_dynamics
-from widim._streams import DOMAIN_PAIRS, fresh_stream
+from widim._streams import DOMAIN_PAIRS, _subsets, fresh_stream
 from widim._output import csv_lines, from_json, table_csv_lines, to_json
 from widim.core import MAX_CELLS
 from widim.group_dynamics import (
@@ -34,7 +35,6 @@ from widim.group_dynamics import (
     weighted_distance,
     widim_constant,
     _Window,
-    _subsets,
     _union,
 )
 
@@ -536,11 +536,11 @@ def test_p50_golden_run_draws_an_exact_zero(monkeypatch):
 def test_embedding_check_rejects_points_outside_the_ball(monkeypatch):
     # the membership checks of the point constructor run on every drawn row
     M = geometric_weight_metric()
-    monkeypatch.setattr(group_dynamics, "sample_lp_ball_rows",
+    monkeypatch.setattr(_streams, "sample_lp_ball_rows",
                         lambda rows, n, p, gen, sizes: np.full((rows, n), 1.5))
     with pytest.raises(ValueError, match="outside the unit ball"):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
-    monkeypatch.setattr(group_dynamics, "sample_lp_ball_rows",
+    monkeypatch.setattr(_streams, "sample_lp_ball_rows",
                         lambda rows, n, p, gen, sizes: np.full((rows, n), math.nan))
     with pytest.raises(ValueError, match="values must be finite"):
         embedding_check(M, [(0,)], 1.0, 0.5, 10)
@@ -850,7 +850,7 @@ def _rescaled_within(x, y, tol):
 def test_block_draw_contract(case, p, eps, seed, b, zap):
     window, prime, dense = case
     inside = {j for j, g in enumerate(window) if g in set(prime)}
-    sampler = group_dynamics.sample_lp_ball_rows
+    sampler = _streams.sample_lp_ball_rows
 
     def zapped(*args):
         # exact zeros among the drawn values, as an underflowing gamma draw gives
@@ -860,7 +860,7 @@ def test_block_draw_contract(case, p, eps, seed, b, zap):
 
     with pytest.MonkeyPatch.context() as mp:
         if zap:
-            mp.setattr(group_dynamics, "sample_lp_ball_rows", zapped)
+            mp.setattr(_streams, "sample_lp_ball_rows", zapped)
         xc, X, Y = _drawn_rows(dense, fresh_stream(seed, DOMAIN_PAIRS, b), b, p, eps)
     group_dynamics._check_in_ball(X, p)  # x and y lie in the ball
     group_dynamics._check_in_ball(Y, p)

@@ -19,6 +19,7 @@ from widim.core import make_exponents
 from widim.group_dynamics import EmbeddingReport, MeanDimensionTable
 
 _reals = st.floats(allow_nan=False, allow_infinity=False)
+_magnitudes = st.floats(min_value=-0.0, allow_infinity=False)  # nonnegative, -0.0 included
 _counts = st.integers(min_value=0, max_value=10**9)
 _sample_counts = st.integers(min_value=1, max_value=10**9)  # a run draws at least one
 _seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -38,10 +39,10 @@ _certification_reports = st.builds(
     exponents=_exponents(),
     sample_count=_sample_counts,
     seed=_seeds,
-    max_observed_distortion=_reals,
-    bound=_reals,
+    max_observed_distortion=_magnitudes,
+    bound=_magnitudes,
     margin=_reals,
-    argmax_vector=st.lists(_reals, max_size=6).map(tuple),
+    argmax_vector=st.lists(_reals, min_size=1, max_size=6).map(tuple),  # a point of the ball
 )
 
 
@@ -90,7 +91,7 @@ def _tables(draw):
         p=draw(_ball_exponents),
         eps=draw(st.floats(min_value=1e-9, max_value=1e3)),
         constant=draw(_counts),
-        rows=tuple((r, (2 * r + 1) ** dim, draw(_reals)) for r in radii),
+        rows=tuple((r, (2 * r + 1) ** dim, draw(_magnitudes)) for r in radii),
     )
 
 
@@ -256,6 +257,50 @@ def test_from_json_reads_every_declared_entry_by_core_rules(report, entries, mes
     assert str(info.value).startswith(message)
 
 
+_BAD_ROW = {"radius": "a", "omega_size": None, "ratio": "z"}
+_GOOD_ROW = {"radius": 0, "omega_size": 1, "ratio": 0.5}
+
+
+@pytest.mark.parametrize("report, entries, message", [
+    (_EXAMPLE_CERTIFICATION, {"margin": "abc"}, "margin must be a finite real, got 'abc'"),
+    (_EXAMPLE_CERTIFICATION, {"bound": None}, "bound must be a nonnegative finite real, got None"),
+    (_EXAMPLE_CERTIFICATION, {"max_observed_distortion": [1]},
+     "max observed distortion must be a nonnegative finite real, got [1]"),
+    (_EXAMPLE_CERTIFICATION, {"argmax_vector": "xy"}, "vector must hold reals, not bools or "),
+    (_EXAMPLE_CERTIFICATION, {"argmax_vector": ["a", "b"]}, "vector must hold reals, not bools"),
+    (_EXAMPLE_EMBEDDING, {"eps": "x"}, "scale eps must be a positive finite real, got 'x'"),
+    (_EXAMPLE_EMBEDDING, {"eps": -1}, "scale eps must be a positive finite real, got -1"),
+    (_EXAMPLE_EMBEDDING, {"eps": None}, "scale eps must be a positive finite real, got None"),
+    (_EXAMPLE_TABLE, {"eps": "x"}, "scale eps must be a positive finite real, got 'x'"),
+    (_EXAMPLE_TABLE, {"rows": [_BAD_ROW]}, "box radius must be an integer of at least 0, got 'a'"),
+    (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "radius": -1}]},
+     "box radius must be an integer of at least 0, got -1"),
+    (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "omega_size": None}]},
+     "omega size must be an integer of at least 1, got None"),
+    (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "omega_size": 0}]},
+     "omega size must be an integer of at least 1, got 0"),
+    (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "ratio": "z"}]},
+     "ratio must be a nonnegative finite real, got 'z'"),
+    (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "ratio": -1.0}]},
+     "ratio must be a nonnegative finite real, got -1.0"),
+], ids=["margin-string", "bound-null", "distortion-list", "argmax-string", "argmax-strings",
+        "embed-eps-string", "embed-eps-negative", "embed-eps-null", "table-eps-string",
+        "table-row-strings", "row-radius-negative", "row-size-null", "row-size-zero",
+        "row-ratio-string", "row-ratio-negative"])
+def test_from_json_reads_every_real_entry_by_core_rules(report, entries, message):
+    # these documents were read as written before the distortion, bound,
+    # margin, argmax, scale and table-row entries declared their readers
+    with pytest.raises(ValueError) as info:
+        from_json(type(report), _edited(report, **entries))
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("cls", [CertificationReport, EmbeddingReport, MeanDimensionTable])
+def test_every_report_field_declares_a_reader(cls):
+    # an entry with no reader is taken as written, whatever the document holds
+    assert [f.name for f in dataclasses.fields(cls) if f.init and not f.metadata.get("read")] == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_certification_reports, _embedding_reports(), _tables()))
 @example(_EXAMPLE_CERTIFICATION)
@@ -269,10 +314,15 @@ def test_every_report_round_trips(report):
     lines = table_csv_lines(report) if cls is MeanDimensionTable else csv_lines(report)
     assert lines[0] == _HEADERS[cls]
     doc = json.loads(text)
-    # "inf" is decoded for a declared exponent only: an undeclared entry reads back as written
+    # "inf" is decoded for a declared exponent only: any other entry refuses it or keeps it
     for f in dataclasses.fields(cls):
-        if f.init and not f.metadata:
-            assert getattr(from_json(cls, json.dumps({**doc, f.name: "inf"})), f.name) == "inf"
+        key = f.metadata.get("key") or f.name
+        if f.init and key != "p":
+            try:
+                value = getattr(from_json(cls, json.dumps({**doc, key: "inf"})), f.name)
+            except ValueError:
+                continue
+            assert value != math.inf
     if cls is CertificationReport:
         pair = {**doc["exponents"], "q": "inf", "r": report.exponents.p}
         assert from_json(cls, json.dumps({**doc, "exponents": pair})).exponents.q == math.inf

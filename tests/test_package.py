@@ -58,6 +58,30 @@ def test_init_lists_no_public_name():
     assert all([alias.name for alias in node.names] == ["*"] for node in imports)
 
 
+def _widim_imports(path) -> set:
+    """The widim modules a source file imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["widim" if node.level else "", node.module or ""]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_no_library_module_imports_a_driver():
+    # the drivers certify and group_dynamics share their draws through
+    # _streams and their tolerance through core; only the command line and the
+    # package's star imports reach a driver, so no import cycle can form
+    drivers = {"widim.certify", "widim.group_dynamics"}
+    src = Path(widim.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        imported = _widim_imports(path) & drivers
+        assert imported == (drivers if path.name in ("cli.py", "__init__.py") else set()), path.name
+
+
 def test_imported_names_stay_importable():
     # callers that import a name from a module that only imports it keep working
     from widim.certify import DEFAULT_SEED, sample_lp_ball

@@ -1,5 +1,7 @@
 """Per-index stream derivation: factory vs reference construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,14 @@ from widim._streams import (
     DEFAULT_SEED,
     DOMAIN_BALL,
     DOMAIN_CLIMB,
+    DOMAIN_PAIRS,
     StreamFactory,
     _sign_halves,
     _signs,
+    _sparse_ball_rows,
+    _subsets,
     fresh_stream,
+    sample_lp_ball_rows,
 )
 
 
@@ -121,3 +127,21 @@ def test_signs_read_bit_31_as_plus_one(shape):
     assert _signs(halves, out=out) is out and np.array_equal(out, want)
     x = np.random.default_rng(4).standard_normal(shape)
     assert np.array_equal(x * _signs(halves), np.where(halves >> 31 == 1, x, -x))
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("p", (1.0, 2.0, 1.5, math.inf))
+@pytest.mark.parametrize("least", (0, 1))
+def test_sparse_ball_rows_is_the_size_subset_ball_sequence(least, p, width):
+    # the one call both embed draws make is the sequence they made inline:
+    # sizes, then their subsets, then ball values on them, bit for bit, and it
+    # leaves the generator where that sequence left it
+    for n in (width, width + 5):
+        a, b = (fresh_stream(11, DOMAIN_PAIRS, 100 * n + width) for _ in range(2))
+        cols, vals = _sparse_ball_rows(37, least, width, n, p, a)
+        sizes = b.integers(least, width, size=37, endpoint=True)
+        want_cols = _subsets(b, sizes, width, n)
+        want_vals = sample_lp_ball_rows(37, width, p, b, sizes)
+        assert cols.dtype == want_cols.dtype and np.array_equal(cols, want_cols)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert _state(a) == _state(b)

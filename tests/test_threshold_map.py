@@ -368,8 +368,7 @@ def test_extremal_attains_bound():
 @given(data=st.data(), pq=st.sampled_from(((1, 2), (2, math.inf))), n=st.integers(1, 11),
        seed=st.integers(0, 2**64 - 1))
 def test_distortion_bound_on_ball_samples(data, pq, n, seed):
-    from widim._streams import DOMAIN_BALL, fresh_stream
-    from widim.certify import sample_lp_ball
+    from widim._streams import DOMAIN_BALL, fresh_stream, sample_lp_ball
     from widim.core import in_lp_ball
 
     p, q = pq
