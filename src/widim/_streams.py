@@ -1,23 +1,19 @@
 """Per-index random streams on a counter-based generator, and every draw made from them.
 
-Every randomized driver in this package derives an isolated stream per
-unit of work from (seed, domain, index), so results never depend on how
-work is split across threads. The unit is the driver's choice: Monte Carlo
-certification draws a whole fixed-size block of samples, chunk by chunk,
-from stream (seed, domain, b) for block b, and so does the embedding check for each
-fixed block of lattice pairs, while hill-climbing starts draw one stream
-per start. The generator is Philox: its state is a pure 128-bit counter
-plus a 128-bit key, so a stream is just a counter position.
-
-Index i is placed in the high counter word, giving consecutive indices a
-stride of 2^192 draw blocks; no realistic draw volume can make two streams
-overlap. Distinct drivers use distinct domain constants in the key so that
-equal indices never collide across drivers.
+Every randomized driver derives an isolated stream per unit of work from
+(seed, domain, index), so results never depend on how work is split across
+threads: Monte Carlo draws stream (seed, domain, b) for its block b of samples,
+chunk by chunk, the embedding check one per block of lattice pairs, and the
+hill climb one per start. The generator is Philox, whose state is a 128-bit
+counter plus a 128-bit key. Index i sits in the high counter word, a stride of
+2^192 draw blocks, so no realistic volume makes two streams overlap, and each
+driver's domain constant in the key keeps equal indices of drivers apart.
 
 The drivers keep their schedules and draw here: uniform points of the unit
 p-ball (:func:`sample_lp_ball_rows`), uniform subsets (:func:`_subsets`), sparse
-ball points on them (:func:`_sparse_ball_rows`) and signs: :func:`_sign_halves`
-is bit for bit ``rng.integers(0, 2, count)``, read as +-1.0 by :func:`_signs`.
+ball points on them (:func:`_sparse_ball_rows`) and signs: sign i of a
+:func:`_sign_words` draw is plus iff bit i % 64 of word i // 64 is set, read as
++-1.0 by :func:`_signs`.
 """
 
 from __future__ import annotations
@@ -88,9 +84,9 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
     p = _check_exponent(p, "ball exponent p")
     unused = None if sizes is None else np.arange(n) >= _check_row_sizes(sizes, rows, n)[:, None]
     X, S = np.empty((rows, n)), np.empty((rows, n))
-    halves = _fill_ball_rows(X, S, p, rng, unused)
-    if halves is not None:  # signs +-1.0 as a product, faster than a masked negate
-        X *= _signs(halves, out=S)
+    words = _fill_ball_rows(X, S, p, rng, unused)
+    if words is not None:  # signs +-1.0 as a product, faster than a masked negate
+        X *= _signs(words, 0, X.shape, out=S)
     if unused is not None:
         X[unused] = 0.0
     return X
@@ -99,15 +95,12 @@ def sample_lp_ball_rows(rows: int, n: int, p: float, rng: np.random.Generator,
 def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Generator,
                     unused) -> np.ndarray | None:
     """Unchecked kernel of :func:`sample_lp_ball_rows`: fill the C-contiguous
-    float batch X in the documented draw order, unused cells not yet zeroed,
-    with the points at p = 2 and p = inf (returning None) and elsewhere with
-    their magnitudes ``w^(1/p) / scale``, returning the sign draw of
-    :func:`_sign_halves` in X's shape, which :func:`_signs` reads as +-1.0:
-    for s = +-1, ``(w s) / scale`` is ``(w / scale) s`` bit for bit. The
-    halves stay packed in the raw words, so a caller reads only the signs it
-    uses. S is scratch for p = 2's squares; all runs in place, with fresh
-    arrays' bits."""
-    halves = None
+    float batch X in the documented draw order, unused cells not yet zeroed, with
+    the points at p = 2 and p = inf (returning None), elsewhere with the magnitudes
+    ``w^(1/p) / scale``, returning the sign words of X's cells in row-major order,
+    so a caller reads only the signs it uses (``(w s) / scale`` is ``(w / scale) s``
+    bit for bit). S is scratch for p = 2's squares; all runs in place."""
+    words = None
     if p == np.inf:
         rng.random(out=X)  # uniform(-1, 1) is -1 + 2u, and 2u is exact
         X *= 2.0
@@ -124,7 +117,7 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
             w = rng.standard_exponential(out=X)
         else:
             w = rng.gamma(1.0 / p, 1.0, X.shape)
-        halves = _sign_halves(rng, X.size).reshape(X.shape)
+        words = _sign_words(rng, X.size)
         y = rng.standard_exponential(len(X))
         if unused is not None:
             w[unused] = 0.0
@@ -132,7 +125,7 @@ def _fill_ball_rows(X: np.ndarray, S: np.ndarray, p: float, rng: np.random.Gener
         if p != 1.0:
             np.power(w, 1.0 / p, out=X)
         X /= scale[:, None]
-    return halves
+    return words
 
 
 def _subsets(gen, sizes, width: int, n: int) -> np.ndarray:
@@ -159,33 +152,17 @@ def _sparse_ball_rows(rows: int, least: int, width: int, n: int, p: float, gen) 
     return _subsets(gen, sizes, width, n), sample_lp_ball_rows(rows, width, p, gen, sizes)
 
 
-def _sign_halves(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` signs as 32-bit halves of raw words, sign i plus iff bit 31 of
-    half i is set: bit for bit ``rng.integers(0, 2, count) == 1``, which turns
-    each half into one value by a Lemire step that never rejects, and leaving
-    the generator in that call's state. A 64-bit word gives its low half
-    first; a half that numpy holds back is read first, and an odd count holds
-    back its spare half. The words are not unpacked, so a caller reads only
-    the signs it uses. A bit generator other than numpy's four 64-bit ones
-    takes numpy's own draw, shifted to bit 31."""
-    bg = rng.bit_generator  # generators named here: numpy loads numpy.random on first use
-    if not isinstance(bg, (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM,
-                           np.random.SFC64)):
-        return rng.integers(0, 2, count, dtype=np.uint32) << 31
-    held = bg.state["has_uint32"]
-    words = bg.random_raw((count - held + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")
-    state = bg.state
-    if held:
-        halves = np.concatenate((np.full(1, state["uinteger"], "<u4"), halves))
-    state["has_uint32"] = len(halves) - count
-    if len(words):  # numpy keeps the last word's high half, held or not
-        state["uinteger"] = int(words[-1] >> 32)
-    bg.state = state
-    return halves[:count]
+def _sign_words(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` fair signs as the bits of ``ceil(count / 64)`` uniform 64-bit words,
+    one documented draw for every bit generator: sign i is plus iff bit i % 64 of
+    word i // 64 is set."""
+    return rng.integers(0, 1 << 64, -(-count // 64), dtype=np.uint64)
 
 
-def _signs(halves: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The signs of :func:`_sign_halves` as +-1.0, plus iff bit 31 is set, in ``out`` if given."""
-    S = np.right_shift(halves, 31, out=np.empty(halves.shape) if out is None else out)
-    return np.subtract(np.multiply(S, 2.0, out=S), 1.0, out=S)
+def _signs(words: np.ndarray, lo: int, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Signs lo, lo + 1, ... of :func:`_sign_words` as +-1.0 in ``shape``, in ``out`` if given."""
+    S = np.empty(shape) if out is None else out
+    octets = words.astype("<u8", copy=False).view(np.uint8)[lo // 8: -(-(lo + S.size) // 8)]
+    bits = np.unpackbits(octets, bitorder="little")[lo % 8: lo % 8 + S.size]
+    np.multiply(bits.reshape(shape), 2.0, out=S)
+    return np.subtract(S, 1.0, out=S)

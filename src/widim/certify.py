@@ -107,23 +107,21 @@ def _report(n, m, e, count, seed, value, x) -> CertificationReport:
 
 def _sample_block(seed, b, n, p):
     """Block b of the Monte Carlo sample set: BLOCK rows from stream b, drawn
-    as consecutive chunks of max(1, _CHUNK_CELLS // n) rows, each drawn whole.
-    A chunk is yielded as its magnitudes and a function that returns one of its
-    rows, signed, as a fresh array. Every chunk is drawn into one workspace
-    allocated per call, so the magnitudes are a view that is valid only until
-    the next chunk is drawn: |X| written into the scratch at p = 2 and p = inf,
-    the drawn batch itself elsewhere, whose sign halves stay packed until a
-    row is asked for, and then only that row's n bits are read."""
+    whole as consecutive chunks of max(1, _CHUNK_CELLS // n) rows into one
+    workspace per call. A chunk is yielded as its magnitudes, a view valid until
+    the next chunk is drawn (|X| at p = 2 and p = inf, the drawn batch elsewhere),
+    and a function that returns row r, signed, as a fresh array: it reads only
+    signs r * n to r * n + n - 1 of the chunk's sign words."""
     rng = fresh_stream(seed, DOMAIN_BALL, b)
     rows = max(1, _CHUNK_CELLS // n)
     X, S = np.empty((2, min(rows, BLOCK), n))
     for lo in range(0, BLOCK, rows):
         k = min(rows, BLOCK - lo)
-        halves = _fill_ball_rows(X[:k], S[:k], p, rng, None)
-        if halves is None:
+        words = _fill_ball_rows(X[:k], S[:k], p, rng, None)
+        if words is None:
             yield np.abs(X[:k], out=S[:k]), lambda r: X[r].copy()
         else:
-            yield X[:k], lambda r, h=halves: X[r] * _signs(h[r])
+            yield X[:k], lambda r, w=words: X[r] * _signs(w, r * n, n)
 
 
 def monte_carlo_certify(

@@ -215,6 +215,17 @@ class _GeometricWeight(WeightedGroupMetric):
         return np.array([self.weight((k,) + rest) for k in range(self.dim_d * reach + 1)])[norms]
 
 
+def _sparse(support, values) -> tuple:
+    """Lattice points of one dimension and one finite real per point, as two lists."""
+    pts = [_coords(pt) for pt in support]
+    vals = _check_reals(values, "point values")[0][0].tolist() if len(values) else []
+    if len(pts) != len(vals):
+        raise ValueError("support and values must have equal length")
+    if len(set(len(pt) for pt in pts)) > 1:
+        raise ValueError("support points must share one dimension")
+    return pts, vals
+
+
 @dataclass(frozen=True)
 class FinitelySupportedPoint:
     """A lattice point assignment with finite support inside the unit p-ball.
@@ -231,12 +242,7 @@ class FinitelySupportedPoint:
 
     def __post_init__(self):
         p = _check_exponent(self.p, "ball exponent p")
-        pts = [_coords(pt) for pt in self.support]
-        vals = _check_reals(self.values, "point values")[0][0].tolist() if len(self.values) else []
-        if len(pts) != len(vals):
-            raise ValueError("support and values must have equal length")
-        if len(set(len(pt) for pt in pts)) > 1:
-            raise ValueError("support points must share one dimension")
+        pts, vals = _sparse(self.support, self.values)
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be distinct")
         kept = sorted((pt, v) for pt, v in zip(pts, vals) if v != 0.0)
@@ -325,6 +331,16 @@ def widim_constant(p: float, eps: float) -> Optional[int]:
 # Embedding check
 
 
+def _read_witness(doc: dict) -> dict:
+    """A report's witness: an index of at least 0, a finite margin, points x and y."""
+    witness = {"index": _check_int(doc["index"], "witness index", 0),
+               "margin": _check_finite(doc["margin"], "witness margin")}
+    for k in ("x", "y"):
+        support, values = _sparse(doc[k]["support"], doc[k]["values"])
+        witness[k] = {"support": [list(pt) for pt in support], "values": values}
+    return witness
+
+
 @dataclass(frozen=True)
 class EmbeddingReport:
     """Outcome of the projection-embedding soundness run.
@@ -340,15 +356,15 @@ class EmbeddingReport:
     dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
     eps: float = checked(_check_scale)
-    omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)},
-                           read=lambda points: tuple(map(tuple, points)))
+    omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)}, read=lambda points:
+                           _probe_set(points, len(_coords(points[0])) if len(points) else 1))
     omega_prime_size: int = checked(_check_int, "omega_prime_size", 0)
     sample_count: int = checked(_check_int, "sample count", 1)
     seed: int = checked(_check_seed)
     checked_count: int = checked(_check_int, "checked count", 0)
     failure_count: int = checked(_check_int, "failure count", 0)
     worst_margin: Optional[float] = checked(_check_finite, "worst margin", null=True)
-    witness: Optional[dict] = checked(dict.copy, null=True, csv=lambda witness: {})
+    witness: Optional[dict] = checked(_read_witness, null=True, csv=lambda witness: {})
     elapsed: Optional[float] = field(default=None, init=False, compare=False)
 
     @property
@@ -593,11 +609,12 @@ def mean_dimension_table(
         raise ValueError("need at least one box radius")
     if any(a >= b for a, b in zip(radii, radii[1:])):
         raise ValueError("box radii must be strictly increasing")
+    p, eps = _check_exponent(p, "ball exponent p"), _check_scale(eps)
     constant = widim_constant(p, eps)
     if constant is None:
-        if math.isinf(float(p)):
+        if math.isinf(p):
             raise ValueError("p = inf needs eps >= 4: (4/eps)^p is infinite for every eps < 4")
         raise ValueError("scale so small the width constant saturates; increase eps")
     sizes = [(2 * r + 1) ** M.dim_d for r in radii]
     rows = tuple((r, size, constant / size) for r, size in zip(radii, sizes))
-    return MeanDimensionTable(M.dim_d, float(p), float(eps), constant, rows)
+    return MeanDimensionTable(M.dim_d, p, eps, constant, rows)

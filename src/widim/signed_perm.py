@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import _sign_halves, _signs
+from ._streams import _sign_words, _signs
 from .core import _check_int, _check_int_array, _check_reals, as_vector
 
 __all__ = [
@@ -115,7 +115,7 @@ def identity(n: int) -> SignedPermutation:
 def random_element(n: int, rng: np.random.Generator) -> SignedPermutation:
     """Uniformly random signed permutation; used by tests and demos."""
     n = _check_int(n, "degree n", 1)
-    return SignedPermutation(_signs(_sign_halves(rng, n)), rng.permutation(n))
+    return SignedPermutation(_signs(_sign_words(rng, n), 0, n), rng.permutation(n))
 
 
 def act(g: SignedPermutation, x) -> np.ndarray:

@@ -137,7 +137,9 @@ def reference_chunk(g, rows, n, p):
         y = g.standard_exponential(rows)
         return Z / np.sqrt(np.sum(Z * Z, axis=1) + 2.0 * y)[:, None]
     w = g.gamma(1.0 / p, 1.0, (rows, n))
-    signs = g.integers(0, 2, (rows, n)) * 2.0 - 1.0
+    words = g.integers(0, 1 << 64, -(-rows * n // 64), dtype=np.uint64).tolist()
+    signs = np.reshape([1.0 if words[i // 64] >> i % 64 & 1 else -1.0  # bit i % 64 of word i // 64
+                        for i in range(rows * n)], (rows, n))
     y = g.standard_exponential(rows)
     return signs * w ** (1.0 / p) / ((np.sum(w, axis=1) + y) ** (1.0 / p))[:, None]
 
@@ -146,8 +148,8 @@ def test_block_matches_fresh_stream_reference():
     # block b is BLOCK rows from stream (seed, DOMAIN_BALL, b), drawn in order
     # as chunks of max(1, _CHUNK_CELLS // n) rows, each chunk drawn whole; a
     # chunk's magnitudes are |R| and its signed rows R, bit for bit. At n = 11
-    # (1489 x 11 cells) and n = 17 (963 x 17) a chunk's sign count is odd, so
-    # its spare half is carried into the next chunk's signs
+    # (1489 x 11 cells) and n = 17 (963 x 17) a chunk's sign count is not a
+    # multiple of 64, so its last word's unused bits are dropped
     for p in (1.0, 2.0, 3.5, math.inf):
         for n, b in ((1, 0), (5, 7), (8, 3), (11, 5), (17, 1), (64, 2**40)):
             g = fresh_stream(9, DOMAIN_BALL, b)
@@ -182,17 +184,17 @@ def test_gamma_one_is_the_standard_exponential():
 
 
 # sha256 prefixes of sample_lp_ball_rows(37, 9, p, fresh_stream(7, DOMAIN_BALL, 3),
-# sizes) with sizes None or 1 + (7 r) % 9 for row r, recorded before the p = 1
-# magnitudes were drawn as exponentials
+# sizes) with sizes None or 1 + (7 r) % 9 for row r; the p = 1, 1.5 and 3 entries
+# were re-recorded when each sign became one bit of a 64-bit sign word
 SAMPLER_GOLDEN = {
-    (1.0, False): "5e670f206283f2de",
-    (1.0, True): "c2f14d3de00763b3",
-    (1.5, False): "ea5b5461c549e5ff",
-    (1.5, True): "809897e88d850062",
+    (1.0, False): "e70d38c7e0ea88b8",
+    (1.0, True): "f96ac144efdda1be",
+    (1.5, False): "5d249c1cd08d47fd",
+    (1.5, True): "d34ae1214f81dd9c",
     (2.0, False): "3d73e807d6defdb1",
     (2.0, True): "07c600a8e096e4e4",
-    (3.0, False): "4d215297ed284247",
-    (3.0, True): "8fc4e23748d834d3",
+    (3.0, False): "8a762b536d3b4d1b",
+    (3.0, True): "c9bbf2a0cad70c3d",
     (math.inf, False): "ba81e5c832ea151e",
     (math.inf, True): "4434ffb07aac61a6",
 }

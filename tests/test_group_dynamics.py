@@ -418,12 +418,13 @@ def test_embedding_check_window_guard():
 
 
 # SHA-256 of to_json(report). Re-recorded when blocks grew from 64
-# to PAIR_DRAW = 512 pairs, a declared change of the stream layout, after
-# checking that every geometric-weight run still passes, every lying-tail run
-# still fails with a witness (p = 1: 10 failures, witness at pair 6; p = 2:
-# 50 at pair 1; 6561 columns: 46 at pair 6), and criterion 7 passes. Unlike
-# EMBED_GOLDEN in test_cli.py these runs reach p = 1.5 and 3, an exact zero
-# drawn at p = 50 (in pair 17 of seed 1538, a perturbed pair; see
+# to PAIR_DRAW = 512 pairs, and the runs at p = 1, 1.5, 3 and 50 again when
+# each sign became one bit of a 64-bit sign word, both declared changes of the
+# stream layout, after checking that every geometric-weight run still passes,
+# every lying-tail run still fails with a witness (p = 1: 8 failures, witness
+# at pair 6; p = 2: 50 at pair 1; 6561 columns: 46 at pair 6), and criterion 7
+# passes. Unlike EMBED_GOLDEN in test_cli.py these runs reach p = 1.5 and 3,
+# an exact zero drawn at p = 50 (in pair 17 of seed 1538, a perturbed pair; see
 # test_p50_golden_run_draws_an_exact_zero), and a weight whose tail bound
 # lies, so failures and their witness payload are pinned too.
 def _lying_metric():
@@ -451,25 +452,25 @@ def _lying_wide_metric():
 EMBED_WITNESS_GOLDEN = {
     # name: (metric, probe radius, p, eps, samples, seed, digest)
     "d=2 p=1.5": (lambda: geometric_weight_metric(dim_d=2), 1, 1.5, 0.5, 300, 7,
-                  "e931dc186fef5ca1571f94e084973588127b9c969f4adda6282816f2740aa478"),
+                  "69dac173d4038f009e2e38b735fdd040924452655dd557fa254e0ee1083213cb"),
     "d=2 p=3": (lambda: geometric_weight_metric(dim_d=2), 1, 3.0, 0.6, 300, 11,
-                "235f4de4a1df6157b2b18db673db763727e9913b17abb98ca33c0f6112703357"),
+                "09ce6915ed98eaf8ffea534edbf6522eb7ad33b7488bf29e403f1088d19fcd08"),
     "d=2 p=inf": (lambda: geometric_weight_metric(dim_d=2), 1, math.inf, 0.5, 300, 5,
                   "80ff0138243545a7f89de04760df4e79c26f9b37019f034c55493de4c9ebb60f"),
     "d=1 p=50": (geometric_weight_metric, 2, 50.0, 0.5, 600, 1538,
-                 "dd34afbdbb6180b60327eb8676cb0a5685af55029357b9e7739ebe2bbc8b0e06"),
+                 "2e9ae07b106be5a7972d35a64346940fb194669f6aea6d9acba5fd01ff7c235c"),
     "lying p=1": (_lying_metric, 0, 1.0, 0.5, 300, 1,
-                  "e5bfdd1a420463c1424d52005c7c41f8d83b7ff725f2829d7986c636b83401a2"),
+                  "0eb438796b9207d5266939577107f0bcfb22b5e18bcced4833f5cda5b2dee1a6"),
     "lying p=2": (_lying_metric, 1, 2.0, 0.3, 300, 2,
                   "81f484cf7717fb7b4c373234faab8002e090213459d5fe3ae736fa4e53b81b94"),
     # Windows of 4225 to 9261 columns; each run's close pairs (76 to 139)
     # are scored in more than one slice of SCORE_ROWS.
     "d=3 4913 columns": (lambda: geometric_weight_metric(dim_d=3), 0, 1.0, 0.5, 100, 3,
-                         "22336aabe488c5180e551e018ea1d8ccdf022a8eb596d9c79f1ebe86e52fbce6"),
+                         "352368fec598de6600b656b63a5a8fcd8ada989044761149763e8fdd6ef57a1f"),
     "d=3 9261 columns": (lambda: geometric_weight_metric(dim_d=3), 1, 2.0, 0.5, 100, 8,
                          "35ddeddc1e12351248633caba879e518dcb084e5134f93ea839997f5042cdef1"),
     "d=2 eps=1e-4": (lambda: geometric_weight_metric(dim_d=2), 0, 1.5, 1e-4, 200, 5,
-                     "391994df5659723c5f030630c0157209ee83852ef0ec8cb63a83acacbc86eb20"),
+                     "647d9beb0fdad38147ee165942fd235ea020ad434972052314722d94f6ded995"),
     "lying d=2 6561 columns": (_lying_wide_metric, 0, 2.0, 0.5, 200, 4,
                                "a4ef7450e1eb84cf79be9524da65465109fa9513caed50e1ec650dd007426f95"),
 }
@@ -498,13 +499,15 @@ def _lying_asymmetric_metric():
 
 # SHA-256 of to_json(report) on sparse probe sets off the origin, so that each
 # weight-table row is a slice of the weights shifted by its own probe, and the
-# witness columns decode to points on both sides of the origin.
+# witness columns decode to points on both sides of the origin. Re-recorded
+# when each sign became one bit of a 64-bit sign word: the geometric run still
+# passes, and the lying run fails with 83 failures, witness at pair 1.
 EMBED_PROBE_GOLDEN = {
     # name: (metric, omega, p, eps, samples, seed, digest)
     "geometric d=2": (lambda: geometric_weight_metric(dim_d=2), [(0, 0), (3, -2)], 1.5, 0.5,
-                      300, 7, "b70b4efa155ec7c906cbf7c8170092fe83a167fc194f40ee96110a3c45f2a5ed"),
+                      300, 7, "3c5ee8c9e38ebd0502f3b26cd079250e749f74cc55b95e5805ea5127e058593e"),
     "lying asymmetric d=1": (_lying_asymmetric_metric, [(-4,), (5,)], 1.0, 0.3, 300, 3,
-                             "a6d20ee32e05a17e78c89d91f94ba5404b0b453bb335dfe229cc3f9790f3a1a2"),
+                             "bdbde0bf0fb2e6c583c12d6d6da7eef0fc491d79390f9b747dddb64cb25fe8da"),
 }
 
 
@@ -728,14 +731,16 @@ def _reference_points(gen, sizes, width, n, p):
             vals.append([z / scale for z in Z[r, :k].tolist()])
         return cols, vals
     W = gen.gamma(1.0 / p, 1.0, (len(sizes), width))
-    S = gen.integers(0, 2, (len(sizes), width))
+    words = gen.integers(0, 1 << 64, -(-len(sizes) * width // 64), dtype=np.uint64).tolist()
+    S = [[words[i // 64] >> i % 64 & 1 for i in range(r * width, (r + 1) * width)]
+         for r in range(len(sizes))]  # sign i is plus iff bit i % 64 of word i // 64 is set
     E = gen.standard_exponential(len(sizes))
     vals = []
     for r, k in enumerate(sizes):
         masked = np.concatenate([W[r, :k], np.zeros(width - k)])  # masked before the sum
         scale = _pow([float(np.sum(masked)) + E[r]], 1.0 / p)[0]
         mags = _pow(W[r, :k], 1.0 / p).tolist()
-        vals.append([(m * (2.0 * S[r, s] - 1.0)) / scale for s, m in enumerate(mags)])
+        vals.append([(m * (2.0 * S[r][s] - 1.0)) / scale for s, m in enumerate(mags)])
     return cols, vals
 
 

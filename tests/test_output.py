@@ -65,13 +65,13 @@ def _embedding_reports(draw):
     dim = draw(st.integers(min_value=1, max_value=3))
     witness = draw(st.one_of(st.none(), st.fixed_dictionaries({
         "index": _counts, "margin": _reals, "x": _sparse_point(dim), "y": _sparse_point(dim),
-    })))
+    }).map(lambda w: {k: w[k] for k in ("index", "margin", "x", "y")})))  # as the check writes it
     return EmbeddingReport(
         dim_d=dim,
         p=draw(_ball_exponents),
         eps=draw(st.floats(min_value=1e-9, max_value=1e3)),
-        omega=tuple(draw(st.lists(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1,
-                                  max_size=5))),
+        omega=tuple(sorted(draw(st.sets(st.tuples(*[st.integers(-9, 9)] * dim), min_size=1,
+                                        max_size=5)))),  # a probe set, as embedding_check reports it
         omega_prime_size=draw(_counts),
         sample_count=draw(_sample_counts),
         seed=draw(_seeds),
@@ -283,13 +283,23 @@ _GOOD_ROW = {"radius": 0, "omega_size": 1, "ratio": 0.5}
      "ratio must be a nonnegative finite real, got 'z'"),
     (_EXAMPLE_TABLE, {"rows": [{**_GOOD_ROW, "ratio": -1.0}]},
      "ratio must be a nonnegative finite real, got -1.0"),
+    (_EXAMPLE_EMBEDDING, {"omega": "inf"}, "lattice coordinate must be an integer, got "),
+    (_EXAMPLE_EMBEDDING, {"omega": [[0.5, "a"]]}, "lattice coordinate must be an integer, got 0.5"),
+    (_EXAMPLE_EMBEDDING, {"omega": []}, "omega must be a nonempty set of distinct lattice points"),
+    (_EXAMPLE_EMBEDDING, {"omega": [[0], [1, 2]]}, "lattice point (1, 2) does not match dimension 1"),
+    (_EXAMPLE_EMBEDDING, {"witness": {"x": 1}},
+     "EmbeddingReport: bad or missing entry 'witness': KeyError('index')"),
+    (_EXAMPLE_EMBEDDING, {"witness": {"index": -3, "margin": "m", "x": 5, "y": None}},
+     "witness index must be an integer of at least 0, got -3"),
 ], ids=["margin-string", "bound-null", "distortion-list", "argmax-string", "argmax-strings",
         "embed-eps-string", "embed-eps-negative", "embed-eps-null", "table-eps-string",
         "table-row-strings", "row-radius-negative", "row-size-null", "row-size-zero",
-        "row-ratio-string", "row-ratio-negative"])
+        "row-ratio-string", "row-ratio-negative", "omega-string", "omega-reals", "omega-empty",
+        "omega-mixed-dimensions", "witness-without-index", "witness-bad-entries"])
 def test_from_json_reads_every_real_entry_by_core_rules(report, entries, message):
     # these documents were read as written before the distortion, bound,
-    # margin, argmax, scale and table-row entries declared their readers
+    # margin, argmax, scale, table-row, omega and witness entries declared
+    # their readers
     with pytest.raises(ValueError) as info:
         from_json(type(report), _edited(report, **entries))
     assert str(info.value).startswith(message)

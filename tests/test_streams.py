@@ -11,7 +11,7 @@ from widim._streams import (
     DOMAIN_CLIMB,
     DOMAIN_PAIRS,
     StreamFactory,
-    _sign_halves,
+    _sign_words,
     _signs,
     _sparse_ball_rows,
     _subsets,
@@ -93,40 +93,47 @@ _SIGN_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.r
                     np.random.MT19937)
 
 
+def _bit_signs(words, lo, count):
+    """Signs lo, ..., lo + count - 1 of sign words, read in pure Python: sign i
+    is +1.0 iff bit i % 64 of word i // 64 is set."""
+    return [1.0 if int(words[i // 64]) >> i % 64 & 1 else -1.0 for i in range(lo, lo + count)]
+
+
 @pytest.mark.parametrize("count", (1, 2, 333, 16379, 16384))
 @pytest.mark.parametrize("before", (None, (0, 5, 3), (0, 5, 4)),
                          ids=("fresh", "half-held", "none-held"))
 @pytest.mark.parametrize("bits", _SIGN_GENERATORS, ids=lambda b: b.__name__)
 def test_sign_halves_are_numpys_integers_draw(bits, before, count):
-    # every random sign in the package is bit 31 of a raw 32-bit half; this
-    # rests on numpy's bounded-integer algorithm (one Lemire step per half for
-    # a range of 2), which numpy does not document, so a numpy release that
-    # changes it fails here rather than moving every stream. integers(0, 5, 3)
-    # leaves a half held back in a 64-bit generator, integers(0, 5, 4) none
+    # named for the 32-bit halves the signs were once read from. Every random
+    # sign is now one bit of the documented integers(0, 2^64, ceil(count / 64),
+    # dtype=uint64) draw, for every bit generator, whether or not a 32-bit half
+    # is held back: integers(0, 5, 3) leaves one held in a 64-bit generator,
+    # integers(0, 5, 4) none. The draw leaves the generator where that call does
     a, b = np.random.Generator(bits(2026)), np.random.Generator(bits(2026))
     if before is not None:
         a.integers(*before)
         b.integers(*before)
-    want = a.integers(0, 2, count)
-    halves = _sign_halves(b, count)
-    assert halves.shape == (count,)
-    assert np.array_equal(halves >> 31, want)
+    want = a.integers(0, 1 << 64, -(-count // 64), dtype=np.uint64)
+    words = _sign_words(b, count)
+    assert words.dtype == np.uint64 and np.array_equal(words, want)
     assert _state(b) == _state(a)
-    assert np.array_equal(_sign_halves(b, 3) >> 31, a.integers(0, 2, 3))  # a held half carries
+    assert _signs(words, 0, (count,)).tolist() == _bit_signs(want, 0, count)
     assert b.random() == a.random()
 
 
 @pytest.mark.parametrize("shape", ((1,), (7,), (4, 5)))
-def test_signs_read_bit_31_as_plus_one(shape):
-    # +1.0 iff bit 31 of a half is set, whatever the other bits, fresh or into
-    # a float workspace, so x * sign is x or exactly -x
-    halves = np.random.default_rng(3).integers(0, 2**32, shape, dtype=np.uint32)
-    want = np.where(halves >> 31 == 1, 1.0, -1.0)
-    assert np.array_equal(_signs(halves), want)
-    out = np.full(shape, 9.0)
-    assert _signs(halves, out=out) is out and np.array_equal(out, want)
+def test_signs_read_bit_i_of_the_sign_words(shape):
+    # sign i is +1.0 iff bit i % 64 of word i // 64 is set, whatever the other
+    # bits, from any first sign lo (a Monte Carlo row starts mid-word), fresh or
+    # into a float workspace, so x * sign is x or exactly -x
+    words = np.random.default_rng(3).integers(0, 1 << 64, 4, dtype=np.uint64)
     x = np.random.default_rng(4).standard_normal(shape)
-    assert np.array_equal(x * _signs(halves), np.where(halves >> 31 == 1, x, -x))
+    for lo in (0, 1, 7, 8, 63, 64, 100, 236):
+        want = np.reshape(_bit_signs(words, lo, x.size), shape)
+        assert np.array_equal(_signs(words, lo, shape), want)
+        out = np.full(shape, 9.0)
+        assert _signs(words, lo, shape, out=out) is out and np.array_equal(out, want)
+        assert np.array_equal(x * _signs(words, lo, shape), np.where(want > 0, x, -x))
 
 
 @pytest.mark.parametrize("width", range(1, 9))
