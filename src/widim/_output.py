@@ -52,17 +52,21 @@ def csv_document(command: str, params: dict, lines) -> str:
     return "\n".join(out) + "\n"
 
 
-def spelled(key=None, json=None, csv=None, read=None) -> dataclasses.Field:
+def spelled(key=None, json=None, csv=None, read=None, given=()) -> dataclasses.Field:
     """A report field with a declared spelling: its JSON entry is named ``key``
     (the field's name by default) and holds ``json(value)``, which ``read`` turns
-    back into the value; ``csv(value)`` gives its CSV cells as a dict ({} drops
-    the field), by default the JSON entry. An omitted function is the identity."""
-    return dataclasses.field(metadata={"key": key, "json": json, "csv": csv, "read": read})
+    back into the value, passed after it the values of the earlier fields named
+    in ``given``; ``csv(value)`` gives its CSV cells as a dict ({} drops the
+    field), by default the JSON entry. An omitted function is the identity."""
+    return dataclasses.field(
+        metadata={"key": key, "json": json, "csv": csv, "read": read, "given": given})
 
 
 def checked(rule, *args, null=False, **spelling) -> dataclasses.Field:
-    """A field read back as ``rule(value, *args)``; with ``null``, a JSON null reads as None."""
-    return spelled(**spelling, read=lambda v: None if null and v is None else rule(v, *args))
+    """A field read back as ``rule(value, *given, *args)``; with ``null``, a JSON null
+    reads as None."""
+    return spelled(**spelling, read=lambda v, *given: None if null and v is None
+                   else rule(v, *given, *args))
 
 
 def _decoded(value):
@@ -115,7 +119,7 @@ def from_json(cls, text: str):
     for f in (f for f in dataclasses.fields(cls) if f.init):
         key, read = f.metadata.get("key") or f.name, f.metadata.get("read") or (lambda v: v)
         try:
-            values[f.name] = read(doc[key])
+            values[f.name] = read(doc[key], *(values[name] for name in f.metadata.get("given", ())))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{cls.__name__}: bad or missing entry {key!r}: {exc!r}") from None
     return cls(**values)

@@ -1,4 +1,4 @@
-"""Per-index random streams on a counter-based generator, and every draw made from them.
+"""Per-index random streams on a counter-based generator, and the draws made from them.
 
 Every randomized driver derives an isolated stream per unit of work from
 (seed, domain, index), so results never depend on how work is split across
@@ -13,7 +13,10 @@ The drivers keep their schedules and draw here: uniform points of the unit
 p-ball (:func:`sample_lp_ball_rows`), uniform subsets (:func:`_subsets`), sparse
 ball points on them (:func:`_sparse_ball_rows`) and signs: sign i of a
 :func:`_sign_words` draw is plus iff bit i % 64 of word i // 64 is set, read as
-+-1.0 by :func:`_signs`.
++-1.0 by :func:`_signs`. Three one-line numpy draws stay where they are used:
+``certify.key_lemma_oracle_max``'s uniform cross-check, the embedding check's
+noise on perturbed pairs (``group_dynamics._Window.draw_block``) and
+``signed_perm.random_element``'s permutation.
 """
 
 from __future__ import annotations

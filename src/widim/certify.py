@@ -15,7 +15,10 @@ holds its last sample, so sample i is the same whatever the requested sample
 count. The maximum is reduced in chunk and block order with ties broken toward
 the smallest sample index, so the same seed yields bit-identical reports for any
 ``workers`` value. Hill-climbing start k draws from the isolated stream (seed,
-domain, k). These are the schedules; every draw is made in :mod:`widim._streams`.
+domain, k). These are the schedules; the draws are made in :mod:`widim._streams`,
+except three one-line numpy calls made where they are used: the uniform
+cross-check of :func:`key_lemma_oracle_max` here, the perturbed pairs' noise of
+the embedding check and the permutation of ``signed_perm.random_element``.
 """
 
 from __future__ import annotations

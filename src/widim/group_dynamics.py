@@ -215,17 +215,6 @@ class _GeometricWeight(WeightedGroupMetric):
         return np.array([self.weight((k,) + rest) for k in range(self.dim_d * reach + 1)])[norms]
 
 
-def _sparse(support, values) -> tuple:
-    """Lattice points of one dimension and one finite real per point, as two lists."""
-    pts = [_coords(pt) for pt in support]
-    vals = _check_reals(values, "point values")[0][0].tolist() if len(values) else []
-    if len(pts) != len(vals):
-        raise ValueError("support and values must have equal length")
-    if len(set(len(pt) for pt in pts)) > 1:
-        raise ValueError("support points must share one dimension")
-    return pts, vals
-
-
 @dataclass(frozen=True)
 class FinitelySupportedPoint:
     """A lattice point assignment with finite support inside the unit p-ball.
@@ -242,7 +231,12 @@ class FinitelySupportedPoint:
 
     def __post_init__(self):
         p = _check_exponent(self.p, "ball exponent p")
-        pts, vals = _sparse(self.support, self.values)
+        pts = [_coords(pt) for pt in self.support]
+        vals = _check_reals(self.values, "point values")[0][0].tolist() if len(self.values) else []
+        if len(pts) != len(vals):
+            raise ValueError("support and values must have equal length")
+        if len(set(len(pt) for pt in pts)) > 1:
+            raise ValueError("support points must share one dimension")
         if len(set(pts)) != len(pts):
             raise ValueError("support points must be distinct")
         kept = sorted((pt, v) for pt, v in zip(pts, vals) if v != 0.0)
@@ -331,13 +325,23 @@ def widim_constant(p: float, eps: float) -> Optional[int]:
 # Embedding check
 
 
-def _read_witness(doc: dict) -> dict:
-    """A report's witness: an index of at least 0, a finite margin, points x and y."""
+def _witness_point(x: FinitelySupportedPoint) -> dict:
+    """The witness form of a point: its support points as lists, then its values."""
+    return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
+
+
+def _read_witness(doc: dict, dim: int, p: float) -> dict:
+    """A report's witness: an index of at least 0, a finite margin, and points x
+    and y of dimension ``dim`` in the p-ball, each in the form it is written in."""
     witness = {"index": _check_int(doc["index"], "witness index", 0),
                "margin": _check_finite(doc["margin"], "witness margin")}
     for k in ("x", "y"):
-        support, values = _sparse(doc[k]["support"], doc[k]["values"])
-        witness[k] = {"support": [list(pt) for pt in support], "values": values}
+        point = _witness_point(FinitelySupportedPoint(
+            [_as_point(pt, dim) for pt in doc[k]["support"]], doc[k]["values"], p))
+        if point != doc[k]:
+            raise ValueError(f"witness point {k} must be written as {point}: support points "
+                             "sorted, no zero value")
+        witness[k] = point
     return witness
 
 
@@ -356,15 +360,16 @@ class EmbeddingReport:
     dim_d: int = checked(_check_int, "dimension d", 1)
     p: float = exponent("ball exponent p")
     eps: float = checked(_check_scale)
-    omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)}, read=lambda points:
-                           _probe_set(points, len(_coords(points[0])) if len(points) else 1))
+    omega: tuple = spelled(csv=lambda omega: {"omega_size": len(omega)}, read=_probe_set,
+                           given=("dim_d",))
     omega_prime_size: int = checked(_check_int, "omega_prime_size", 0)
     sample_count: int = checked(_check_int, "sample count", 1)
     seed: int = checked(_check_seed)
     checked_count: int = checked(_check_int, "checked count", 0)
     failure_count: int = checked(_check_int, "failure count", 0)
     worst_margin: Optional[float] = checked(_check_finite, "worst margin", null=True)
-    witness: Optional[dict] = checked(_read_witness, null=True, csv=lambda witness: {})
+    witness: Optional[dict] = checked(_read_witness, null=True, csv=lambda witness: {},
+                                      given=("dim_d", "p"))
     elapsed: Optional[float] = field(default=None, init=False, compare=False)
 
     @property
@@ -472,8 +477,8 @@ class _Window:
         """The witness form of one sparse row, checked as a point."""
         used = cols >= 0
         support = np.stack(np.unravel_index(cols[used], self.shape), axis=-1) - self.radius
-        x = FinitelySupportedPoint(tuple(map(tuple, support.tolist())), vals[used].tolist(), p)
-        return {"support": [list(pt) for pt in x.support], "values": list(x.values)}
+        return _witness_point(
+            FinitelySupportedPoint(tuple(map(tuple, support.tolist())), vals[used].tolist(), p))
 
     def gaps(self, C: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Per pair of :func:`_union`: the sup-norm distance of the

@@ -210,6 +210,8 @@ def test_group_embed_golden_bytes(capsys, config):
                            "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EMBED_GOLDEN[config]
+    if fmt == "json":
+        assert to_json(from_json(EmbeddingReport, out)) + "\n" == out
 
 
 # SHA-256 of every other command's output in both formats at the default
@@ -262,15 +264,35 @@ CLI_GOLDEN = {
     ("group --task table --dim 2 --p 2 --eps 0.25 --n 1,3,10", "json"): "bb2235f5ca1b98f2024a350cc15cae3392f9f54635256ec41e8e90d0164835f1",
     ("group --task table --p inf --eps 5 --n 0,2", "csv"): "c9a6fe2ef88583ded1a12d65676759c0a945436bb1466a1ed33b87b14645d5d9",
     ("group --task table --p inf --eps 5 --n 0,2", "json"): "f741643820872832b98f50eaad03b5a4c7d19ce3f67bb0c96d31df5e4429b94e",
+    # Recorded as the output literals that the CI step used to compare: the
+    # JSON digests are of each literal plus its newline, and each CSV
+    # document's last line is the literal row. HUGE stands for a file holding
+    # "1e200 1e200 0", whose squares overflow.
+    ("bounds --p 1 --q 2 --n 100 --eps 0.5", "json"): "bcfc47d0ffa21f3dd986e1d2eccd28c8acf69f685839f04cad611b1cb97b82f4",
+    ("bounds --p 1 --q 2 --n 7 --eps 0.5", "csv"): "d503e0ed3004f068706ffca4f66cbcae0635e97f7c69dd52c7ae0d222e43e30f",
+    ("bounds --p 1.5 --q 3.7 --n 100 --eps 0.5", "json"): "d7b86d99cfaed3ae6fefbc33aa3eaa0f1e4cf5a74017ba22328da00cff53e551",
+    ("bounds --p 2 --q 1 --n 7 --eps 1.5", "json"): "e8c6e0d362d99d62d426a098def23c2231169e1b8683724a960a82004e75557e",
+    ("map --m 1 --q 2 --in HUGE", "json"): "6e0783d3e360144f2690e1d78ea38a3e53c8836a13d17665cc580788e780aa78",
+    ("certify --method mc --p 2 --q inf --n 8 --m 1 --samples 4096", "csv"): "916b6d1cc3266faf2627f0797ba62253414b726230c63bd970bccd3c2b00da18",
+    ("certify --method mc --p 2 --q inf --n 8 --m 1 --samples 4096", "json"): "d9490946450d07175c606d585164c35cff4b498a6232a4c06dddc53bba3f9033",
+    ("certify --method mc --p 2 --q 10000 --n 4 --m 1 --samples 100", "json"): "ff9d4d85c957f0a0936389e87d347562332e8730183b033ae9a6b1e8eb24fe39",
+    # m >= n: sample 0 is reported, so these move with the ball sampler's stream layout
+    ("certify --method mc --p 1 --q 2 --n 64 --m 64 --samples 8192", "json"): "9627b85c9555a248f8c166a38e5cb4a41e3fc1ec4cd70d23b0b202fae097c347",
+    ("certify --method mc --p 2 --q inf --n 64 --m 64 --samples 8192", "json"): "194e518d1e5418cea2c1b9db8613a96764af776b5aa653e62a647cc456b2175f",
+    ("certify --method mc --p 1.5 --q inf --n 16 --m 16 --samples 4097", "json"): "435255ea9efcbe8708036dfe8a42aa066fd2a18ec2bf4b70968072e99b836f22",
+    ("group --task table --n 1,2", "json"): "524558a14556025e5c18452301da69feb52e65ebf3758562c583e6cc9c8d2472",
 }
+
+#: The input files that CLI_GOLDEN commands name.
+_GOLDEN_FILES = {"VEC": "-3 1 2 0.1 -0.7 1e-3\n", "HUGE": "1e200 1e200 0\n"}
 
 
 @pytest.mark.parametrize("config", sorted(CLI_GOLDEN))
 def test_cli_golden_bytes(capsys, tmp_path, config):
     command, fmt = config
-    vec = tmp_path / "vec.txt"
-    vec.write_text("-3 1 2 0.1 -0.7 1e-3\n")
-    argv = [str(vec) if a == "VEC" else a for a in command.split()]
+    for name, text in _GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _GOLDEN_FILES else a for a in command.split()]
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[config]

@@ -483,6 +483,7 @@ def test_embedding_witness_golden_bytes(name):
     rep = embedding_check(M, LatticeBox((0,) * M.dim_d, radius), p, eps, samples, seed=seed)
     assert (rep.witness is not None) == name.startswith("lying")
     assert hashlib.sha256(to_json(rep).encode()).hexdigest() == digest
+    assert from_json(EmbeddingReport, to_json(rep)) == rep  # the witness reads back too
 
 
 def _lying_asymmetric_metric():
@@ -517,6 +518,7 @@ def test_embedding_probe_set_golden_bytes(name):
     rep = embedding_check(metric(), omega, p, eps, samples, seed=seed)
     assert (rep.witness is not None) == name.startswith("lying")
     assert hashlib.sha256(to_json(rep).encode()).hexdigest() == digest
+    assert from_json(EmbeddingReport, to_json(rep)) == rep
 
 
 def test_p50_golden_run_draws_an_exact_zero(monkeypatch):

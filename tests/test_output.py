@@ -48,13 +48,13 @@ _certification_reports = st.builds(
 
 @st.composite
 def _sparse_point(draw, dim):
-    """The witness form of one point, as ``_Window.payload`` writes it."""
-    size = draw(st.integers(min_value=0, max_value=4))
-    return {
-        "support": draw(st.lists(st.lists(st.integers(-50, 50), min_size=dim, max_size=dim),
-                                 min_size=size, max_size=size)),
-        "values": draw(st.lists(_reals, min_size=size, max_size=size)),
-    }
+    """The witness form of one point, as ``_Window.payload`` writes it: sorted
+    distinct support points, nonzero values of magnitude at most 1/4, so that at
+    most four of them lie in every p-ball."""
+    support = sorted(draw(st.sets(st.tuples(*[st.integers(-50, 50)] * dim), max_size=4)))
+    values = st.floats(min_value=-0.25, max_value=0.25).filter(bool)
+    return {"support": [list(pt) for pt in support],
+            "values": draw(st.lists(values, min_size=len(support), max_size=len(support)))}
 
 
 _ball_exponents = st.one_of(st.just(math.inf), st.floats(min_value=1.0, max_value=1e6))
@@ -112,7 +112,7 @@ _EXAMPLE_CERTIFICATION = CertificationReport(
     3, 1, make_exponents(2.0, math.inf), 10, 0, -0.0, 0.5, 0.5, (-0.0, 0.5, -0.0))
 _EXAMPLE_EMBEDDING = EmbeddingReport(
     1, math.inf, 5.0, ((-1,), (0,), (1,)), 3, 300, 1, 12, 1, -0.0,
-    {"index": 7, "margin": 0.25, "x": {"support": [[-2], [3]], "values": [-0.0, 0.5]},
+    {"index": 7, "margin": 0.25, "x": {"support": [[-2], [3]], "values": [-0.25, 0.5]},
      "y": {"support": [], "values": []}})
 _EXAMPLE_TABLE = MeanDimensionTable(1, math.inf, 5.0, 0, ((0, 1, -0.0), (2, 5, 0.0)))
 
@@ -303,6 +303,38 @@ def test_from_json_reads_every_real_entry_by_core_rules(report, entries, message
     with pytest.raises(ValueError) as info:
         from_json(type(report), _edited(report, **entries))
     assert str(info.value).startswith(message)
+
+
+_EXAMPLE_X = _EXAMPLE_EMBEDDING.witness["x"]
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"dim_d": 3}, "lattice point (-1,) does not match dimension 3"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {"support": [[0, 0]], "values": [9.0]}}},
+     "lattice point (0, 0) does not match dimension 1"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "y": {"support": [[0, 1, 2]], "values": [0.5]}}},
+     "lattice point (0, 1, 2) does not match dimension 1"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {"support": [[0]], "values": [9.0]}}},
+     "point lies outside the unit ball"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {**_EXAMPLE_X, "values": [0.75, 0.5]}}},
+     "point lies outside the unit ball"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {**_EXAMPLE_X, "support": [[3], [-2]]}}},
+     "witness point x must be written as"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {**_EXAMPLE_X, "values": [0.0, 0.5]}}},
+     "witness point x must be written as"),
+    ({"witness": {**_EXAMPLE_EMBEDDING.witness, "x": {**_EXAMPLE_X, "support": [[3], [3]]}}},
+     "support points must be distinct"),
+], ids=["dim-3-omega-1d", "x-2d-outside", "y-3d", "x-outside", "x-outside-1-ball",
+        "x-unsorted", "x-zero", "x-repeated"])
+def test_embedding_report_reads_omega_and_witness_against_dim_d_and_p(entries, message):
+    # omega and both witness points are read against the dim_d and p read before
+    # them, the witness points by the point rule _Window.payload writes them
+    # with; each of these documents used to read back as written
+    report = dataclasses.replace(_EXAMPLE_EMBEDDING, p=1.0)
+    assert from_json(EmbeddingReport, to_json(report)) == report
+    with pytest.raises(ValueError) as info:
+        from_json(EmbeddingReport, _edited(report, **entries))
+    assert message in str(info.value)
 
 
 @pytest.mark.parametrize("cls", [CertificationReport, EmbeddingReport, MeanDimensionTable])

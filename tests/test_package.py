@@ -144,6 +144,16 @@ def test_probed_names_import(module, name):
     assert callable(getattr(importlib.import_module(module), name))
 
 
+def test_console_script_target_resolves():
+    # pip installs the `widim` command from this entry; besides the installed
+    # package's smoke runs in CI, this is the one check that it resolves
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((PERFBENCH.parent / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"widim": "widim.cli:main"}
+    module, name = project["scripts"]["widim"].split(":")
+    assert callable(getattr(importlib.import_module(module), name))
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     # numpy loads numpy.random on first use; naming a bit generator at import
     # time loaded it for every run, about 6 MiB of peak RSS and a slower
